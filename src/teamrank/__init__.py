@@ -42,7 +42,7 @@ from .dataio import (
     write_objects_csv,
 )
 from .errors import TeamRankError
-from .nnindex import IoStats, NnIndex, build_index, fingerprint, query_min, scan_blocks
+from .nnindex import IoStats, NnIndex, build_index, fingerprint
 from .ranking import (
     CorollaryReport,
     NormalizedCandidate,

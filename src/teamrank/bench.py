@@ -8,7 +8,10 @@ with sub-millisecond calls batched inside each timed sample (timeit-style,
 floor configurable via ``timing_min_sample_s``) so the per-call medians are
 stable; index build time is measured once since builds are deterministic
 and expensive. I/O numbers come from a dedicated accounting pass whose
-counters are snapshotted before the timing runs start.
+counters are snapshotted before the timing runs start. ``bf`` is charged
+ceil(n / B) block reads per member arithmetically, so its ``query_s`` times
+the in-memory scoring kernel. ``rtcstar`` is charged every index block it
+fetches; its fallback re-scores are not charged.
 
 Synthetic target modes:
 

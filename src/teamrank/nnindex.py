@@ -5,22 +5,19 @@ one-sided rate distance to that member's virtual object, sorted ascending.
 The key is not a metric (the one-sided shortfall breaks symmetry and the
 triangle inequality), so no metric-tree pruning is attempted; a globally
 sorted run per partition realizes minimum and k-smallest retrieval with a
-deterministic ceil(k / B) block reads. Partitions also carry an iDistance
-style composite key, partition stride * member_index + key, with the stride
-recorded in the header.
+deterministic ceil(k / B) block reads.
 
 On-disk layout, one file per partition named ``<fingerprint>.<member>.idx``:
 
-    header (64 bytes, little endian):
+    header (56 bytes, little endian):
         magic            8s   b"TRNNIDX1"
-        version          u16  1
+        version          u16  2
         dimension        u16
         member_count     u32
         record_count     u64
         block_size       u32  entries per block
         member_index     u32
         lambda_r         f64
-        stride           f64
         fingerprint      16s  raw digest bytes
 
     data: ceil(n / B) blocks of B records, 16 bytes each:
@@ -29,21 +26,20 @@ On-disk layout, one file per partition named ``<fingerprint>.<member>.idx``:
 
 Entries are sorted by (key, object id); the final block is padded with
 (+inf, 0xFF..F) sentinels so every block is the same size. Rebuilding from
-the same configuration is byte-identical. Build writes and query reads are
-tallied in separate counters; counter updates are lock-protected so
-concurrent readers never lose increments.
+the same configuration is byte-identical. A partition whose size does not
+match its header, or a short block read, raises ``StaleIndex``. Build writes
+and query reads are tallied in separate counters; counter updates are
+lock-protected so concurrent readers never lose increments.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 import os
 import struct
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -63,13 +59,11 @@ __all__ = [
     "NnIndex",
     "fingerprint",
     "build_index",
-    "query_min",
-    "scan_blocks",
 ]
 
 MAGIC = b"TRNNIDX1"
-VERSION = 1
-HEADER = struct.Struct("<8sHHIQIIdd16s")
+VERSION = 2
+HEADER = struct.Struct("<8sHHIQIId16s")
 RECORD_DTYPE = np.dtype([("key", "<f8"), ("ordinal", "<u8")])
 PAD_ORDINAL = np.uint64(0xFFFFFFFFFFFFFFFF)
 
@@ -158,24 +152,17 @@ def fingerprint(space: ObjectSpace, team: TeamContext, target: TargetContext, w,
     return h.hexdigest()[:32]
 
 
-def _stride_for(max_key: float) -> float:
-    if max_key <= 0.0 or not math.isfinite(max_key):
-        return 1.0
-    return 10.0 ** (math.floor(math.log10(max_key)) + 1)
-
-
 class NnIndex:
     """Handle over one built index: m partition files plus I/O counters."""
 
     def __init__(self, directory, fp: str, block_size: int, n: int, m: int, d: int,
-                 stride: float, lambda_rs: list[float], ids: np.ndarray):
+                 lambda_rs: list[float], ids: np.ndarray):
         self.directory = Path(directory)
         self.fingerprint = fp
         self.block_size = int(block_size)
         self.n = int(n)
         self.m = int(m)
         self.d = int(d)
-        self.stride = float(stride)
         self.lambda_rs = list(lambda_rs)
         self.build_io = IoStats()
         self.query_io = IoStats()
@@ -190,10 +177,6 @@ class NnIndex:
     def data_blocks(self) -> int:
         """Blocks per partition, excluding the header region."""
         return -(-self.n // self.block_size)
-
-    def composite_key(self, member_index: int, key: float) -> float:
-        """Single-axis view of (partition, key), iDistance style."""
-        return member_index * self.stride + key
 
     def close(self) -> None:
         if not self._closed:
@@ -216,8 +199,12 @@ class NnIndex:
         if not 0 <= sequence < self.data_blocks:
             raise InvalidArgument(f"block {sequence} outside [0, {self.data_blocks})")
         # positioned read: no shared seek state, so concurrent readers are safe
-        offset = HEADER.size + sequence * self.block_size * RECORD_DTYPE.itemsize
-        raw = os.pread(self._files[member_index].fileno(), self.block_size * RECORD_DTYPE.itemsize, offset)
+        size = self.block_size * RECORD_DTYPE.itemsize
+        raw = os.pread(self._files[member_index].fileno(), size, HEADER.size + sequence * size)
+        if len(raw) != size:
+            raise StaleIndex(
+                f"{self._path(member_index)}: block {sequence} is {len(raw)} of {size} bytes"
+            )
         if count:
             self.query_io.add_read(1)
         entries = np.frombuffer(raw, dtype=RECORD_DTYPE)
@@ -282,7 +269,6 @@ class NnIndex:
             n=header["n"],
             m=header["m"],
             d=header["d"],
-            stride=header["stride"],
             lambda_rs=lambda_rs,
             ids=space.ids,
         )
@@ -291,7 +277,10 @@ class NnIndex:
     def _read_header(path: Path, fp: str, expect_member: int, expect: dict | None = None) -> dict:
         with open(path, "rb") as fh:
             raw = fh.read(HEADER.size)
-        magic, version, d, m, n, B, member_index, lambda_r, stride, digest = HEADER.unpack(raw)
+            size = os.fstat(fh.fileno()).st_size
+        if len(raw) != HEADER.size:
+            raise StaleIndex(f"{path}: truncated header")
+        magic, version, d, m, n, B, member_index, lambda_r, digest = HEADER.unpack(raw)
         if magic != MAGIC or version != VERSION:
             raise StaleIndex(f"{path}: bad magic or version")
         if digest != bytes.fromhex(fp):
@@ -305,10 +294,11 @@ class NnIndex:
             "B": B,
             "member_index": member_index,
             "lambda_r": lambda_r,
-            "stride": stride,
         }
+        if B < 1 or size != HEADER.size + -(-n // B) * B * RECORD_DTYPE.itemsize:
+            raise StaleIndex(f"{path}: file size {size} does not match its header")
         if expect is not None:
-            for field in ("d", "m", "n", "B", "stride"):
+            for field in ("d", "m", "n", "B"):
                 if header[field] != expect[field]:
                     raise StaleIndex(f"{path}: header field {field} differs across partitions")
         return header
@@ -343,19 +333,11 @@ def build_index(
     blocks = -(-n // block_size)
     pad = blocks * block_size - n
 
-    member_keys = []
-    max_key = 0.0
-    for record in team.members:
+    written = 0
+    for member_index, record in enumerate(team.members):
         v = virtual_object(team, target, record)
         keys = odis_keys(v.values, v.tv2, rates, w)
         order = np.lexsort((space.ids, keys))
-        member_keys.append((keys[order], order))
-        if keys.size:
-            max_key = max(max_key, float(keys[order[-1]]))
-    stride = _stride_for(max_key)
-
-    written = 0
-    for member_index, (record, (sorted_keys, order)) in enumerate(zip(team.members, member_keys)):
         header = HEADER.pack(
             MAGIC,
             VERSION,
@@ -365,11 +347,10 @@ def build_index(
             block_size,
             member_index,
             record.lam,
-            stride,
             bytes.fromhex(fp),
         )
         payload = np.empty(blocks * block_size, dtype=RECORD_DTYPE)
-        payload["key"][:n] = sorted_keys
+        payload["key"][:n] = keys[order]
         payload["ordinal"][:n] = order.astype(np.uint64)
         if pad:
             payload["key"][n:] = np.inf
@@ -386,29 +367,9 @@ def build_index(
         n=n,
         m=m,
         d=space.dimension,
-        stride=stride,
         lambda_rs=[r.lam for r in team.members],
         ids=space.ids,
     )
     index.build_io.add_write(written)
     return index
 
-
-def query_min(index: NnIndex, member_index: int, k: int) -> list[tuple[str, float]]:
-    """Module-level convenience wrapper over :meth:`NnIndex.query_min`."""
-    return index.query_min(member_index, k)
-
-
-def scan_blocks(space: ObjectSpace, block_size: int, io: IoStats | None = None) -> Iterator[slice]:
-    """Yield ceil(n / B) row windows over the space, charging one read each.
-
-    Gives the exhaustive method the same I/O accounting substrate the index
-    queries use, so block counts are directly comparable.
-    """
-    if block_size < 1:
-        raise InvalidArgument(f"block_size must be >= 1, got {block_size}")
-    n = len(space)
-    for start in range(0, n, block_size):
-        if io is not None:
-            io.add_read(1)
-        yield slice(start, min(start + block_size, n))

@@ -170,8 +170,8 @@ def _exchange_distance_rows(
     return np.sqrt(np.sum(terms * terms, axis=1))
 
 
-def _member_top(dist: np.ndarray, ids: np.ndarray, k: int) -> list[tuple[float, str, int]]:
-    """Smallest k entries as (distance, id, row) with ties by ascending id."""
+def _member_top(dist: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the smallest k distances, ordered with ties by ascending id."""
     n = dist.size
     if k >= n:
         candidates = np.arange(n)
@@ -179,18 +179,44 @@ def _member_top(dist: np.ndarray, ids: np.ndarray, k: int) -> list[tuple[float, 
         kth = np.partition(dist, k - 1)[k - 1]
         candidates = np.nonzero(dist <= kth)[0]
     order = np.lexsort((ids[candidates], dist[candidates]))
-    chosen = candidates[order[:k]]
-    return [(float(dist[i]), str(ids[i]), int(i)) for i in chosen]
+    return candidates[order[:k]]
+
+
+def _member_entries(
+    space: ObjectSpace,
+    gap: np.ndarray,
+    record: ObjectRecord,
+    v: VirtualObject,
+    w: np.ndarray,
+    top_k: int,
+    rows: np.ndarray | None = None,
+    keys: np.ndarray | None = None,
+) -> list[tuple[float, str, float]]:
+    """One member's best ``top_k`` swaps as (distance, swap-in id, key) entries.
+
+    The shared per-member kernel: exact post-exchange distances over the
+    candidate ``rows`` (every row of the space when None), smallest first
+    with ties by ascending id. ``keys`` are the index keys aligned with
+    ``rows``; for a full scan the chosen entries' keys are computed.
+    """
+    if rows is None:
+        attrs, lambdas, ids = space.attrs, space.lambdas, space.ids
+    else:
+        attrs, lambdas, ids = space.attrs[rows], space.lambdas[rows], space.ids[rows]
+    dist = _exchange_distance_rows(gap + record.attrs, record.lam, attrs, lambdas, w)
+    chosen = _member_top(dist, ids, top_k)
+    if keys is None:
+        chosen_keys = odis_keys(v.values, v.tv2, space.rates()[chosen], w)
+    else:
+        chosen_keys = keys[chosen]
+    return [(float(dist[i]), str(ids[i]), float(key)) for i, key in zip(chosen, chosen_keys)]
 
 
 def _merge_and_rank(
-    per_member: list[tuple[ObjectRecord, list[tuple[float, str, int]], np.ndarray]],
+    per_member: list[tuple[str, list[tuple[float, str, float]]]],
     top_k: int,
 ) -> list[SwapRecommendation]:
-    pool: list[tuple[float, str, str, float]] = []
-    for record, entries, keys in per_member:
-        for (dist, in_id, _row), key in zip(entries, keys):
-            pool.append((dist, record.id, in_id, float(key)))
+    pool = [(dist, out_id, in_id, key) for out_id, entries in per_member for dist, in_id, key in entries]
     pool.sort(key=lambda item: (item[0], item[1], item[2]))
     return [
         SwapRecommendation(swap_out_id=out_id, swap_in_id=in_id, new_distance=dist, odis=key)
@@ -211,13 +237,14 @@ def brute_force_rank(
 ) -> list[SwapRecommendation]:
     """Score every (member, candidate) pair and keep the best ``top_k``.
 
-    With ``block_size`` set, candidates are consumed through the block
-    scanner once per member, charging ceil(n / block_size) reads per member
-    to ``io``; results are identical either way. ``stats_out``, when given,
-    receives per-member read counts.
+    With ``block_size`` set, each member is charged the ceil(n / block_size)
+    block reads of a full scan to ``io``; results are identical either way.
+    ``stats_out``, when given, receives per-member read counts.
     """
     if top_k < 1:
         raise InvalidArgument(f"top_k must be >= 1, got {top_k}")
+    if block_size is not None and block_size < 1:
+        raise InvalidArgument(f"block_size must be >= 1, got {block_size}")
     if len(space) < 1:
         raise EmptySpace("ranking needs a non-empty object space")
     w = weight_vector(w)
@@ -225,31 +252,15 @@ def brute_force_rank(
     if w.size != gap.size or space.dimension != gap.size:
         raise DimensionMismatch("team, target, space and weights must share a dimension")
 
+    reads = 0 if block_size is None else -(-len(space) // block_size)
+    if io is not None:
+        io.add_read(reads * team.size)
     per_member = []
-    per_member_reads = []
     for record in team.members:
-        base = gap + record.attrs
-        if block_size is None:
-            dist = _exchange_distance_rows(base, record.lam, space.attrs, space.lambdas, w)
-            per_member_reads.append(0)
-        else:
-            from .nnindex import scan_blocks
-
-            reads = 0
-            dist = np.empty(len(space), dtype=np.float64)
-            for window in scan_blocks(space, block_size, io=io):
-                reads += 1
-                dist[window] = _exchange_distance_rows(
-                    base, record.lam, space.attrs[window], space.lambdas[window], w
-                )
-            per_member_reads.append(reads)
-        entries = _member_top(dist, space.ids, min(top_k, len(space)))
         v = virtual_object(team, target, record)
-        rows = np.array([row for _, _, row in entries], dtype=np.intp)
-        keys = odis_keys(v.values, v.tv2, space.rates()[rows], w) if rows.size else np.empty(0)
-        per_member.append((record, entries, keys))
+        per_member.append((record.id, _member_entries(space, gap, record, v, w, top_k)))
     if stats_out is not None:
-        stats_out["per_member_reads"] = per_member_reads
+        stats_out["per_member_reads"] = [reads] * team.size
     return _merge_and_rank(per_member, top_k)
 
 
@@ -305,13 +316,11 @@ def rtc_star_rank(
 
     gap = diff(target, team)
     min_rates = space.min_rates()
-    rates = space.rates()
 
     per_member = []
     per_member_reads = []
     fallback_members = []
     for member_index, record in enumerate(team.members):
-        base = gap + record.attrs
         v = virtual_object(team, target, record)
 
         before = index.query_io.blocks_read
@@ -321,20 +330,8 @@ def rtc_star_rank(
         clip_unsafe = v.clipped and bool(np.any(v.clipped_dims & (min_rates < 0.0)))
         if _flip_possible(gap, record, min_rates) or clip_unsafe:
             fallback_members.append(record.id)
-            dist = _exchange_distance_rows(base, record.lam, space.attrs, space.lambdas, w)
-            entries = _member_top(dist, space.ids, min(top_k, len(space)))
-            rows = np.array([row for _, _, row in entries], dtype=np.intp)
-            entry_keys = odis_keys(v.values, v.tv2, rates[rows], w) if rows.size else np.empty(0)
-        else:
-            dist = _exchange_distance_rows(
-                base, record.lam, space.attrs[ordinals], space.lambdas[ordinals], w
-            )
-            order = np.lexsort((space.ids[ordinals], dist))
-            entries = [
-                (float(dist[j]), str(space.ids[ordinals[j]]), int(ordinals[j])) for j in order
-            ]
-            entry_keys = keys[order]
-        per_member.append((record, entries, entry_keys))
+            ordinals = keys = None
+        per_member.append((record.id, _member_entries(space, gap, record, v, w, top_k, ordinals, keys)))
     if stats_out is not None:
         stats_out["per_member_reads"] = per_member_reads
         stats_out["fallback_members"] = fallback_members

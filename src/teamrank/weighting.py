@@ -83,49 +83,11 @@ def _series_values(x) -> np.ndarray:
     return arr
 
 
-def _count_inversions(values: np.ndarray) -> int:
-    """Strictly decreasing pairs (i < j with values[i] > values[j]), by merge sort."""
-    a = list(values)
-    buf = a[:]
-    n = len(a)
-    inversions = 0
-    width = 1
-    while width < n:
-        for start in range(0, n, 2 * width):
-            mid = min(start + width, n)
-            end = min(start + 2 * width, n)
-            i, j, k = start, mid, start
-            while i < mid and j < end:
-                if a[j] < a[i]:
-                    buf[k] = a[j]
-                    j += 1
-                    inversions += mid - i
-                else:
-                    buf[k] = a[i]
-                    i += 1
-                k += 1
-            buf[k:end] = a[i:mid] if i < mid else a[j:end]
-        a, buf = buf, a
-        width *= 2
-    return inversions
-
-
-def _tied_pairs(values: np.ndarray) -> int:
-    _, counts = np.unique(values, return_counts=True)
-    return int(np.sum(counts * (counts - 1) // 2))
-
-
-def _jointly_tied_pairs(x: np.ndarray, y: np.ndarray) -> int:
-    pairs = np.stack([x, y], axis=1)
-    _, counts = np.unique(pairs, axis=0, return_counts=True)
-    return int(np.sum(counts * (counts - 1) // 2))
-
-
 def kendall_tau(x, y) -> float:
     """Kendall rank correlation in [-1, 1] between two equally long series.
 
-    Runs in O(n log n): sort by (x, y), then count discordant pairs as
-    strict inversions of the y sequence.
+    Sums sign(x_i - x_j) * sign(y_i - y_j) over all pairs as integers, in
+    O(n^2) time and memory; callers correlate one entry per team.
     """
     xv = _series_values(x)
     yv = _series_values(y)
@@ -135,14 +97,11 @@ def kendall_tau(x, y) -> float:
     if n < 2:
         raise InsufficientData("kendall_tau needs at least two observations")
 
-    order = np.lexsort((yv, xv))
-    discordant = _count_inversions(yv[order])
-    total = n * (n - 1) // 2
-    same_x = _tied_pairs(xv)
-    same_y = _tied_pairs(yv)
-    same_xy = _jointly_tied_pairs(xv, yv)
-    concordant_minus_discordant = total - same_x - same_y + same_xy - 2 * discordant
-    return concordant_minus_discordant / total
+    sx = np.sign(xv[:, None] - xv[None, :]).astype(np.int64)
+    sy = np.sign(yv[:, None] - yv[None, :]).astype(np.int64)
+    # the matrix holds every unordered pair twice and a zero diagonal
+    concordant_minus_discordant = int(np.sum(sx * sy)) // 2
+    return concordant_minus_discordant / (n * (n - 1) // 2)
 
 
 def compute_weights(team_stats, final_ranking: RankedSeries) -> WeightResult:

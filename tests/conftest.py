@@ -1,8 +1,9 @@
 """Shared fixtures: seeded random problem instances used across test modules.
 
 Instances use count-like non-negative integer attributes with continuous
-exchange parameters, the regime the library targets. Team members are always
-drawn from the object space, so the identity swap is available.
+exchange parameters, the regime the library targets; ``negative=True``
+shifts them below zero. Team members are always drawn from the object space,
+so the identity swap is available.
 """
 
 from dataclasses import dataclass
@@ -37,6 +38,7 @@ def random_instance(
     m: int | None = None,
     lambda_mode: str = "uniform",
     inject_dominator: bool = False,
+    negative: bool = False,
 ) -> Instance:
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     n = int(rng.integers(20, 501)) if n is None else n
@@ -78,6 +80,24 @@ def random_instance(
         )
         space = ObjectSpace.from_records(space.records() + [dom], space.attribute_names)
         team = team_from_ids(space, member_ids, team_id="C")
+
+    if negative:
+        # every value of dimension 0 goes negative, and the target sits just
+        # above the team there: the member lowest on it gets a clipped virtual
+        # object while candidate rates are negative, where index keys stop
+        # tracking exact order
+        shift = rng.uniform(0.5, 2.0, size=d) * space.attrs.mean(axis=0)
+        shift[0] = space.attrs[:, 0].max() + 1.0
+        space = ObjectSpace(
+            ids=space.ids,
+            lambdas=space.lambdas,
+            attrs=space.attrs - shift,
+            attribute_names=space.attribute_names,
+        )
+        team = team_from_ids(space, member_ids, team_id="C")
+        aggregate = target.aggregate - m * shift
+        aggregate[0] = team.aggregate[0] - 0.5 * min(r.attrs[0] for r in team.members)
+        target = TargetContext(team_id="T", aggregate=aggregate)
 
     return Instance(
         seed=seed,

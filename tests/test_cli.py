@@ -209,5 +209,18 @@ class TestExitCodes:
         code, _, _ = run(["ingest", "--objects", str(bad), "--manifest", league["players_manifest"]], capsys)
         assert code == 2
 
+    def test_truncated_index_partition_is_data_error(self, league, capsys, tmp_path):
+        idx = tmp_path / "idx"
+        code, out, _ = run(["index", "build", *real_flags(league), "--team", "BBB",
+                            "--block-size", "3", "--index-dir", str(idx)], capsys)
+        assert code == 0
+        partition = idx / json.loads(out)["files"][0]
+        partition.write_bytes(partition.read_bytes()[:56 + 2 * 16])
+        code, out, err = run(["rank", "--method", "rtcstar", *real_flags(league), "--team", "BBB",
+                              "--top-k", "2", "--block-size", "3", "--index-dir", str(idx)], capsys)
+        assert code == 2
+        assert out == ""
+        assert "error" in err.lower()
+
     def test_help_exits_zero(self, capsys):
         assert run(["--help"], capsys)[0] == 0

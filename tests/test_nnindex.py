@@ -7,7 +7,7 @@ import pytest
 from teamrank.core import TargetContext, team_from_ids
 from teamrank.dataio import NbParams, gen_synthetic
 from teamrank.errors import InvalidArgument, InvalidPartition, StaleIndex
-from teamrank.nnindex import HEADER, NnIndex, build_index, fingerprint, query_min, scan_blocks, IoStats
+from teamrank.nnindex import HEADER, NnIndex, build_index, fingerprint
 from teamrank.ranking import odis_keys, virtual_object
 
 
@@ -78,16 +78,6 @@ class TestBuild:
         space, team, target, w = make_setup()
         with pytest.raises(InvalidArgument):
             build_index(space, team, target, w, 0, tmp_path)
-
-    def test_stride_exceeds_every_key(self, tmp_path):
-        space, team, target, w = make_setup(seed=11)
-        with build_index(space, team, target, w, 8, tmp_path) as index:
-            top = max(
-                index.read_block(i, index.data_blocks - 1, count=False).keys.max()
-                for i in range(index.m)
-            )
-            assert index.stride > top
-            assert index.composite_key(1, 0.0) > index.composite_key(0, top)
 
 
 class TestQueryMin:
@@ -162,11 +152,6 @@ class TestQueryMin:
             entries = index.query_min(0, 6)
             assert [obj for obj, _ in entries] == [f"p{i}" for i in range(6)]
 
-    def test_module_level_wrapper(self, tmp_path):
-        space, team, target, w = make_setup(seed=10, m=1)
-        with build_index(space, team, target, w, 5, tmp_path) as index:
-            assert query_min(index, 0, 2) == index.query_min(0, 2)[:2]
-
     def test_reset_is_explicit(self, tmp_path):
         space, team, target, w = make_setup(seed=12, m=1)
         with build_index(space, team, target, w, 5, tmp_path) as index:
@@ -237,25 +222,32 @@ class TestOpenAndFingerprint:
         assert fingerprint(space, team, other_target, w, 5) != base
 
 
-class TestScanBlocks:
-    def test_counts_full_and_partial_blocks(self):
-        space, *_ = make_setup(n=40)
-        io = IoStats()
-        windows = list(scan_blocks(space, 100, io=io))
-        assert len(windows) == 1 and io.blocks_read == 1
+class TestDamagedPartitions:
+    def build_closed(self, tmp_path, n=60):
+        space, team, target, w = make_setup(seed=21, n=n, m=2)
+        build_index(space, team, target, w, 4, tmp_path).close()
+        return space, tmp_path / f"{fingerprint(space, team, target, w, 4)}.1.idx"
 
-        io = IoStats()
-        windows = list(scan_blocks(space, 7, io=io))
-        assert len(windows) == -(-40 // 7)
-        assert io.blocks_read == len(windows)
-        covered = np.concatenate([np.arange(w.start, w.stop) for w in windows])
-        assert np.array_equal(covered, np.arange(40))
+    def test_truncated_partition_is_stale(self, tmp_path):
+        space, path = self.build_closed(tmp_path)
+        fp = path.name.split(".")[0]
+        path.write_bytes(path.read_bytes()[: HEADER.size + 3 * 16])
+        with pytest.raises(StaleIndex):
+            NnIndex.open(tmp_path, fp, space)
 
-    def test_single_record_single_block(self):
-        space, *_ = make_setup(n=1, m=1)
-        assert len(list(scan_blocks(space, 10))) == 1
+    def test_truncation_after_open_is_caught_at_read(self, tmp_path):
+        space, path = self.build_closed(tmp_path)
+        with NnIndex.open(tmp_path, path.name.split(".")[0], space) as index:
+            with open(path, "r+b") as fh:
+                fh.truncate(HEADER.size + 6 * 16)
+            index.query_min_raw(1, 4)
+            with pytest.raises(StaleIndex):
+                index.query_min_raw(1, 10)
 
-    def test_block_size_validation(self):
-        space, *_ = make_setup(n=5)
-        with pytest.raises(InvalidArgument):
-            list(scan_blocks(space, 0))
+    def test_version_1_partition_is_stale(self, tmp_path):
+        space, path = self.build_closed(tmp_path)
+        raw = bytearray(path.read_bytes())
+        raw[8:10] = (1).to_bytes(2, "little")
+        path.write_bytes(bytes(raw))
+        with pytest.raises(StaleIndex):
+            NnIndex.open(tmp_path, path.name.split(".")[0], space)

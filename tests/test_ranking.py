@@ -160,6 +160,11 @@ class TestBruteForce:
         with pytest.raises(InvalidArgument):
             brute_force_rank(team, target, space, w, 0)
 
+    def test_zero_block_size_rejected(self):
+        space, team, target, w = derived_instance()
+        with pytest.raises(InvalidArgument):
+            brute_force_rank(team, target, space, w, 4, block_size=0)
+
     def test_all_minimum_ties_are_retrievable_in_id_order(self):
         twin_a = rec("pa", [4, 6])
         twin_b = rec("pb", [4, 6])
@@ -217,18 +222,29 @@ class TestRtcStar:
     @settings(max_examples=40)
     @given(st.integers(0, 10_000))
     def test_oracle_equivalence_on_random_instances(self, seed):
+        import dataclasses
         import tempfile
 
-        inst = random_instance(seed, n=int(20 + seed % 80))
-        expected = brute_force_rank(inst.team, inst.target, inst.space, inst.weights, inst.top_k)
-        with tempfile.TemporaryDirectory() as tmp:
-            with build_index(
-                inst.space, inst.team, inst.target, inst.weights, inst.block_size, tmp
-            ) as index:
-                got = rtc_star_rank(
-                    inst.team, inst.target, inst.space, inst.weights, index, inst.top_k
-                )
-        assert got == expected
+        negative = random_instance(seed, n=int(20 + seed % 80), negative=True)
+        min_rates = negative.space.min_rates()
+        # the clip-unsafe fallback: a clipped dimension meets negative rates
+        assert any(
+            np.any(virtual_object(negative.team, negative.target, r).clipped_dims & (min_rates < 0.0))
+            for r in negative.team.members
+        )
+        small = random_instance(seed, n=int(1 + seed % 6))
+        small = dataclasses.replace(small, top_k=len(small.space) + seed % 3)
+
+        for inst in (random_instance(seed, n=int(20 + seed % 80)), negative, small):
+            expected = brute_force_rank(inst.team, inst.target, inst.space, inst.weights, inst.top_k)
+            with tempfile.TemporaryDirectory() as tmp:
+                with build_index(
+                    inst.space, inst.team, inst.target, inst.weights, inst.block_size, tmp
+                ) as index:
+                    got = rtc_star_rank(
+                        inst.team, inst.target, inst.space, inst.weights, index, inst.top_k
+                    )
+            assert got == expected
 
     def test_improvement_guarantee_when_members_in_space(self, tmp_path):
         for seed in range(15):
