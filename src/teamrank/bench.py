@@ -8,10 +8,16 @@ with sub-millisecond calls batched inside each timed sample (timeit-style,
 floor configurable via ``timing_min_sample_s``) so the per-call medians are
 stable; index build time is measured once since builds are deterministic
 and expensive. I/O numbers come from a dedicated accounting pass whose
-counters are snapshotted before the timing runs start. ``bf`` is charged
-ceil(n / B) block reads per member arithmetically, so its ``query_s`` times
-the in-memory scoring kernel. ``rtcstar`` is charged every index block it
-fetches; its fallback re-scores are not charged.
+counters are snapshotted before the timing runs start. ``bf`` runs in
+memory; the report charges it the ceil(n / B) block reads of a full scan per
+member, worked out here rather than counted, so its ``query_s`` times the
+scoring kernel alone. ``rtcstar`` is charged every index block it fetches
+(one positioned read of ceil(k / B) blocks per member); its fallback
+re-scores are not charged.
+
+A synthetic or CSV run with an elite target set picks each team's target by
+:func:`target_from_elite`, the rule the CLI applies too, and both render
+recommendation lists through :func:`recommendations_payload`.
 
 Synthetic target modes:
 
@@ -43,9 +49,9 @@ import numpy as np
 from .core import ObjectSpace, TargetContext, TeamContext, diff, team_from_ids, truncated_distance, truncating_vector
 from .dataio import NbParams, gen_synthetic, load_manifest, load_objects, load_rosters, load_teams
 from .errors import InvalidArgument
-from .nnindex import IoStats, build_index
+from .nnindex import build_index
 from .ranking import SwapRecommendation, brute_force_rank, rtc_star_rank
-from .weighting import compute_weights, select_target
+from .weighting import TargetSelection, compute_weights, select_target
 
 __all__ = [
     "ExperimentConfig",
@@ -168,7 +174,7 @@ class ExperimentReport:
         )
 
 
-def _recommendations_payload(recs: Sequence[SwapRecommendation]) -> list[dict]:
+def recommendations_payload(recs: Sequence[SwapRecommendation]) -> list[dict]:
     return [
         {
             "swap_out": r.swap_out_id,
@@ -253,13 +259,13 @@ def _load_dataset(config: ExperimentConfig):
     raise InvalidArgument(f"unknown dataset kind {kind!r}")
 
 
-def _target_from_elite(team: TeamContext, elite: Sequence[TargetContext], weights) -> TargetContext:
+def target_from_elite(
+    team: TeamContext, elite: Sequence[TargetContext], weights
+) -> tuple[TargetSelection, TargetContext]:
+    """The nearest elite team other than ``team`` itself, else any elite team."""
     candidates = [t for t in elite if t.team_id != team.team_id] or list(elite)
     selection = select_target(team, candidates, weights)
-    for cand in candidates:
-        if cand.team_id == selection.target_id:
-            return cand
-    raise InvalidArgument(f"selected target {selection.target_id!r} missing from elite set")
+    return selection, next(t for t in candidates if t.team_id == selection.target_id)
 
 
 def _synthetic_elite(space: ObjectSpace, config: ExperimentConfig) -> list[TargetContext]:
@@ -276,7 +282,11 @@ def _synthetic_elite(space: ObjectSpace, config: ExperimentConfig) -> list[Targe
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run every configured team through every configured method."""
+    if config.block_size < 1:
+        raise InvalidArgument(f"block_size must be >= 1, got {config.block_size}")
     space, teams, loaded, weights = _load_dataset(config)
+    # bf reads every block of a full scan once per member
+    bf_reads = -(-len(space) // config.block_size)
 
     synthetic_elite = None
     if loaded is None and config.target_mode == "elite":
@@ -292,14 +302,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     try:
         for team in teams:
             if loaded is not None:
-                target = _target_from_elite(team, loaded[1], weights)
+                _, target = target_from_elite(team, loaded[1], weights)
             elif config.target_mode == "dominant":
                 target = TargetContext(
                     team_id=f"{team.team_id}-target",
                     aggregate=team.aggregate * (1.0 + config.target_margin),
                 )
             elif config.target_mode == "elite":
-                target = _target_from_elite(team, synthetic_elite, weights)
+                _, target = target_from_elite(team, synthetic_elite, weights)
             else:
                 raise InvalidArgument(f"unknown target mode {config.target_mode!r}")
 
@@ -311,26 +321,17 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             results: dict[str, list[SwapRecommendation]] = {}
 
             if "bf" in config.methods:
-                io = IoStats()
-                stats: dict = {}
-                results["bf"] = brute_force_rank(
-                    team, target, space, weights, config.top_k,
-                    block_size=config.block_size, io=io, stats_out=stats,
-                )
-                snap = io.snapshot()
+                results["bf"] = brute_force_rank(team, target, space, weights, config.top_k)
                 row_io["bf"] = {
-                    "blocks_read": snap.blocks_read,
+                    "blocks_read": bf_reads * team.size,
                     "blocks_written": 0,
                     "queries_served": 0,
-                    "per_member_reads": stats.get("per_member_reads", []),
+                    "per_member_reads": [bf_reads] * team.size,
                 }
                 row_timing["bf"] = {
                     "build_s": 0.0,
                     "query_s": _median_time(
-                        lambda: brute_force_rank(
-                            team, target, space, weights, config.top_k,
-                            block_size=config.block_size, io=IoStats(),
-                        ),
+                        lambda: brute_force_rank(team, target, space, weights, config.top_k),
                         config.timing_warmup,
                         config.timing_repeats,
                         config.timing_min_sample_s,
@@ -378,7 +379,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                     distance_before=distance_before,
                     distance_after=best_after,
                     methods_agree=agree,
-                    recommendations=_recommendations_payload(reference),
+                    recommendations=recommendations_payload(reference),
                     io=row_io,
                     timing=row_timing,
                 )

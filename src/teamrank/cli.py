@@ -30,9 +30,9 @@ from .dataio import (
     write_objects_csv,
 )
 from .errors import InvalidArgument, MissingColumn, TeamRankError
-from .nnindex import NnIndex, build_index, fingerprint
+from .nnindex import NnIndex, build_index, fingerprint, index_path
 from .ranking import brute_force_rank, rtc_star_rank
-from .weighting import compute_weights, select_target
+from .weighting import compute_weights
 
 __all__ = ["cli_main", "main"]
 
@@ -44,6 +44,13 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _config_echo(args: argparse.Namespace) -> dict:
@@ -117,16 +124,19 @@ def _cmd_weights(args) -> dict:
     }
 
 
+def _query_team(args, space, rosters, team_id: str):
+    if team_id not in rosters:
+        raise InvalidArgument(f"team {team_id!r} has no roster rows in {args.objects}")
+    return team_from_ids(space, rosters[team_id], team_id=team_id)
+
+
 def _cmd_target(args) -> dict:
     space, rosters, _targets, weights, elite = _load_real(args)
     team_ids = [args.team] if args.team else sorted(rosters)
     selections = []
     for team_id in team_ids:
-        if team_id not in rosters:
-            raise InvalidArgument(f"team {team_id!r} has no roster rows in {args.objects}")
-        team = team_from_ids(space, rosters[team_id], team_id=team_id)
-        candidates = [t for t in elite if t.team_id != team_id] or elite
-        sel = select_target(team, candidates, weights)
+        team = _query_team(args, space, rosters, team_id)
+        sel, _ = bench_mod.target_from_elite(team, elite, weights)
         selections.append({"team": sel.team_id, "target": sel.target_id, "distance": sel.distance})
     return {
         "config": _config_echo(args),
@@ -136,12 +146,8 @@ def _cmd_target(args) -> dict:
 
 
 def _resolve_team_target(args, space, rosters, weights, elite):
-    if args.team not in rosters:
-        raise InvalidArgument(f"team {args.team!r} has no roster rows in {args.objects}")
-    team = team_from_ids(space, rosters[args.team], team_id=args.team)
-    candidates = [t for t in elite if t.team_id != args.team] or elite
-    sel = select_target(team, candidates, weights)
-    target = next(t for t in candidates if t.team_id == sel.target_id)
+    team = _query_team(args, space, rosters, args.team)
+    _, target = bench_mod.target_from_elite(team, elite, weights)
     return team, target
 
 
@@ -156,7 +162,7 @@ def _cmd_index_build(args) -> dict:
             "members": list(team.member_ids),
             "data_blocks_per_partition": index.data_blocks,
             "blocks_written": index.build_io.blocks_written,
-            "files": [f"{index.fingerprint}.{i}.idx" for i in range(index.m)],
+            "files": [index_path(args.index_dir, index.fingerprint).name],
         }
     return payload
 
@@ -177,7 +183,7 @@ def _cmd_rank(args) -> dict:
             index_dir = scratch.name
         try:
             fp = fingerprint(space, team, target, weights, args.block_size)
-            if (Path(index_dir) / f"{fp}.0.idx").exists():
+            if index_path(index_dir, fp).exists():
                 index = NnIndex.open(index_dir, fp, space)
             else:
                 index = build_index(space, team, target, weights, args.block_size, index_dir)
@@ -192,15 +198,7 @@ def _cmd_rank(args) -> dict:
         "team": team.team_id,
         "target": target.team_id,
         "distance_before": before,
-        "recommendations": [
-            {
-                "swap_out": r.swap_out_id,
-                "swap_in": r.swap_in_id,
-                "new_distance": r.new_distance,
-                "odis": r.odis,
-            }
-            for r in recs
-        ],
+        "recommendations": bench_mod.recommendations_payload(recs),
     }
 
 
@@ -277,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--manifest", required=True, help="object manifest JSON")
         p.add_argument("--teams", required=True, help="team CSV file")
         p.add_argument("--teams-manifest", required=True, dest="teams_manifest", help="team manifest JSON")
-        p.add_argument("--elite-count", type=int, default=10, dest="elite_count")
+        p.add_argument("--elite-count", type=_positive_int, default=10, dest="elite_count")
         if with_team:
             p.add_argument("--team", required=True, help="query team id")
 
@@ -301,9 +299,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("index", help="index maintenance")
     index_sub = p.add_subparsers(dest="index_command", required=True)
-    pb = index_sub.add_parser("build", help="build the per-member index files")
+    pb = index_sub.add_parser("build", help="build the index file")
     add_real_inputs(pb)
-    pb.add_argument("--block-size", type=int, default=100, dest="block_size")
+    pb.add_argument("--block-size", type=_positive_int, default=100, dest="block_size")
     pb.add_argument("--index-dir", required=True, dest="index_dir")
     add_common(pb)
     pb.set_defaults(func=_cmd_index_build)
@@ -311,8 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rank", help="rank swap pairs for one team")
     add_real_inputs(p)
     p.add_argument("--method", choices=("bf", "rtcstar"), required=True)
-    p.add_argument("--top-k", type=int, default=10, dest="top_k")
-    p.add_argument("--block-size", type=int, default=100, dest="block_size")
+    p.add_argument("--top-k", type=_positive_int, default=10, dest="top_k")
+    p.add_argument("--block-size", type=_positive_int, default=100, dest="block_size")
     p.add_argument("--index-dir", default=None, dest="index_dir")
     add_common(p)
     p.set_defaults(func=_cmd_rank)

@@ -46,7 +46,7 @@ from .core import (
 from .errors import DimensionMismatch, EmptySpace, InvalidArgument, NotAMember, StaleIndex
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .nnindex import IoStats, NnIndex
+    from .nnindex import NnIndex
 
 __all__ = [
     "VirtualObject",
@@ -230,21 +230,10 @@ def brute_force_rank(
     space: ObjectSpace,
     w,
     top_k: int,
-    *,
-    block_size: int | None = None,
-    io: "IoStats | None" = None,
-    stats_out: dict | None = None,
 ) -> list[SwapRecommendation]:
-    """Score every (member, candidate) pair and keep the best ``top_k``.
-
-    With ``block_size`` set, each member is charged the ceil(n / block_size)
-    block reads of a full scan to ``io``; results are identical either way.
-    ``stats_out``, when given, receives per-member read counts.
-    """
+    """Score every (member, candidate) pair and keep the best ``top_k``."""
     if top_k < 1:
         raise InvalidArgument(f"top_k must be >= 1, got {top_k}")
-    if block_size is not None and block_size < 1:
-        raise InvalidArgument(f"block_size must be >= 1, got {block_size}")
     if len(space) < 1:
         raise EmptySpace("ranking needs a non-empty object space")
     w = weight_vector(w)
@@ -252,15 +241,10 @@ def brute_force_rank(
     if w.size != gap.size or space.dimension != gap.size:
         raise DimensionMismatch("team, target, space and weights must share a dimension")
 
-    reads = 0 if block_size is None else -(-len(space) // block_size)
-    if io is not None:
-        io.add_read(reads * team.size)
     per_member = []
     for record in team.members:
         v = virtual_object(team, target, record)
         per_member.append((record.id, _member_entries(space, gap, record, v, w, top_k)))
-    if stats_out is not None:
-        stats_out["per_member_reads"] = [reads] * team.size
     return _merge_and_rank(per_member, top_k)
 
 

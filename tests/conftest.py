@@ -2,7 +2,8 @@
 
 Instances use count-like non-negative integer attributes with continuous
 exchange parameters, the regime the library targets; ``negative=True``
-shifts them below zero. Team members are always drawn from the object space,
+shifts them below zero, and ``ties_at_zero=True`` swaps in an elite target
+that several candidates reach exactly. Team members are always drawn from the object space,
 so the identity swap is available.
 """
 
@@ -39,6 +40,7 @@ def random_instance(
     lambda_mode: str = "uniform",
     inject_dominator: bool = False,
     negative: bool = False,
+    ties_at_zero: bool = False,
 ) -> Instance:
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     n = int(rng.integers(20, 501)) if n is None else n
@@ -97,6 +99,17 @@ def random_instance(
         team = team_from_ids(space, member_ids, team_id="C")
         aggregate = target.aggregate - m * shift
         aggregate[0] = team.aggregate[0] - 0.5 * min(r.attrs[0] for r in team.members)
+        target = TargetContext(team_id="T", aggregate=aggregate)
+
+    if ties_at_zero:
+        # an elite target, strong on every dimension but the first by more
+        # than the member lowest on that first dimension carries, and weak
+        # there by half of what the second-best candidate would add: both of
+        # the best candidates replace that member at distance exactly 0
+        member = min(team.members, key=lambda r: r.attrs[0] / r.lam)
+        second = np.sort(space.attrs[:, 0] / space.lambdas)[-2]
+        aggregate = team.aggregate - member.attrs - 1.0
+        aggregate[0] = team.aggregate[0] + max(0.0, 0.5 * (member.lam * second - member.attrs[0]))
         target = TargetContext(team_id="T", aggregate=aggregate)
 
     return Instance(

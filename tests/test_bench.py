@@ -92,6 +92,13 @@ class TestRunExperiment:
             assert row.methods_agree
             assert row.recommendations
 
+    def test_zero_block_size_rejected(self):
+        from teamrank.errors import InvalidArgument
+
+        for methods in (("bf",), ("rtcstar",)):
+            with pytest.raises(InvalidArgument):
+                run_experiment(mini_config(methods=methods, block_size=0))
+
     def test_space_equal_to_team_keeps_distance(self):
         # sole record, sole member: the identity swap is the only pair
         report = run_experiment(

@@ -110,7 +110,9 @@ class TestSubcommands:
         payload = json.loads(out)
         for name in payload["files"]:
             assert (idx / name).exists()
-        assert payload["blocks_written"] == len(payload["files"]) * payload["data_blocks_per_partition"]
+        assert len(payload["files"]) == 1
+        assert sorted(p.name for p in idx.iterdir()) == payload["files"]
+        assert payload["blocks_written"] == len(payload["members"]) * payload["data_blocks_per_partition"]
 
     def test_rank_reuses_a_prebuilt_index(self, league, capsys, tmp_path):
         idx = tmp_path / "idx"
@@ -193,6 +195,16 @@ class TestExitCodes:
         assert code == 1
         assert "usage" in err.lower()
 
+    @pytest.mark.parametrize("flag", ["--block-size", "--top-k", "--elite-count"])
+    @pytest.mark.parametrize("value", ["0", "-1", "-2"])
+    def test_non_positive_integer_is_usage_error(self, league, capsys, tmp_path, flag, value):
+        argv = ["rank", "--method", "rtcstar", *real_flags(league), "--team", "AAA",
+                "--index-dir", str(tmp_path / "idx"), flag, value]
+        code, out, err = run(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert "usage" in err.lower()
+
     def test_unknown_subcommand_is_usage_error(self, capsys):
         code, _, _ = run(["transmogrify"], capsys)
         assert code == 1
@@ -215,7 +227,7 @@ class TestExitCodes:
                             "--block-size", "3", "--index-dir", str(idx)], capsys)
         assert code == 0
         partition = idx / json.loads(out)["files"][0]
-        partition.write_bytes(partition.read_bytes()[:56 + 2 * 16])
+        partition.write_bytes(partition.read_bytes()[:44 + 2 * 16])
         code, out, err = run(["rank", "--method", "rtcstar", *real_flags(league), "--team", "BBB",
                               "--top-k", "2", "--block-size", "3", "--index-dir", str(idx)], capsys)
         assert code == 2

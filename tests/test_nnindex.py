@@ -7,7 +7,8 @@ import pytest
 from teamrank.core import TargetContext, team_from_ids
 from teamrank.dataio import NbParams, gen_synthetic
 from teamrank.errors import InvalidArgument, InvalidPartition, StaleIndex
-from teamrank.nnindex import HEADER, NnIndex, build_index, fingerprint
+from teamrank import nnindex
+from teamrank.nnindex import HEADER, NnIndex, build_index, fingerprint, index_path
 from teamrank.ranking import odis_keys, virtual_object
 
 
@@ -21,27 +22,29 @@ def make_setup(seed=0, n=40, d=3, m=2, lambda_range=(1.0, 50.0)):
     return space, team, target, w
 
 
+def query_min(index, space, member, k):
+    """A run's k smallest entries as (object id, key) pairs."""
+    ordinals, keys = index.query_min_raw(member, k)
+    return list(zip(space.ids[ordinals].tolist(), keys.tolist()))
+
+
 class TestBuild:
     def test_block_arithmetic_and_file_size(self, tmp_path):
         space, team, target, w = make_setup(n=5, m=2)
         with build_index(space, team, target, w, block_size=2, directory=tmp_path) as index:
             assert index.data_blocks == 3
             assert index.build_io.blocks_written == 2 * 3
-            for i in range(2):
-                path = tmp_path / f"{index.fingerprint}.{i}.idx"
-                assert path.stat().st_size == HEADER.size + 3 * 2 * 16
+            assert HEADER.size == 44
+            path = index_path(tmp_path, index.fingerprint)
+            assert list(tmp_path.iterdir()) == [path]
+            assert path.stat().st_size == HEADER.size + 2 * 3 * 2 * 16
 
     def test_partitions_are_globally_sorted_runs(self, tmp_path):
         space, team, target, w = make_setup(seed=3, n=100, m=3)
         with build_index(space, team, target, w, block_size=7, directory=tmp_path) as index:
             for member in range(index.m):
-                previous_max = -np.inf
-                for seq in range(index.data_blocks):
-                    block = index.read_block(member, seq, count=False)
-                    assert np.all(np.diff(block.keys) >= 0)
-                    if block.keys.size:
-                        assert block.keys[0] >= previous_max
-                        previous_max = block.keys[-1]
+                _, keys = index.query_min_raw(member, len(space))
+                assert np.all(np.diff(keys) >= 0)
 
     def test_keys_match_fresh_computation_bit_for_bit(self, tmp_path):
         space, team, target, w = make_setup(seed=5, n=60, m=2)
@@ -50,34 +53,56 @@ class TestBuild:
                 v = virtual_object(team, target, record)
                 fresh = odis_keys(v.values, v.tv2, space.rates(), w)
                 stored = np.full(len(space), np.nan)
-                for seq in range(index.data_blocks):
-                    block = index.read_block(member_index, seq, count=False)
-                    stored[block.ordinals] = block.keys
+                ordinals, keys = index.query_min_raw(member_index, len(space))
+                stored[ordinals] = keys
                 assert np.array_equal(stored, fresh)
 
     def test_every_object_appears_exactly_once_per_partition(self, tmp_path):
         space, team, target, w = make_setup(seed=7, n=33, m=2)
         with build_index(space, team, target, w, block_size=4, directory=tmp_path) as index:
             for member in range(index.m):
-                seen = np.concatenate(
-                    [index.read_block(member, s, count=False).ordinals for s in range(index.data_blocks)]
-                )
-                assert sorted(seen.tolist()) == list(range(len(space)))
+                ordinals, _ = index.query_min_raw(member, len(space))
+                assert sorted(ordinals.tolist()) == list(range(len(space)))
 
     def test_rebuild_is_byte_identical(self, tmp_path):
         space, team, target, w = make_setup(seed=9)
         d1, d2 = tmp_path / "one", tmp_path / "two"
         with build_index(space, team, target, w, 5, d1) as a, build_index(space, team, target, w, 5, d2) as b:
             assert a.fingerprint == b.fingerprint
-            for i in range(a.m):
-                h1 = hashlib.sha256((d1 / f"{a.fingerprint}.{i}.idx").read_bytes()).hexdigest()
-                h2 = hashlib.sha256((d2 / f"{b.fingerprint}.{i}.idx").read_bytes()).hexdigest()
-                assert h1 == h2
+            h1 = hashlib.sha256(index_path(d1, a.fingerprint).read_bytes()).hexdigest()
+            h2 = hashlib.sha256(index_path(d2, b.fingerprint).read_bytes()).hexdigest()
+            assert h1 == h2
+
+    def test_interrupted_build_leaves_no_index_and_keeps_the_old_one(self, tmp_path, monkeypatch):
+        space, team, target, w = make_setup(seed=10, n=30, m=3)
+        fresh, rebuilt = tmp_path / "fresh", tmp_path / "rebuilt"
+        build_index(space, team, target, w, 4, rebuilt).close()
+        path = index_path(rebuilt, fingerprint(space, team, target, w, 4))
+        before = path.read_bytes()
+
+        calls = []
+
+        def fail_on_second_member(*args):
+            calls.append(1)
+            if len(calls) == 2:
+                raise RuntimeError("interrupted")
+            return odis_keys(*args)
+
+        monkeypatch.setattr(nnindex, "odis_keys", fail_on_second_member)
+        for directory in (fresh, rebuilt):
+            with pytest.raises(RuntimeError):
+                build_index(space, team, target, w, 4, directory)
+            calls.clear()
+        assert list(fresh.iterdir()) == []
+        assert list(rebuilt.iterdir()) == [path]
+        assert path.read_bytes() == before
 
     def test_zero_block_size_rejected(self, tmp_path):
         space, team, target, w = make_setup()
         with pytest.raises(InvalidArgument):
             build_index(space, team, target, w, 0, tmp_path)
+        with pytest.raises(InvalidArgument):
+            fingerprint(space, team, target, w, -1)
 
 
 class TestQueryMin:
@@ -88,14 +113,14 @@ class TestQueryMin:
                 record = team.members[0]
                 v = virtual_object(team, target, record)
                 keys = odis_keys(v.values, v.tv2, space.rates(), w)
-                result = index.query_min(0, 1)
+                result = query_min(index, space, 0, 1)
                 assert index.query_io.blocks_read == 1
                 assert result[0][1] == keys.min()
 
     def test_k_equals_n_reads_whole_partition_in_order(self, tmp_path):
         space, team, target, w = make_setup(seed=2, n=23, m=2)
         with build_index(space, team, target, w, 4, tmp_path) as index:
-            entries = index.query_min(0, 23)
+            entries = query_min(index, space, 0, 23)
             assert index.query_io.blocks_read == index.data_blocks
             keys = [k for _, k in entries]
             assert keys == sorted(keys)
@@ -107,14 +132,14 @@ class TestQueryMin:
             record = team.members[0]
             v = virtual_object(team, target, record)
             keys = odis_keys(v.values, v.tv2, space.rates(), w)
-            got = index.query_min(0, 3)
+            got = query_min(index, space, 0, 3)
             assert index.query_io.blocks_read == 1
             assert [k for _, k in got] == sorted(keys)[:3]
 
     def test_k_larger_than_n_returns_everything(self, tmp_path):
         space, team, target, w = make_setup(seed=6, n=9, m=1)
         with build_index(space, team, target, w, 4, tmp_path) as index:
-            entries = index.query_min(0, 1000)
+            entries = query_min(index, space, 0, 1000)
             assert len(entries) == 9
             assert index.query_io.blocks_read == index.data_blocks
 
@@ -126,7 +151,7 @@ class TestQueryMin:
             k = int(rng.integers(1, n + 1))
             space, team, target, w = make_setup(seed=trial, n=n, m=1)
             with build_index(space, team, target, w, b, tmp_path / str(trial)) as index:
-                index.query_min(0, k)
+                query_min(index, space, 0, k)
                 assert index.query_io.blocks_read == -(-k // b)
                 assert index.query_io.queries_served == 1
 
@@ -134,9 +159,9 @@ class TestQueryMin:
         space, team, target, w = make_setup(seed=8, m=2)
         with build_index(space, team, target, w, 5, tmp_path) as index:
             with pytest.raises(InvalidPartition):
-                index.query_min(2, 1)
+                index.query_min_raw(2, 1)
             with pytest.raises(InvalidArgument):
-                index.query_min(0, 0)
+                index.query_min_raw(0, 0)
 
     def test_key_ties_sorted_by_object_id(self, tmp_path):
         from teamrank.core import ObjectRecord, ObjectSpace, team_from_records
@@ -149,13 +174,13 @@ class TestQueryMin:
         team = team_from_records([records[0]], team_id="C")
         target = TargetContext(team_id="T", aggregate=[120.0, 120.0])
         with build_index(space, team, target, [1.0, 1.0], 2, tmp_path) as index:
-            entries = index.query_min(0, 6)
+            entries = query_min(index, space, 0, 6)
             assert [obj for obj, _ in entries] == [f"p{i}" for i in range(6)]
 
     def test_reset_is_explicit(self, tmp_path):
         space, team, target, w = make_setup(seed=12, m=1)
         with build_index(space, team, target, w, 5, tmp_path) as index:
-            index.query_min(0, 1)
+            query_min(index, space, 0, 1)
             assert index.query_io.blocks_read == 1
             index.reset_query_io()
             assert index.query_io.blocks_read == 0
@@ -165,7 +190,7 @@ class TestQueryMin:
         space, team, target, w = make_setup(seed=14, n=64, m=2)
         with build_index(space, team, target, w, 1, tmp_path) as index:
             baseline = {
-                (member, k): index.query_min(member, k)
+                (member, k): query_min(index, space, member, k)
                 for member in range(2)
                 for k in (1, 7, 31, 64)
             }
@@ -177,7 +202,7 @@ class TestQueryMin:
                 for _ in range(50):
                     member = int(rng.integers(0, 2))
                     k = int(rng.choice([1, 7, 31, 64]))
-                    if index.query_min(member, k) != baseline[(member, k)]:
+                    if query_min(index, space, member, k) != baseline[(member, k)]:
                         failures.append((worker_id, member, k))
 
             threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
@@ -193,11 +218,11 @@ class TestOpenAndFingerprint:
     def test_open_round_trip(self, tmp_path):
         space, team, target, w = make_setup(seed=16, m=2)
         built = build_index(space, team, target, w, 5, tmp_path)
-        expected = built.query_min(0, 4)
+        expected = query_min(built, space, 0, 4)
         built.close()
         with NnIndex.open(tmp_path, built.fingerprint, space) as reopened:
             assert reopened.m == 2
-            assert reopened.query_min(0, 4) == expected
+            assert query_min(reopened, space, 0, 4) == expected
 
     def test_open_unknown_fingerprint(self, tmp_path):
         space, *_ = make_setup(seed=18)
@@ -226,28 +251,32 @@ class TestDamagedPartitions:
     def build_closed(self, tmp_path, n=60):
         space, team, target, w = make_setup(seed=21, n=n, m=2)
         build_index(space, team, target, w, 4, tmp_path).close()
-        return space, tmp_path / f"{fingerprint(space, team, target, w, 4)}.1.idx"
+        fp = fingerprint(space, team, target, w, 4)
+        return space, fp, index_path(tmp_path, fp)
 
     def test_truncated_partition_is_stale(self, tmp_path):
-        space, path = self.build_closed(tmp_path)
-        fp = path.name.split(".")[0]
-        path.write_bytes(path.read_bytes()[: HEADER.size + 3 * 16])
-        with pytest.raises(StaleIndex):
-            NnIndex.open(tmp_path, fp, space)
+        space, fp, path = self.build_closed(tmp_path)
+        whole = path.read_bytes()
+        for damaged in (whole[:10], whole[: HEADER.size + 3 * 16], whole + bytes(16)):
+            path.write_bytes(damaged)
+            with pytest.raises(StaleIndex):
+                NnIndex.open(tmp_path, fp, space)
 
     def test_truncation_after_open_is_caught_at_read(self, tmp_path):
-        space, path = self.build_closed(tmp_path)
-        with NnIndex.open(tmp_path, path.name.split(".")[0], space) as index:
+        space, fp, path = self.build_closed(tmp_path)
+        with NnIndex.open(tmp_path, fp, space) as index:
+            # member 1's run starts after member 0's 60 records
             with open(path, "r+b") as fh:
-                fh.truncate(HEADER.size + 6 * 16)
+                fh.truncate(HEADER.size + (60 + 6) * 16)
             index.query_min_raw(1, 4)
             with pytest.raises(StaleIndex):
                 index.query_min_raw(1, 10)
 
     def test_version_1_partition_is_stale(self, tmp_path):
-        space, path = self.build_closed(tmp_path)
-        raw = bytearray(path.read_bytes())
-        raw[8:10] = (1).to_bytes(2, "little")
-        path.write_bytes(bytes(raw))
-        with pytest.raises(StaleIndex):
-            NnIndex.open(tmp_path, path.name.split(".")[0], space)
+        space, fp, path = self.build_closed(tmp_path)
+        for version in (1, 2):
+            raw = bytearray(path.read_bytes())
+            raw[8:10] = version.to_bytes(2, "little")
+            path.write_bytes(bytes(raw))
+            with pytest.raises(StaleIndex):
+                NnIndex.open(tmp_path, fp, space)

@@ -160,11 +160,6 @@ class TestBruteForce:
         with pytest.raises(InvalidArgument):
             brute_force_rank(team, target, space, w, 0)
 
-    def test_zero_block_size_rejected(self):
-        space, team, target, w = derived_instance()
-        with pytest.raises(InvalidArgument):
-            brute_force_rank(team, target, space, w, 4, block_size=0)
-
     def test_all_minimum_ties_are_retrievable_in_id_order(self):
         twin_a = rec("pa", [4, 6])
         twin_b = rec("pb", [4, 6])
@@ -174,18 +169,6 @@ class TestBruteForce:
         recs = brute_force_rank(team, target, space, [1.0, 1.0], 2)
         assert [(r.swap_out_id, r.swap_in_id) for r in recs] == [("r1", "pa"), ("r1", "pb")]
         assert recs[0].new_distance == recs[1].new_distance
-
-    def test_block_accounting_does_not_change_results(self):
-        inst = random_instance(99, n=60, m=4)
-        plain = brute_force_rank(inst.team, inst.target, inst.space, inst.weights, 8)
-        from teamrank.nnindex import IoStats
-
-        io = IoStats()
-        blocked = brute_force_rank(
-            inst.team, inst.target, inst.space, inst.weights, 8, block_size=7, io=io
-        )
-        assert plain == blocked
-        assert io.blocks_read == inst.team.size * -(-60 // 7)
 
 
 class TestRtcStar:
@@ -232,10 +215,19 @@ class TestRtcStar:
             np.any(virtual_object(negative.team, negative.target, r).clipped_dims & (min_rates < 0.0))
             for r in negative.team.members
         )
+        ties = random_instance(seed, n=int(20 + seed % 80), ties_at_zero=True)
+        gap = diff(ties.target, ties.team)
+        # an elite target: some dimension is strong, and some member has two
+        # candidates that close every gap
+        assert np.any(gap < 0.0)
+        assert any(
+            sum(np.all(post_exchange_diff(gap, r, c) <= 0.0) for c in ties.space.records()) >= 2
+            for r in ties.team.members
+        )
         small = random_instance(seed, n=int(1 + seed % 6))
         small = dataclasses.replace(small, top_k=len(small.space) + seed % 3)
 
-        for inst in (random_instance(seed, n=int(20 + seed % 80)), negative, small):
+        for inst in (random_instance(seed, n=int(20 + seed % 80)), negative, ties, small):
             expected = brute_force_rank(inst.team, inst.target, inst.space, inst.weights, inst.top_k)
             with tempfile.TemporaryDirectory() as tmp:
                 with build_index(
