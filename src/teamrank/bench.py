@@ -11,9 +11,12 @@ and expensive. I/O numbers come from a dedicated accounting pass whose
 counters are snapshotted before the timing runs start. ``bf`` runs in
 memory; the report charges it the ceil(n / B) block reads of a full scan per
 member, worked out here rather than counted, so its ``query_s`` times the
-scoring kernel alone. ``rtcstar`` is charged every index block it fetches
-(one positioned read of ceil(k / B) blocks per member); its fallback
-re-scores are not charged.
+scoring kernel alone. ``rtcstar`` is charged every index block it fetches:
+one positioned read of ceil(k / B) blocks per fast-path member, and every
+chunk a lower-bound scan reads; a member that re-scores every row is charged
+the ceil(n / B) reads of a full scan, as ``bf`` is. Each ``rtcstar`` row also
+records how many entries each member re-scored (``scan_depths``) and which
+members re-scored every row (``fallback_members``).
 
 A synthetic or CSV run with an elite target set picks each team's target by
 :func:`target_from_elite`, the rule the CLI applies too, and both render
@@ -23,10 +26,11 @@ Synthetic target modes:
 
 * ``dominant``: the target is the team's own aggregate scaled up by
   ``target_margin``, so every dimension is weak. This isolates the index's
-  constant-I/O behaviour from data-dependent fallback re-scoring.
+  constant-I/O behaviour from data-dependent lower-bound scans.
 * ``elite``: ``elite_count`` independently sampled team aggregates, scaled by
   ``target_margin``, with the nearest chosen per query team. Strong
-  dimensions and fallbacks do occur here.
+  dimensions occur here, and members that could flip one take the
+  lower-bound scan.
 
 Reports serialize losslessly to JSON (the round-trip format) and to a flat,
 type-tagged CSV carrying the same numbers at full precision.
@@ -284,6 +288,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run every configured team through every configured method."""
     if config.block_size < 1:
         raise InvalidArgument(f"block_size must be >= 1, got {config.block_size}")
+    if config.elite_count < 1:
+        raise InvalidArgument(f"elite_count must be >= 1, got {config.elite_count}")
     space, teams, loaded, weights = _load_dataset(config)
     # bf reads every block of a full scan once per member
     bf_reads = -(-len(space) // config.block_size)
@@ -354,8 +360,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                         "blocks_read": snap.blocks_read,
                         "blocks_written": build_snap.blocks_written,
                         "queries_served": snap.queries_served,
-                        "per_member_reads": stats.get("per_member_reads", []),
-                        "fallback_members": stats.get("fallback_members", []),
+                        "per_member_reads": stats["per_member_reads"],
+                        "scan_depths": stats["scan_depths"],
+                        "fallback_members": stats["fallback_members"],
                     }
                     row_timing["rtcstar"] = {
                         "build_s": build_s,

@@ -5,7 +5,12 @@ one-sided rate distance to that member's virtual object, sorted ascending.
 The key is not a metric (the one-sided shortfall breaks symmetry and the
 triangle inequality), so no metric-tree pruning is attempted; a globally
 sorted run per member realizes minimum and k-smallest retrieval with a
-deterministic ceil(k / B) block reads.
+deterministic ceil(k / B) block reads. Every read goes through
+``NnIndex.read_entries``: entries [start, start + count) of one member's
+run, fetched in one positioned read of the blocks that hold them and
+charged as that many block reads. The k smallest entries are its start-0
+case; the ranking layer's lower-bound scan reads further into a run in
+growing block-aligned chunks.
 
 On-disk layout, one file per index named ``<fingerprint>.idx``:
 
@@ -182,21 +187,25 @@ class NnIndex:
     def reset_query_io(self) -> None:
         self.query_io.reset()
 
-    def query_min_raw(self, member_index: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """k smallest entries of a member's run as (ordinals, keys) arrays.
+    def read_entries(self, member_index: int, start: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """Entries [start, start + count) of a member's run as (ordinals, keys).
 
-        Reads exactly ceil(k / block_size) blocks, in one positioned read,
-        while k <= n; asking for more than n entries returns all n.
+        One positioned read of the blocks that hold the range, charged to
+        ``query_io`` as that many block reads and one query; the range is cut
+        at n. A short read raises ``StaleIndex``.
         """
-        if k < 1:
-            raise InvalidArgument(f"k must be >= 1, got {k}")
+        if count < 1:
+            raise InvalidArgument(f"count must be >= 1, got {count}")
         if not 0 <= member_index < self.m:
             raise InvalidPartition(f"member index {member_index} outside [0, {self.m})")
-        kk = min(k, self.n)
-        blocks = -(-kk // self.block_size)
+        if not 0 <= start < self.n:
+            raise InvalidArgument(f"start {start} outside [0, {self.n})")
+        end = min(start + count, self.n)
+        first = start // self.block_size
+        blocks = -(-end // self.block_size) - first
         block_bytes = self.block_size * RECORD_DTYPE.itemsize
         size = blocks * block_bytes
-        offset = HEADER.size + member_index * self.data_blocks * block_bytes
+        offset = HEADER.size + (member_index * self.data_blocks + first) * block_bytes
         # positioned read: no shared seek state, so concurrent readers are safe
         raw = os.pread(self._file.fileno(), size, offset)
         if len(raw) != size:
@@ -206,8 +215,17 @@ class NnIndex:
             )
         self.query_io.add_read(blocks)
         self.query_io.add_query(1)
-        entries = np.frombuffer(raw, dtype=RECORD_DTYPE, count=kk)
+        skip = (start - first * self.block_size) * RECORD_DTYPE.itemsize
+        entries = np.frombuffer(raw, dtype=RECORD_DTYPE, count=end - start, offset=skip)
         return entries["ordinal"].astype(np.intp), entries["key"].copy()
+
+    def query_min_raw(self, member_index: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """k smallest entries of a member's run as (ordinals, keys) arrays.
+
+        Reads exactly ceil(k / block_size) blocks, in one positioned read,
+        while k <= n; asking for more than n entries returns all n.
+        """
+        return self.read_entries(member_index, 0, k)
 
     @classmethod
     def open(cls, directory, fp: str, space: ObjectSpace) -> "NnIndex":

@@ -1,9 +1,9 @@
-"""Swap-pair ranking: exhaustive baseline and the index-backed fast path.
+"""Swap-pair ranking: exhaustive baseline and the index-backed method.
 
 Both methods rank (swap-out member, swap-in candidate) pairs by the exact
 post-exchange distance to the target, with ties broken by ascending
-(swap-out id, swap-in id). The exhaustive method scores every pair. The fast
-path maps each member R to a *virtual object*: the rate vector that a
+(swap-out id, swap-in id). The exhaustive method scores every pair. The index
+method maps each member R to a *virtual object*: the rate vector that a
 replacement would need, per unit of R's exchange parameter, to close every
 weak-dimension gap exactly:
 
@@ -17,12 +17,27 @@ their own exchange parameter) through the one-sided key
 For a fixed member, exact post-exchange distance equals lambda_r * odis
 whenever the trade flips no strong dimension and the virtual object needed
 no clipping, so candidates retrieved in ascending key order arrive already
-ranked. Each member therefore contributes its first ``top_k`` index entries,
-re-scored exactly; a member for which some candidate *could* flip a strong
-dimension (it carries more than the team's whole surplus there, and a cheap
-per-dimension rate minimum proves a capable candidate exists) falls back to
-exhaustively re-scoring the in-memory candidate matrix for correctness. The
-merged result is provably identical to the exhaustive baseline.
+ranked. A flip only adds non-negative strong-dimension terms, so as long as
+no clipped dimension meets a negative candidate rate, lambda_r * odis is a
+lower bound on the exact distance (the lower-bounding lemma of
+filter-and-refine search). Each member takes one of three paths:
+
+* fast path: no candidate can flip a strong dimension (the member carries
+  no more than the team's surplus there, or a cheap per-dimension rate
+  minimum proves no capable candidate exists). The member's first
+  ``top_k`` index entries, re-scored exactly, are its best swaps.
+* lower-bound scan: a flip is possible. The member's run is read in
+  (key, id) order in growing chunks and re-scored exactly until the next
+  entry's bound (lambda_r * key, member id, candidate id) is past the k-th
+  best (distance, swap-out id, swap-in id) pooled over all members so far,
+  the stopping rule of multi-step k-nearest-neighbour search with a
+  threshold shared across runs.
+* full re-score: a clipped dimension meets negative candidate rates, so the
+  key bounds nothing; every row of the in-memory candidate matrix is
+  re-scored.
+
+All three call one per-member scoring kernel, and the merged result is
+identical to the exhaustive baseline.
 """
 
 from __future__ import annotations
@@ -254,7 +269,7 @@ def _flip_possible(gap: np.ndarray, record: ObjectRecord, min_rates: np.ndarray)
     On a strong dimension the post-exchange gap is (gap_i + r_i) minus the
     candidate's scaled rate; it can only go positive if some candidate's rate
     falls below (gap_i + r_i) / lambda_r. The comparison carries a small
-    guard so borderline members take the exact fallback path.
+    guard so borderline members take the lower-bound scan.
     """
     strong = gap < 0.0
     if not strong.any():
@@ -262,6 +277,42 @@ def _flip_possible(gap: np.ndarray, record: ObjectRecord, min_rates: np.ndarray)
     threshold = (gap + record.attrs) / record.lam
     guard = 1e-12 * np.maximum(1.0, np.abs(threshold))
     return bool(np.any(strong & (min_rates < threshold + guard)))
+
+
+# lambda_r * key is a lower bound on the exact distance up to rounding; the
+# bound is shrunk by this factor before it may end a scan
+_BOUND_GUARD = 1.0 - 1e-12
+
+
+@dataclass
+class _RunScan:
+    """A flip member's progress through its index run, in (key, id) order."""
+
+    member_index: int
+    record: ObjectRecord
+    v: VirtualObject
+    chunk_blocks: int = 0
+    last_key: float = 0.0
+    last_id: str = ""
+
+
+def _kth(per_member: list[tuple[str, list[tuple[float, str, float]]]], top_k: int):
+    """The k-th smallest (distance, out id, in id) pooled so far, None while short of k."""
+    pool = sorted((dist, out_id, in_id) for out_id, entries in per_member for dist, in_id, _ in entries)
+    return pool[top_k - 1] if len(pool) >= top_k else None
+
+
+def _past_kth(lambda_r: float, key: float, out_id: str, in_id: str, kth) -> bool:
+    """Is the bound (lambda_r * key, out id, in id) past the k-th pooled triple?
+
+    Ids break the tie only at key 0, where the bound 0 needs no rounding
+    guard; above 0 only a strictly larger guarded bound counts.
+    """
+    if kth is None:
+        return False
+    if key == 0.0:
+        return kth[0] == 0.0 and (out_id, in_id) > kth[1:]
+    return lambda_r * key * _BOUND_GUARD > kth[0]
 
 
 def rtc_star_rank(
@@ -276,13 +327,24 @@ def rtc_star_rank(
 ) -> list[SwapRecommendation]:
     """Index-backed ranking, guaranteed equal to :func:`brute_force_rank`.
 
-    Per member, the first ``top_k`` index entries are fetched (ascending key,
-    ceil(top_k / block_size) block reads) and re-scored exactly; the member's
-    candidate list is replaced by an exhaustive in-memory re-score when a
-    strong-dimension flip is possible or a clipped dimension meets negative
-    candidate rates, cases where key order stops tracking exact order.
-    ``stats_out``, when given, receives per-member read counts and the ids
-    of members that took the fallback.
+    Each member takes one of three paths, all scored by the shared kernel:
+
+    * fast path (no strong-dimension flip possible): the first ``top_k``
+      index entries, one read of ceil(top_k / block_size) blocks, arrive in
+      exact order;
+    * lower-bound scan (a flip is possible): lambda_r * key still bounds the
+      exact distance from below, so the run is read in (key, id) order in
+      block chunks, ceil(top_k / block_size) blocks first and doubling after,
+      and re-scored until its next entry's guarded bound passes the k-th
+      (distance, out id, in id) pooled over every member so far; members are
+      advanced best-first, lowest bound first;
+    * full re-score (a clipped dimension meets negative candidate rates, so
+      the key is no lower bound): every row, charged as the ceil(n /
+      block_size) block reads of a full scan.
+
+    ``stats_out``, when given, receives per-member block reads
+    (``per_member_reads``), entries re-scored per member (``scan_depths``)
+    and the ids of members that re-scored every row (``fallback_members``).
     """
     if top_k < 1:
         raise InvalidArgument(f"top_k must be >= 1, got {top_k}")
@@ -300,24 +362,64 @@ def rtc_star_rank(
 
     gap = diff(target, team)
     min_rates = space.min_rates()
+    first_blocks = -(-top_k // index.block_size)
 
     per_member = []
     per_member_reads = []
+    scan_depths = []
     fallback_members = []
+    scans = []
     for member_index, record in enumerate(team.members):
         v = virtual_object(team, target, record)
-
         before = index.query_io.blocks_read
-        ordinals, keys = index.query_min_raw(member_index, top_k)
-        per_member_reads.append(index.query_io.blocks_read - before)
-
         clip_unsafe = v.clipped and bool(np.any(v.clipped_dims & (min_rates < 0.0)))
-        if _flip_possible(gap, record, min_rates) or clip_unsafe:
+        if clip_unsafe:
             fallback_members.append(record.id)
-            ordinals = keys = None
-        per_member.append((record.id, _member_entries(space, gap, record, v, w, top_k, ordinals, keys)))
+            # charged as the full scan it stands for, the arithmetic bf uses
+            index.query_io.add_read(index.data_blocks)
+            entries = _member_entries(space, gap, record, v, w, top_k)
+            depth = len(space)
+        elif _flip_possible(gap, record, min_rates):
+            scans.append(_RunScan(member_index, record, v))
+            entries, depth = [], 0
+        else:
+            ordinals, keys = index.query_min_raw(member_index, top_k)
+            entries = _member_entries(space, gap, record, v, w, top_k, ordinals, keys)
+            depth = len(ordinals)
+        per_member.append((record.id, entries))
+        per_member_reads.append(index.query_io.blocks_read - before)
+        scan_depths.append(depth)
+
+    kth = _kth(per_member, top_k) if scans else None
+    while scans:
+        scan = min(scans, key=lambda s: (s.record.lam * s.last_key, s.record.id))
+        record, i = scan.record, scan.member_index
+        depth = scan_depths[i]
+        if depth == len(space) or (
+            depth and _past_kth(record.lam, scan.last_key, record.id, scan.last_id, kth)
+        ):
+            scans.remove(scan)
+            continue
+        scan.chunk_blocks = 2 * scan.chunk_blocks or first_blocks
+        before = index.query_io.blocks_read
+        ordinals, keys = index.read_entries(i, depth, scan.chunk_blocks * index.block_size)
+        per_member_reads[i] += index.query_io.blocks_read - before
+        if kth is not None:
+            # entries whose positive-key bound is past the k-th need no exact score
+            cut = int(np.searchsorted(record.lam * keys * _BOUND_GUARD, kth[0], side="right"))
+            if cut < len(keys):
+                scans.remove(scan)
+            ordinals, keys = ordinals[:cut], keys[:cut]
+        if len(keys):
+            entries = _member_entries(space, gap, record, scan.v, w, top_k, ordinals, keys)
+            per_member[i] = (record.id, sorted(per_member[i][1] + entries)[:top_k])
+            scan_depths[i] += len(keys)
+            scan.last_key, scan.last_id = float(keys[-1]), str(space.ids[ordinals[-1]])
+            kth = _kth(per_member, top_k)
+
     if stats_out is not None:
         stats_out["per_member_reads"] = per_member_reads
+        stats_out["scan_depths"] = scan_depths
         stats_out["fallback_members"] = fallback_members
     return _merge_and_rank(per_member, top_k)
 

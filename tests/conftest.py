@@ -2,9 +2,10 @@
 
 Instances use count-like non-negative integer attributes with continuous
 exchange parameters, the regime the library targets; ``negative=True``
-shifts them below zero, and ``ties_at_zero=True`` swaps in an elite target
-that several candidates reach exactly. Team members are always drawn from the object space,
-so the identity swap is available.
+shifts them below zero, and ``ties_at_zero=True`` adds a heavy member and
+swaps in an elite target that several candidates reach exactly. Team
+members are always drawn from the object space, so the identity swap is
+available.
 """
 
 from dataclasses import dataclass
@@ -102,6 +103,17 @@ def random_instance(
         target = TargetContext(team_id="T", aggregate=aggregate)
 
     if ties_at_zero:
+        # a heavy extra member, above every object by more than the team
+        # carries on every dimension, so
+        # trading it for a low-rate candidate can flip any strong dimension
+        heavy = ObjectRecord(
+            id="zzz-heavy",
+            label="heavy",
+            lam=1.0,
+            attrs=space.attrs.max(axis=0) + team.aggregate + 2.0,
+        )
+        space = ObjectSpace.from_records(space.records() + [heavy], space.attribute_names)
+        team = team_from_ids(space, [*member_ids, heavy.id], team_id="C")
         # an elite target, strong on every dimension but the first by more
         # than the member lowest on that first dimension carries, and weak
         # there by half of what the second-best candidate would add: both of

@@ -55,6 +55,7 @@ class TestRunExperiment:
             assert row.io["bf"]["blocks_read"] == m * -(-n // b)
             assert row.io["rtcstar"]["blocks_read"] == m * -(-k // b)
             assert row.io["rtcstar"]["per_member_reads"] == [-(-k // b)] * m
+            assert row.io["rtcstar"]["scan_depths"] == [k] * m
             assert row.io["rtcstar"]["fallback_members"] == []
         assert report.io["bf"]["blocks_read"] == 2 * m * -(-n // b)
         assert report.io["rtcstar"]["blocks_read"] == 2 * m
@@ -84,6 +85,23 @@ class TestRunExperiment:
         for row in report.rows:
             assert row.target_id.startswith("elite")
 
+    def test_elite_scan_reads_part_of_each_run(self):
+        # elite targets at n = 1e4: members that could flip a strong dimension
+        # scan their runs in key order and stop well short of n
+        m, n, b, k = 4, 10_000, 10, 5
+        report = run_experiment(
+            mini_config(dataset={"kind": "synthetic", "n": n, "params": PARAMS, "seed": 3},
+                        target_mode="elite", elite_count=4, n_teams=4, timing_repeats=1)
+        )
+        depths = []
+        for row in report.rows:
+            io = row.io["rtcstar"]
+            assert row.methods_agree
+            assert io["fallback_members"] == []
+            assert io["blocks_read"] == sum(io["per_member_reads"]) < m * -(-n // b)
+            depths.extend(io["scan_depths"])
+        assert any(k < depth < n for depth in depths)
+
     def test_single_method_configs(self):
         for methods in (("bf",), ("rtcstar",)):
             report = run_experiment(mini_config(methods=methods, n_teams=1))
@@ -98,6 +116,13 @@ class TestRunExperiment:
         for methods in (("bf",), ("rtcstar",)):
             with pytest.raises(InvalidArgument):
                 run_experiment(mini_config(methods=methods, block_size=0))
+
+    def test_non_positive_elite_count_rejected(self):
+        from teamrank.errors import InvalidArgument
+
+        for elite_count in (0, -1, -2):
+            with pytest.raises(InvalidArgument):
+                run_experiment(mini_config(target_mode="elite", elite_count=elite_count))
 
     def test_space_equal_to_team_keeps_distance(self):
         # sole record, sole member: the identity swap is the only pair

@@ -9,7 +9,7 @@ from teamrank.dataio import NbParams, gen_synthetic
 from teamrank.errors import InvalidArgument, InvalidPartition, StaleIndex
 from teamrank import nnindex
 from teamrank.nnindex import HEADER, NnIndex, build_index, fingerprint, index_path
-from teamrank.ranking import odis_keys, virtual_object
+from teamrank.ranking import brute_force_rank, odis_keys, rtc_star_rank, virtual_object
 
 
 def make_setup(seed=0, n=40, d=3, m=2, lambda_range=(1.0, 50.0)):
@@ -155,6 +155,20 @@ class TestQueryMin:
                 assert index.query_io.blocks_read == -(-k // b)
                 assert index.query_io.queries_served == 1
 
+    def test_any_range_reads_the_blocks_that_hold_it(self, tmp_path):
+        space, team, target, w = make_setup(seed=5, n=47, m=2)
+        with build_index(space, team, target, w, 5, tmp_path) as index:
+            whole = index.query_min_raw(1, 47)
+            for start, count in ((0, 5), (5, 10), (3, 4), (9, 2), (44, 10), (46, 1)):
+                index.reset_query_io()
+                ordinals, keys = index.read_entries(1, start, count)
+                end = min(start + count, 47)
+                assert np.array_equal(ordinals, whole[0][start:end])
+                assert np.array_equal(keys, whole[1][start:end])
+                assert index.query_io.blocks_read == -(-end // 5) - start // 5
+            with pytest.raises(InvalidArgument):
+                index.read_entries(0, 47, 1)
+
     def test_invalid_partition_and_k(self, tmp_path):
         space, team, target, w = make_setup(seed=8, m=2)
         with build_index(space, team, target, w, 5, tmp_path) as index:
@@ -271,6 +285,39 @@ class TestDamagedPartitions:
             index.query_min_raw(1, 4)
             with pytest.raises(StaleIndex):
                 index.query_min_raw(1, 10)
+
+    def test_truncation_inside_a_lower_bound_scan_is_caught(self, tmp_path):
+        from teamrank.core import ObjectRecord, ObjectSpace, team_from_records
+
+        def rec(rid, attrs):
+            return ObjectRecord(id=rid, label=rid, lam=1.0, attrs=np.array(attrs))
+
+        # one member, strong on y by 5: the twenty candidates at key 0 drain
+        # y and land at distance 5, so the scan reads past its first blocks
+        # to the twenty at key 0.5 (distance 0.5) and stops at those at key 2
+        space = ObjectSpace.from_records(
+            [rec(f"a{i:02d}", [10.0, 0.0]) for i in range(20)]
+            + [rec(f"b{i:02d}", [2.5, 6.0]) for i in range(20)]
+            + [rec(f"c{i:02d}", [1.0, 6.0]) for i in range(20)],
+            ("x", "y"),
+        )
+        team = team_from_records([rec("m", [1.0, 10.0])], team_id="C")
+        target = TargetContext(team_id="T", aggregate=[3.0, 5.0])
+        w, k, b = np.ones(2), 3, 2
+        build_index(space, team, target, w, b, tmp_path).close()
+        fp = fingerprint(space, team, target, w, b)
+        with NnIndex.open(tmp_path, fp, space) as index:
+            stats = {}
+            got = rtc_star_rank(team, target, space, w, index, k, stats_out=stats)
+            assert got == brute_force_rank(team, target, space, w, k)
+            assert [r.swap_in_id for r in got] == ["b00", "b01", "b02"]
+            assert stats["scan_depths"] == [40]
+            assert stats["fallback_members"] == []
+            # keep the first ceil(k / B) blocks and one block of the next chunk
+            with open(index_path(tmp_path, fp), "r+b") as fh:
+                fh.truncate(HEADER.size + 3 * b * 16)
+            with pytest.raises(StaleIndex):
+                rtc_star_rank(team, target, space, w, index, k)
 
     def test_version_1_partition_is_stale(self, tmp_path):
         space, fp, path = self.build_closed(tmp_path)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_instance
@@ -20,6 +20,7 @@ from teamrank.errors import DimensionMismatch, InvalidArgument, NotAMember, Stal
 from teamrank.nnindex import build_index
 from teamrank.ranking import (
     NormalizedCandidate,
+    _flip_possible,
     brute_force_rank,
     normalized_candidate,
     odis,
@@ -204,6 +205,10 @@ class TestRtcStar:
 
     @settings(max_examples=40)
     @given(st.integers(0, 10_000))
+    # identity swaps of different members tie in exact arithmetic, and
+    # lambda_r * key rounds above the exact distance: the scan's guard holds
+    @example(278)
+    @example(2927)
     def test_oracle_equivalence_on_random_instances(self, seed):
         import dataclasses
         import tempfile
@@ -217,9 +222,11 @@ class TestRtcStar:
         )
         ties = random_instance(seed, n=int(20 + seed % 80), ties_at_zero=True)
         gap = diff(ties.target, ties.team)
-        # an elite target: some dimension is strong, and some member has two
+        # an elite target: some dimension is strong, some member could flip
+        # one (so it takes the lower-bound scan), and some member has two
         # candidates that close every gap
         assert np.any(gap < 0.0)
+        assert any(_flip_possible(gap, r, ties.space.min_rates()) for r in ties.team.members)
         assert any(
             sum(np.all(post_exchange_diff(gap, r, c) <= 0.0) for c in ties.space.records()) >= 2
             for r in ties.team.members
@@ -233,10 +240,15 @@ class TestRtcStar:
                 with build_index(
                     inst.space, inst.team, inst.target, inst.weights, inst.block_size, tmp
                 ) as index:
+                    stats = {}
                     got = rtc_star_rank(
-                        inst.team, inst.target, inst.space, inst.weights, index, inst.top_k
+                        inst.team, inst.target, inst.space, inst.weights, index, inst.top_k,
+                        stats_out=stats,
                     )
             assert got == expected
+            if inst is ties:
+                # no member needed the full re-score
+                assert stats["fallback_members"] == []
 
     def test_improvement_guarantee_when_members_in_space(self, tmp_path):
         for seed in range(15):
