@@ -51,7 +51,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import ObjectSpace, TargetContext, TeamContext, diff, team_from_ids, truncated_distance, truncating_vector
-from .dataio import NbParams, gen_synthetic, load_manifest, load_objects, load_rosters, load_teams
+from .dataio import NbParams, gen_synthetic, load_manifest, load_objects_and_rosters, load_teams
 from .errors import InvalidArgument
 from .nnindex import build_index
 from .ranking import SwapRecommendation, brute_force_rank, rtc_star_rank
@@ -249,8 +249,7 @@ def _load_dataset(config: ExperimentConfig):
     if kind == "csv":
         players_manifest = load_manifest(ds["players_manifest"])
         teams_manifest = load_manifest(ds["teams_manifest"])
-        space = load_objects(ds["players"], players_manifest)
-        rosters = load_rosters(ds["players"], players_manifest)
+        space, rosters = load_objects_and_rosters(ds["players"], players_manifest)
         targets, wins = load_teams(ds["teams"], teams_manifest)
         stats = np.stack([t.aggregate for t in targets])
         weights = compute_weights(stats, wins).weights

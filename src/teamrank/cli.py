@@ -23,13 +23,14 @@ from .dataio import (
     NbParams,
     chi_square_gof,
     gen_synthetic,
+    load_column,
     load_manifest,
     load_objects,
-    load_rosters,
+    load_objects_and_rosters,
     load_teams,
     write_objects_csv,
 )
-from .errors import InvalidArgument, MissingColumn, TeamRankError
+from .errors import InvalidArgument, TeamRankError
 from .nnindex import NnIndex, build_index, fingerprint, index_path
 from .ranking import brute_force_rank, rtc_star_rank
 from .weighting import compute_weights
@@ -89,8 +90,7 @@ def _render_pretty(payload: dict, indent: int = 0) -> str:
 def _load_real(args):
     objects_manifest = load_manifest(args.manifest)
     teams_manifest = load_manifest(args.teams_manifest)
-    space = load_objects(args.objects, objects_manifest)
-    rosters = load_rosters(args.objects, objects_manifest)
+    space, rosters = load_objects_and_rosters(args.objects, objects_manifest)
     targets, wins = load_teams(args.teams, teams_manifest)
     stats = np.stack([t.aggregate for t in targets])
     weights = compute_weights(stats, wins).weights
@@ -223,18 +223,7 @@ def _cmd_gen(args) -> dict:
 
 
 def _cmd_gof(args) -> dict:
-    import csv as csv_mod
-
-    with open(args.csv, "r", encoding="utf-8", newline="") as fh:
-        reader = csv_mod.reader(fh)
-        rows = list(reader)
-    if not rows or len(rows) < 2:
-        raise InvalidArgument(f"{args.csv}: need a header row plus data rows")
-    header = rows[0]
-    if args.column not in header:
-        raise MissingColumn(f"{args.csv}: column {args.column!r} not found")
-    col = header.index(args.column)
-    samples = np.array([float(row[col]) for row in rows[1:]], dtype=np.float64)
+    samples = load_column(args.csv, args.column)
     result = chi_square_gof(samples, args.r, args.p, args.alpha)
     return {
         "config": _config_echo(args),

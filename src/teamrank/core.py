@@ -175,18 +175,19 @@ class ObjectSpace:
     def records(self) -> list[ObjectRecord]:
         return [self.record(i) for i in range(len(self))]
 
-    def index_of(self, object_id: str) -> int:
+    def _row_of(self) -> dict[str, int]:
         if self._index_of is None:
-            self._index_of = {str(v): i for i, v in enumerate(self.ids)}
+            self._index_of = dict(zip(self.ids.tolist(), range(len(self))))
+        return self._index_of
+
+    def index_of(self, object_id: str) -> int:
         try:
-            return self._index_of[str(object_id)]
+            return self._row_of()[str(object_id)]
         except KeyError:
             raise NotAMember(f"object {object_id!r} is not in the space") from None
 
     def __contains__(self, object_id) -> bool:
-        if self._index_of is None:
-            self._index_of = {str(v): i for i, v in enumerate(self.ids)}
-        return str(object_id) in self._index_of
+        return str(object_id) in self._row_of()
 
     def rates(self) -> np.ndarray:
         """Attribute matrix divided row-wise by each record's exchange parameter."""
@@ -210,7 +211,7 @@ class ObjectSpace:
             h.update(str(self.dimension).encode())
             h.update(("\x00".join(self.attribute_names)).encode())
             h.update(b"\x00ids\x00")
-            h.update("\x00".join(str(v) for v in self.ids[order]).encode())
+            h.update("\x00".join(self.ids[order].tolist()).encode())
             h.update(b"\x00lambdas\x00")
             h.update(np.ascontiguousarray(self.lambdas[order]).tobytes())
             h.update(b"\x00attrs\x00")

@@ -6,6 +6,14 @@ attribute subset to project; loaders reject files whose header is missing a
 named column and reject rows with unparseable, non-finite, or non-positive
 lambda values, reporting the 1-based data row number.
 
+Each file is read once: :func:`load_objects_and_rosters` builds the space
+and the rosters from one read of an object file. Every row's field count is
+checked once per file, and each numeric column is converted by one numpy
+call, which parses a cell exactly as Python's ``float`` does; finiteness and
+``lambda > 0`` are checked on whole arrays. Only when one of those checks
+fails is the file parsed again row by row, to raise the first bad row's
+error with the same row number and message a row-major parse gives.
+
 Synthetic spaces draw each attribute independently from a negative binomial
 distribution parameterized as failures before the r-th success: mean
 r(1-p)/p, variance r(1-p)/p^2. Real-valued r is handled with the standard
@@ -49,7 +57,9 @@ __all__ = [
     "load_manifest",
     "load_objects",
     "load_rosters",
+    "load_objects_and_rosters",
     "load_teams",
+    "load_column",
     "write_objects_csv",
     "sample_negative_binomial",
     "gen_synthetic",
@@ -144,42 +154,114 @@ def _parse_float(raw: str, row_no: int, column: str) -> float:
     return value
 
 
-def load_objects(path, manifest: DatasetManifest) -> ObjectSpace:
-    """Read one record per data row, projected to the manifest's attributes."""
-    if manifest.lambda_column is None:
-        raise InvalidArgument("object manifest needs a lambda column")
-    header, data = _read_rows(path)
-    wanted = [manifest.id_column, manifest.lambda_column, manifest.label_column, *manifest.attributes]
-    pos = _column_indices(header, wanted, path)
+def _parse_rows(header, data, columns, positive=None) -> np.ndarray:
+    """Row-major reference parse of ``columns``, a list of (name, position) pairs.
 
-    ids, labels, lambdas = [], [], []
-    attrs = np.empty((len(data), len(manifest.attributes)), dtype=np.float64)
+    Each row's field count is checked, then its cells are parsed in column
+    order, so the first bad row's :class:`MalformedRow` is the one raised.
+    Cells of the column named ``positive`` must also be > 0.
+    """
+    out = np.empty((len(data), len(columns)), dtype=np.float64)
     for row_no, row in enumerate(data, start=1):
         if len(row) != len(header):
             raise MalformedRow(row_no, f"expected {len(header)} fields, got {len(row)}")
-        lam = _parse_float(row[pos[manifest.lambda_column]], row_no, manifest.lambda_column)
-        if lam <= 0.0:
-            raise MalformedRow(row_no, f"exchange parameter must be > 0, got {lam}")
-        ids.append(row[pos[manifest.id_column]])
-        labels.append(row[pos[manifest.label_column]] if manifest.label_column else row[pos[manifest.id_column]])
-        lambdas.append(lam)
-        for j, attr in enumerate(manifest.attributes):
-            attrs[row_no - 1, j] = _parse_float(row[pos[attr]], row_no, attr)
-    return ObjectSpace(ids=ids, lambdas=lambdas, attrs=attrs, attribute_names=manifest.attributes, labels=labels)
+        for j, (name, col) in enumerate(columns):
+            value = _parse_float(row[col], row_no, name)
+            if name == positive and value <= 0.0:
+                raise MalformedRow(row_no, f"exchange parameter must be > 0, got {value}")
+            out[row_no - 1, j] = value
+    return out
+
+
+def _float_columns(header, data, groups, positive=None) -> list[np.ndarray]:
+    """One (rows, len(group)) float64 matrix per group of (name, position) columns.
+
+    Checks every row's field count once, converts each column with one numpy
+    call (numpy parses a string cell exactly as Python's ``float`` does),
+    then checks finiteness and ``positive`` on whole arrays. If any of that
+    fails, :func:`_parse_rows` parses all groups again row by row and raises
+    the first bad row's error, so messages and row numbers match a row-major
+    parse.
+    """
+    if set(map(len, data)) == {len(header)}:
+        out = [np.empty((len(data), len(group)), dtype=np.float64) for group in groups]
+        try:
+            for matrix, group in zip(out, groups):
+                for j, (_, col) in enumerate(group):
+                    matrix[:, j] = np.array([row[col] for row in data], dtype=np.float64)
+        except ValueError:
+            pass
+        else:
+            if all(
+                np.isfinite(matrix).all() and (matrix[:, [name == positive for name, _ in group]] > 0.0).all()
+                for matrix, group in zip(out, groups)
+            ):
+                return out
+    values = _parse_rows(header, data, [column for group in groups for column in group], positive)
+    return np.split(values, np.cumsum([len(group) for group in groups[:-1]]), axis=1)
+
+
+def _objects_from_rows(header, data, manifest: DatasetManifest, path) -> ObjectSpace:
+    wanted = [manifest.id_column, manifest.lambda_column, manifest.label_column, *manifest.attributes]
+    pos = _column_indices(header, wanted, path)
+    lambdas, attrs = _float_columns(
+        header,
+        data,
+        [[(manifest.lambda_column, pos[manifest.lambda_column])], [(a, pos[a]) for a in manifest.attributes]],
+        positive=manifest.lambda_column,
+    )
+    ids = [row[pos[manifest.id_column]] for row in data]
+    labels = [row[pos[manifest.label_column]] for row in data] if manifest.label_column else ids
+    return ObjectSpace(
+        ids=ids,
+        lambdas=lambdas[:, 0],
+        attrs=attrs,
+        attribute_names=manifest.attributes,
+        labels=labels,
+    )
+
+
+def _rosters_from_rows(header, data, manifest: DatasetManifest, path) -> dict[str, list[str]]:
+    pos = _column_indices(header, [manifest.id_column, manifest.team_column], path)
+    _float_columns(header, data, [])  # checks field counts only
+    rosters: dict[str, list[str]] = {}
+    for row in data:
+        rosters.setdefault(row[pos[manifest.team_column]], []).append(row[pos[manifest.id_column]])
+    return rosters
+
+
+def _require_lambda(manifest: DatasetManifest) -> None:
+    if manifest.lambda_column is None:
+        raise InvalidArgument("object manifest needs a lambda column")
+
+
+def _require_team(manifest: DatasetManifest) -> None:
+    if manifest.team_column is None:
+        raise InvalidArgument("roster loading needs a team column in the manifest")
+
+
+def load_objects(path, manifest: DatasetManifest) -> ObjectSpace:
+    """Read one record per data row, projected to the manifest's attributes."""
+    _require_lambda(manifest)
+    return _objects_from_rows(*_read_rows(path), manifest, path)
 
 
 def load_rosters(path, manifest: DatasetManifest) -> dict[str, list[str]]:
     """Map each team id to its member object ids, in file order."""
-    if manifest.team_column is None:
-        raise InvalidArgument("roster loading needs a team column in the manifest")
+    _require_team(manifest)
+    return _rosters_from_rows(*_read_rows(path), manifest, path)
+
+
+def load_objects_and_rosters(path, manifest: DatasetManifest) -> tuple[ObjectSpace, dict[str, list[str]]]:
+    """:func:`load_objects` and :func:`load_rosters` of one file, read once.
+
+    Raises what the two calls in that order would raise.
+    """
+    _require_lambda(manifest)
     header, data = _read_rows(path)
-    pos = _column_indices(header, [manifest.id_column, manifest.team_column], path)
-    rosters: dict[str, list[str]] = {}
-    for row_no, row in enumerate(data, start=1):
-        if len(row) != len(header):
-            raise MalformedRow(row_no, f"expected {len(header)} fields, got {len(row)}")
-        rosters.setdefault(row[pos[manifest.team_column]], []).append(row[pos[manifest.id_column]])
-    return rosters
+    space = _objects_from_rows(header, data, manifest, path)
+    _require_team(manifest)
+    return space, _rosters_from_rows(header, data, manifest, path)
 
 
 def load_teams(path, manifest: DatasetManifest) -> tuple[list[TargetContext], RankedSeries]:
@@ -189,18 +271,22 @@ def load_teams(path, manifest: DatasetManifest) -> tuple[list[TargetContext], Ra
     header, data = _read_rows(path)
     wanted = [manifest.id_column, manifest.wins_column, *manifest.attributes]
     pos = _column_indices(header, wanted, path)
+    aggregates, wins = _float_columns(
+        header, data, [[(a, pos[a]) for a in manifest.attributes], [(manifest.wins_column, pos[manifest.wins_column])]]
+    )
+    targets = [
+        TargetContext(team_id=row[pos[manifest.id_column]], aggregate=aggregate.copy())
+        for row, aggregate in zip(data, aggregates)
+    ]
+    return targets, RankedSeries(values=wins[:, 0], higher_is_better=True)
 
-    targets: list[TargetContext] = []
-    wins = np.empty(len(data), dtype=np.float64)
-    for row_no, row in enumerate(data, start=1):
-        if len(row) != len(header):
-            raise MalformedRow(row_no, f"expected {len(header)} fields, got {len(row)}")
-        agg = np.array(
-            [_parse_float(row[pos[a]], row_no, a) for a in manifest.attributes], dtype=np.float64
-        )
-        wins[row_no - 1] = _parse_float(row[pos[manifest.wins_column]], row_no, manifest.wins_column)
-        targets.append(TargetContext(team_id=row[pos[manifest.id_column]], aggregate=agg))
-    return targets, RankedSeries(values=wins, higher_is_better=True)
+
+def load_column(path, column: str) -> np.ndarray:
+    """One numeric column of a CSV file, under the same row checks as the loaders."""
+    header, data = _read_rows(path)
+    pos = _column_indices(header, [column], path)
+    (values,) = _float_columns(header, data, [[(column, pos[column])]])
+    return values[:, 0]
 
 
 def write_objects_csv(space: ObjectSpace, path) -> None:

@@ -4,6 +4,8 @@ import json
 import numpy as np
 import pytest
 
+from teamrank import dataio
+from teamrank.bench import ExperimentConfig, run_experiment
 from teamrank.cli import cli_main
 
 
@@ -221,6 +223,22 @@ class TestExitCodes:
         code, _, _ = run(["ingest", "--objects", str(bad), "--manifest", league["players_manifest"]], capsys)
         assert code == 2
 
+    def test_gof_short_row_is_data_error(self, capsys, tmp_path):
+        data = tmp_path / "short.csv"
+        data.write_text("a,b\n1,2\n3\n")
+        code, out, err = run(["gof", "--csv", str(data), "--column", "b", "--r", "1.0", "--p", "0.5"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "row 2: expected 2 fields, got 1" in err
+
+    def test_gof_bad_float_names_its_row(self, capsys, tmp_path):
+        data = tmp_path / "bad.csv"
+        data.write_text("a,b\n1,2\n3,x\n")
+        code, out, err = run(["gof", "--csv", str(data), "--column", "b", "--r", "1.0", "--p", "0.5"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "row 2: column 'b': cannot parse 'x' as a number" in err
+
     def test_truncated_index_partition_is_data_error(self, league, capsys, tmp_path):
         idx = tmp_path / "idx"
         code, out, _ = run(["index", "build", *real_flags(league), "--team", "BBB",
@@ -236,3 +254,47 @@ class TestExitCodes:
 
     def test_help_exits_zero(self, capsys):
         assert run(["--help"], capsys)[0] == 0
+
+
+@pytest.fixture()
+def reads(monkeypatch):
+    """Paths passed to ``dataio._read_rows``, one entry per read."""
+    seen = []
+    real = dataio._read_rows
+
+    def counting(path):
+        seen.append(str(path))
+        return real(path)
+
+    monkeypatch.setattr(dataio, "_read_rows", counting)
+    return seen
+
+
+class TestOneReadPerFile:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rank", "--method", "bf", "--team", "AAA"],
+            ["rank", "--method", "rtcstar", "--team", "AAA", "--index-dir", "IDX"],
+            ["target"],
+            ["index", "build", "--team", "BBB", "--index-dir", "IDX"],
+        ],
+        ids=["rank-bf", "rank-rtcstar", "target", "index-build"],
+    )
+    def test_command_reads_the_objects_file_once(self, league, capsys, tmp_path, reads, argv):
+        argv = [str(tmp_path / "idx") if a == "IDX" else a for a in argv]
+        code, _, _ = run([*argv, *real_flags(league)], capsys)
+        assert code == 0
+        assert reads.count(league["players"]) == 1
+        assert reads.count(league["teams"]) == 1
+
+    def test_run_experiment_reads_the_objects_file_once(self, league, reads):
+        config = ExperimentConfig(
+            dataset={"kind": "csv", "players": league["players"], "players_manifest": league["players_manifest"],
+                     "teams": league["teams"], "teams_manifest": league["teams_manifest"]},
+            block_size=3, top_k=2, team_ids=("AAA",), elite_count=2, timing_repeats=1, timing_warmup=0,
+        )
+        report = run_experiment(config)
+        assert report.rows[0].methods_agree
+        assert reads.count(league["players"]) == 1
+        assert reads.count(league["teams"]) == 1

@@ -229,3 +229,27 @@ class TestObjectSpace:
         again = ObjectSpace.from_records(space.records(), space.attribute_names)
         assert np.array_equal(space.attrs, again.attrs)
         assert space.digest() == again.digest()
+
+    def test_index_of_and_membership(self):
+        space = ObjectSpace(ids=["b", "a", "c"], lambdas=[1.0, 1.0, 1.0], attrs=np.ones((3, 1)), attribute_names=["x"])
+        assert [space.index_of(i) for i in ("a", "b", "c")] == [1, 0, 2]
+        assert "c" in space and "d" not in space
+        with pytest.raises(NotAMember):
+            space.index_of("d")
+
+    def test_digest_and_fingerprint_bytes_are_pinned(self):
+        # every index header stores this fingerprint: a changed digest orphans existing index files
+        from teamrank.core import team_from_ids
+        from teamrank.nnindex import fingerprint
+
+        space = ObjectSpace(
+            ids=["p3", "p1", "p2", "p10"],
+            lambdas=[120.0, 48.5, 300.25, 2.0],
+            attrs=[[1.0, 2.0], [3.5, 0.0], [7.0, 8.0], [0.25, 11.0]],
+            attribute_names=("FG", "AST"),
+            labels=["Three", "One", "Two", "Ten"],
+        )
+        team = team_from_ids(space, ["p1", "p3"], team_id="AAA")
+        target = TargetContext(team_id="BBB", aggregate=[6.0, 9.0])
+        assert space.digest() == "2ab99333887900ee1a3b9c371575c9e2a0b57d76ce2b9ae4e89e2836f678059d"
+        assert fingerprint(space, team, target, np.array([1.0, 0.5]), 2) == "16c9eebc3b5ce563077b4cadc55a941f"

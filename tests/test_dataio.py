@@ -1,13 +1,21 @@
+import csv
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from teamrank.core import ObjectSpace
 from teamrank.dataio import (
     DatasetManifest,
     NbParams,
     chi_square_gof,
     chi_square_statistic,
     gen_synthetic,
+    load_column,
     load_objects,
+    load_objects_and_rosters,
     load_rosters,
     load_teams,
     nb_mean,
@@ -150,6 +158,253 @@ class TestLoadTeamsAndRosters:
         )
         rosters = load_rosters(path, OBJECT_MANIFEST)
         assert rosters == {"AAA": ["p1", "p3"], "BBB": ["p2"]}
+
+
+HEADER = "id,name,Tm,MP,FG,AST"
+GOOD = ["p1,One,AAA,100,5,6", "p2,Two,BBB,200,7,8"]
+
+# (case, data rows, expected .row, expected message): each message as a row-by-row parse words it
+MALFORMED_OBJECTS = [
+    ("short_row_3", [*GOOD, "p3,Three,AAA,300,9"], 3, "row 3: expected 6 fields, got 5"),
+    ("long_row_3", [*GOOD, "p3,Three,AAA,300,9,1,2"], 3, "row 3: expected 6 fields, got 7"),
+    ("bad_lambda", [GOOD[0], "p2,Two,BBB,abc,7,8"], 2, "row 2: column 'MP': cannot parse 'abc' as a number"),
+    ("bad_attr", [GOOD[0], "p2,Two,BBB,200,7,x8"], 2, "row 2: column 'AST': cannot parse 'x8' as a number"),
+    ("empty_attr", [GOOD[0], "p2,Two,BBB,200,,8"], 2, "row 2: column 'FG': cannot parse '' as a number"),
+    ("lambda_zero", ["p1,One,AAA,0,5,6"], 1, "row 1: exchange parameter must be > 0, got 0.0"),
+    ("lambda_negative", [GOOD[0], "p2,Two,BBB,-1,7,8"], 2, "row 2: exchange parameter must be > 0, got -1.0"),
+    ("nan_attr", [GOOD[0], "p2,Two,BBB,200,nan,8"], 2, "row 2: column 'FG': non-finite value 'nan'"),
+    ("inf_attr", [GOOD[0], "p2,Two,BBB,200,7,inf"], 2, "row 2: column 'AST': non-finite value 'inf'"),
+    ("overflow_attr", [GOOD[0], "p2,Two,BBB,200,1e400,8"], 2, "row 2: column 'FG': non-finite value '1e400'"),
+    (
+        "attr_beats_later_lambda",
+        [GOOD[0], "p2,Two,BBB,200,oops,8", "p3,Three,AAA,-1,9,1"],
+        2,
+        "row 2: column 'FG': cannot parse 'oops' as a number",
+    ),
+    (
+        "lambda_beats_attr_same_row",
+        [GOOD[0], "p2,Two,BBB,0,oops,8"],
+        2,
+        "row 2: exchange parameter must be > 0, got 0.0",
+    ),
+    (
+        "bad_float_beats_later_short_row",
+        [GOOD[0], "p2,Two,BBB,200,7,nan", "p3,Three"],
+        2,
+        "row 2: column 'AST': non-finite value 'nan'",
+    ),
+]
+
+
+class TestLoaderErrorParity:
+    @pytest.mark.parametrize(
+        "rows, row, message", [case[1:] for case in MALFORMED_OBJECTS], ids=[case[0] for case in MALFORMED_OBJECTS]
+    )
+    def test_objects_error_names_the_first_bad_row(self, tmp_path, rows, row, message):
+        path = write(tmp_path, "objects.csv", "\n".join([HEADER, *rows]) + "\n")
+        for load in (load_objects, load_objects_and_rosters):
+            with pytest.raises(MalformedRow) as excinfo:
+                load(path, OBJECT_MANIFEST)
+            assert type(excinfo.value) is MalformedRow
+            assert excinfo.value.row == row
+            assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize(
+        "rows, row, message",
+        [
+            (["BBB,38,90"], 1, "row 1: expected 4 fields, got 3"),
+            (["AAA,50,100,200", "BBB,x,90,150"], 2, "row 2: column 'W': cannot parse 'x' as a number"),
+            (["AAA,50,100,200", "BBB,nan,oops,150"], 2, "row 2: column 'FG': cannot parse 'oops' as a number"),
+            (["AAA,50,100,inf", "BBB,38"], 1, "row 1: column 'AST': non-finite value 'inf'"),
+        ],
+    )
+    def test_teams_error_names_the_first_bad_row(self, tmp_path, rows, row, message):
+        path = write(tmp_path, "teams.csv", "\n".join(["Team,W,FG,AST", *rows]) + "\n")
+        with pytest.raises(MalformedRow) as excinfo:
+            load_teams(path, TEAM_MANIFEST)
+        assert (excinfo.value.row, str(excinfo.value)) == (row, message)
+
+    def test_rosters_short_row(self, tmp_path):
+        path = write(tmp_path, "objects.csv", "\n".join([HEADER, *GOOD, "p3,Three"]) + "\n")
+        with pytest.raises(MalformedRow) as excinfo:
+            load_rosters(path, OBJECT_MANIFEST)
+        assert str(excinfo.value) == "row 3: expected 6 fields, got 2"
+
+    @pytest.mark.parametrize("raw", ["1_000", " 1.5 ", "+2", "1e-3"])
+    def test_accepted_edge_strings_load_as_float_does(self, tmp_path, raw):
+        path = write(tmp_path, "objects.csv", f"{HEADER}\np1,One,AAA,{raw},{raw},6\n")
+        space = load_objects(path, OBJECT_MANIFEST)
+        assert space.lambdas[0] == float(raw)
+        assert space.attrs[0, 0] == float(raw)
+
+    def test_quoted_label_with_comma_loads_intact(self, tmp_path):
+        path = write(tmp_path, "objects.csv", f'{HEADER}\np1,"Smith, John",AAA,100,5,6\n')
+        space = load_objects(path, OBJECT_MANIFEST)
+        assert list(space.labels) == ["Smith, John"]
+        assert np.array_equal(space.attrs, [[5.0, 6.0]])
+
+
+class TestLoadObjectsAndRosters:
+    def test_matches_the_two_separate_loads(self, tmp_path):
+        path = write(tmp_path, "objects.csv", "\n".join([HEADER, *GOOD, "p3,Three,AAA,300,9,1"]) + "\n")
+        space, rosters = load_objects_and_rosters(path, OBJECT_MANIFEST)
+        alone = load_objects(path, OBJECT_MANIFEST)
+        assert space.digest() == alone.digest()
+        assert list(space.labels) == list(alone.labels)
+        assert rosters == load_rosters(path, OBJECT_MANIFEST) == {"AAA": ["p1", "p3"], "BBB": ["p2"]}
+
+    def test_object_errors_come_before_roster_errors(self, tmp_path):
+        path = write(tmp_path, "objects.csv", "id,name,MP,FG,AST\np1,One,oops,5,6\n")
+        with pytest.raises(MalformedRow):
+            load_objects_and_rosters(path, OBJECT_MANIFEST)
+        path = write(tmp_path, "objects.csv", "id,name,MP,FG,AST\np1,One,100,5,6\n")
+        with pytest.raises(MissingColumn):
+            load_objects_and_rosters(path, OBJECT_MANIFEST)
+
+    def test_manifest_without_team_column(self, tmp_path):
+        path = write(tmp_path, "objects.csv", "\n".join([HEADER, *GOOD]) + "\n")
+        manifest = DatasetManifest(attributes=("FG",), id_column="id", lambda_column="MP")
+        with pytest.raises(InvalidArgument):
+            load_objects_and_rosters(path, manifest)
+
+
+class TestLoadColumn:
+    def test_values_in_file_order(self, tmp_path):
+        path = write(tmp_path, "data.csv", "a,b\n1,2\n3, 4.5\n")
+        assert np.array_equal(load_column(path, "b"), [2.0, 4.5])
+
+    def test_missing_column(self, tmp_path):
+        path = write(tmp_path, "data.csv", "a,b\n1,2\n")
+        with pytest.raises(MissingColumn):
+            load_column(path, "c")
+
+
+# Row-major reference: the loaders as they were before the column-wise conversion.
+def _reference_rows(path):
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    return rows[0], rows[1:]
+
+
+def _reference_float(raw, row_no, column):
+    try:
+        value = float(raw)
+    except ValueError:
+        raise MalformedRow(row_no, f"column {column!r}: cannot parse {raw!r} as a number") from None
+    if not math.isfinite(value):
+        raise MalformedRow(row_no, f"column {column!r}: non-finite value {raw!r}")
+    return value
+
+
+def _reference_objects(path, manifest):
+    header, data = _reference_rows(path)
+    named = [manifest.id_column, manifest.lambda_column, manifest.label_column, manifest.team_column]
+    pos = {name: header.index(name) for name in (*named, *manifest.attributes)}
+    ids, labels, lambdas = [], [], []
+    attrs = np.empty((len(data), len(manifest.attributes)), dtype=np.float64)
+    for row_no, row in enumerate(data, start=1):
+        if len(row) != len(header):
+            raise MalformedRow(row_no, f"expected {len(header)} fields, got {len(row)}")
+        lam = _reference_float(row[pos[manifest.lambda_column]], row_no, manifest.lambda_column)
+        if lam <= 0.0:
+            raise MalformedRow(row_no, f"exchange parameter must be > 0, got {lam}")
+        ids.append(row[pos[manifest.id_column]])
+        labels.append(row[pos[manifest.label_column]])
+        lambdas.append(lam)
+        for j, attr in enumerate(manifest.attributes):
+            attrs[row_no - 1, j] = _reference_float(row[pos[attr]], row_no, attr)
+    space = ObjectSpace(ids=ids, lambdas=lambdas, attrs=attrs, attribute_names=manifest.attributes, labels=labels)
+    rosters = {}
+    for row in data:
+        rosters.setdefault(row[pos[manifest.team_column]], []).append(row[pos[manifest.id_column]])
+    return space, rosters
+
+
+def _reference_teams(path, manifest):
+    header, data = _reference_rows(path)
+    pos = {name: header.index(name) for name in (manifest.id_column, manifest.wins_column, *manifest.attributes)}
+    aggregates, wins, ids = [], [], []
+    for row_no, row in enumerate(data, start=1):
+        if len(row) != len(header):
+            raise MalformedRow(row_no, f"expected {len(header)} fields, got {len(row)}")
+        aggregates.append([_reference_float(row[pos[a]], row_no, a) for a in manifest.attributes])
+        wins.append(_reference_float(row[pos[manifest.wins_column]], row_no, manifest.wins_column))
+        ids.append(row[pos[manifest.id_column]])
+    return ids, np.array(aggregates), np.array(wins)
+
+
+def _outcome(load, *args):
+    try:
+        return "ok", load(*args)
+    except MalformedRow as exc:
+        return "error", (type(exc), exc.row, str(exc))
+    except InvalidArgument as exc:
+        return "error", (type(exc), None, str(exc))
+
+
+GOOD_CELLS = st.sampled_from(["1", "250", "2.5", "0.001", "+2", "1e-3", " 1.5 ", "1_000", "7e2", "0"])
+BAD_CELLS = st.sampled_from(["-1", "", "abc", "nan", "inf", "-inf", "1e400", "0x10", "1__0"])
+CELLS = st.one_of(GOOD_CELLS, GOOD_CELLS, GOOD_CELLS, GOOD_CELLS, GOOD_CELLS, BAD_CELLS)
+
+
+@st.composite
+def object_files(draw):
+    n = draw(st.integers(1, 6))
+    lines = [HEADER]
+    for i in range(n):
+        team = draw(st.sampled_from(["AAA", "BBB", "FA"]))
+        oid = draw(st.sampled_from([f"p{i}", "p0"]))  # an occasional duplicate id
+        cells = [oid, f"name {i}", team, *(draw(CELLS) for _ in range(3))]
+        width = draw(st.sampled_from([6] * 8 + [5, 7]))
+        cells = (cells + ["9"])[:width]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def team_files(draw):
+    lines = ["Team,W,FG,AST"]
+    for i in range(draw(st.integers(1, 5))):
+        cells = [f"T{i}", *(draw(CELLS) for _ in range(3))]
+        lines.append(",".join(cells[: draw(st.sampled_from([4] * 8 + [3]))]))
+    return "\n".join(lines) + "\n"
+
+
+class TestAgainstRowMajorReference:
+    @settings(max_examples=300)
+    @given(text=object_files())
+    def test_objects_and_rosters(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("objects") / "objects.csv"
+        path.write_text(text, encoding="utf-8")
+        got_kind, got = _outcome(load_objects_and_rosters, path, OBJECT_MANIFEST)
+        want_kind, want = _outcome(_reference_objects, path, OBJECT_MANIFEST)
+        assert got_kind == want_kind
+        if want_kind == "error":
+            assert got == want
+            return
+        (space, rosters), (ref_space, ref_rosters) = got, want
+        assert space.ids.tolist() == ref_space.ids.tolist()
+        assert space.labels.tolist() == ref_space.labels.tolist()
+        assert space.lambdas.tobytes() == ref_space.lambdas.tobytes()
+        assert space.attrs.tobytes() == ref_space.attrs.tobytes()
+        assert rosters == ref_rosters
+
+    @settings(max_examples=300)
+    @given(text=team_files())
+    def test_teams(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("teams") / "teams.csv"
+        path.write_text(text, encoding="utf-8")
+        got_kind, got = _outcome(load_teams, path, TEAM_MANIFEST)
+        want_kind, want = _outcome(_reference_teams, path, TEAM_MANIFEST)
+        assert got_kind == want_kind
+        if want_kind == "error":
+            assert got == want
+            return
+        targets, wins = got
+        ids, aggregates, ref_wins = want
+        assert [t.team_id for t in targets] == ids
+        assert np.stack([t.aggregate for t in targets]).tobytes() == aggregates.tobytes()
+        assert wins.values.tobytes() == ref_wins.tobytes()
 
 
 class TestGenSynthetic:
