@@ -104,9 +104,11 @@ class ObjectRecord:
 class ObjectSpace:
     """A fixed collection of uniformly dimensioned records, array-backed.
 
-    Treated as immutable after construction; the rate matrix (attributes
-    divided by each record's exchange parameter), per-dimension rate minima
-    and the content digest are computed lazily and cached.
+    Treated as immutable after construction. The id -> row map is built
+    once, in the constructor, where it also proves the ids unique; the rate
+    matrix (attributes divided by each record's exchange parameter),
+    per-dimension rate minima, the ascending-id row order and the content
+    digest are computed lazily and cached.
     """
 
     def __init__(self, ids, lambdas, attrs, attribute_names, labels=None):
@@ -127,16 +129,17 @@ class ObjectSpace:
             )
         if self.ids.shape != (n,) or self.lambdas.shape != (n,) or self.labels.shape != (n,):
             raise DimensionMismatch("ids, labels and lambdas must each have one entry per record")
-        if np.unique(self.ids).size != n:
+        self._index_of = dict(zip(self.ids.tolist(), range(n)))
+        if len(self._index_of) != n:
             raise InvalidArgument("object ids must be unique within a space")
         if not np.all(np.isfinite(self.lambdas)) or np.any(self.lambdas <= 0.0):
             raise InvalidLambda("every exchange parameter must be finite and > 0")
         if not np.all(np.isfinite(self.attrs)):
             raise InvalidArgument("attribute matrix contains non-finite values")
 
-        self._index_of: dict[str, int] | None = None
         self._rates: np.ndarray | None = None
         self._min_rates: np.ndarray | None = None
+        self._id_order: np.ndarray | None = None
         self._digest: str | None = None
 
     @classmethod
@@ -175,19 +178,14 @@ class ObjectSpace:
     def records(self) -> list[ObjectRecord]:
         return [self.record(i) for i in range(len(self))]
 
-    def _row_of(self) -> dict[str, int]:
-        if self._index_of is None:
-            self._index_of = dict(zip(self.ids.tolist(), range(len(self))))
-        return self._index_of
-
     def index_of(self, object_id: str) -> int:
         try:
-            return self._row_of()[str(object_id)]
+            return self._index_of[str(object_id)]
         except KeyError:
             raise NotAMember(f"object {object_id!r} is not in the space") from None
 
     def __contains__(self, object_id) -> bool:
-        return str(object_id) in self._row_of()
+        return str(object_id) in self._index_of
 
     def rates(self) -> np.ndarray:
         """Attribute matrix divided row-wise by each record's exchange parameter."""
@@ -200,12 +198,18 @@ class ObjectSpace:
             self._min_rates = self.rates().min(axis=0)
         return self._min_rates
 
+    def id_order(self) -> np.ndarray:
+        """Row positions in ascending id order; ids are unique, so the order is too."""
+        if self._id_order is None:
+            self._id_order = np.argsort(self.ids, kind="stable")
+        return self._id_order
+
     def digest(self) -> str:
         """Order-insensitive content hash: identical record sets hash alike."""
         if self._digest is None:
             import hashlib
 
-            order = np.argsort(self.ids, kind="stable")
+            order = self.id_order()
             h = hashlib.sha256()
             h.update(b"teamrank-space-v1\x00")
             h.update(str(self.dimension).encode())

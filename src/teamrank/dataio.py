@@ -7,12 +7,14 @@ named column and reject rows with unparseable, non-finite, or non-positive
 lambda values, reporting the 1-based data row number.
 
 Each file is read once: :func:`load_objects_and_rosters` builds the space
-and the rosters from one read of an object file. Every row's field count is
-checked once per file, and each numeric column is converted by one numpy
-call, which parses a cell exactly as Python's ``float`` does; finiteness and
-``lambda > 0`` are checked on whole arrays. Only when one of those checks
-fails is the file parsed again row by row, to raise the first bad row's
-error with the same row number and message a row-major parse gives.
+and the rosters from one read of an object file, with the cyclic garbage
+collector paused while ``csv.reader`` builds the row list. Every row's field
+count is checked once per file, and each numeric column is converted by one
+numpy call, which parses a cell exactly as Python's ``float`` does;
+finiteness and ``lambda > 0`` are checked on whole arrays. Only when one of
+those checks fails is the file parsed again row by row, to raise the first
+bad row's error with the same row number and message a row-major parse
+gives.
 
 Synthetic spaces draw each attribute independently from a negative binomial
 distribution parameterized as failures before the r-th success: mean
@@ -28,6 +30,7 @@ column plus one for the lambda column.
 from __future__ import annotations
 
 import csv
+import gc
 import json
 import math
 from dataclasses import dataclass
@@ -121,9 +124,16 @@ def load_manifest(path) -> DatasetManifest:
 
 
 def _read_rows(path):
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
+    # the row lists hold only strings, so they form no cycles; with the cyclic
+    # collector on, it would walk the growing list again and again while it is built
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+    finally:
+        if collecting:
+            gc.enable()
     if not rows:
         raise EmptyFile(f"{path}: file is empty")
     header, data = rows[0], rows[1:]

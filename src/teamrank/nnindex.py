@@ -28,11 +28,14 @@ On-disk layout, one file per index named ``<fingerprint>.idx``:
         key              f64  one-sided rate distance
         ordinal          u64  row position in the space
 
-Entries are sorted by (key, object id); each run's final block is padded
-with (+inf, 0xFF..F) sentinels so every block is the same size. Rebuilding
-from the same configuration is byte-identical. A build writes a temporary
-file in the target directory and renames it into place, so an interrupted
-build leaves no ``.idx`` file behind. A file whose header or size does not
+Entries are sorted by (key, object id): one float argsort of the keys,
+then a re-sort of only the entries whose key ties a neighbour's, by (key,
+rank in the space's ascending-id row order). That order is unique, so a run
+is the one ``np.lexsort((ids, keys))`` gives. Each run's final block is
+padded with (+inf, 0xFF..F) sentinels so every block is the same size.
+Rebuilding from the same configuration is byte-identical. A build writes a
+temporary file in the target directory and renames it into place, so an
+interrupted build leaves no ``.idx`` file behind. A file whose header or size does not
 match, or a short read, raises ``StaleIndex``. Build writes and query reads
 are tallied in separate counters; counter updates are lock-protected so
 concurrent readers never lose increments.
@@ -258,6 +261,30 @@ class NnIndex:
         return cls(fh, directory, fp, block_size=B, n=n, m=m, d=d)
 
 
+def _key_id_order(keys: np.ndarray, id_rank: np.ndarray) -> np.ndarray:
+    """Row positions sorted by (key, object id): ``np.lexsort((ids, keys))``.
+
+    One unstable float argsort orders the keys; only entries whose key equals
+    a neighbour's are then re-sorted, by (key, ``id_rank``), in place. The tied
+    positions hold the same keys in the same order after the re-sort, so each
+    run of equal keys lands back on its own positions, now in id order.
+    Re-sorting only the tied entries, not the whole run, is what keeps runs
+    with many ties (thousands of key-0 candidates) cheap.
+    """
+    order = np.argsort(keys)
+    ordered = keys[order]
+    # "not greater" rather than "equal": NaN keys sort last and tie like lexsort's
+    tie = ~(ordered[1:] > ordered[:-1])
+    tied = np.zeros(len(keys), dtype=bool)
+    tied[1:] = tie
+    tied[:-1] |= tie
+    positions = np.flatnonzero(tied)
+    if positions.size:
+        rows = order[positions]
+        order[positions] = rows[np.lexsort((id_rank[rows], keys[rows]))]
+    return order
+
+
 def build_index(
     space: ObjectSpace,
     team: TeamContext,
@@ -270,9 +297,10 @@ def build_index(
 
     Keys are produced by the same routine the ranking layer uses, so index
     keys and freshly computed keys agree bit for bit. Entries sort by
-    (key, object id); only one run is in memory at a time. The file appears
-    under its final name only once every run is written; build writes land
-    in the build counter only.
+    (key, object id), through :func:`_key_id_order` with each row's rank in
+    ``space.id_order()``; only one run is in memory at a time. The file
+    appears under its final name only once every run is written; build
+    writes land in the build counter only.
     """
     if len(space) < 1:
         raise EmptySpace("cannot index an empty object space")
@@ -285,6 +313,9 @@ def build_index(
     n = len(space)
     m = team.size
     blocks = -(-n // block_size)
+    # each row's position in ascending id order, the tie-break of every run
+    id_rank = np.empty(n, dtype=np.intp)
+    id_rank[space.id_order()] = np.arange(n)
     header = HEADER.pack(MAGIC, VERSION, space.dimension, m, n, block_size, bytes.fromhex(fp))
 
     # the temporary name does not end in .idx, so no reader mistakes it for an index
@@ -295,7 +326,7 @@ def build_index(
             for record in team.members:
                 v = virtual_object(team, target, record)
                 keys = odis_keys(v.values, v.tv2, rates, w)
-                order = np.lexsort((space.ids, keys))
+                order = _key_id_order(keys, id_rank)
                 run = np.empty(blocks * block_size, dtype=RECORD_DTYPE)
                 run["key"][:n] = keys[order]
                 run["ordinal"][:n] = order.astype(np.uint64)

@@ -1,4 +1,5 @@
 import csv
+import gc
 import math
 
 import numpy as np
@@ -114,6 +115,20 @@ class TestLoadObjects:
         assert np.array_equal(space.attrs, again.attrs)
         assert np.array_equal(space.lambdas, again.lambdas)
         assert space.digest() == again.digest()
+
+    def test_collector_state_is_restored_after_a_read(self, tmp_path):
+        path = write(tmp_path, "objects.csv", "id,name,Tm,MP,FG,AST\np1,One,AAA,100,5,6\n")
+        was_enabled = gc.isenabled()
+        try:
+            for enabled in (True, False):
+                gc.enable() if enabled else gc.disable()
+                load_objects(path, OBJECT_MANIFEST)
+                assert gc.isenabled() is enabled
+                with pytest.raises(FileNotFoundError):
+                    load_objects(tmp_path / "missing.csv", OBJECT_MANIFEST)
+                assert gc.isenabled() is enabled
+        finally:
+            gc.enable() if was_enabled else gc.disable()
 
     def test_shuffled_rows_same_content_digest(self, tmp_path):
         body = ["p1,One,AAA,100,5,6", "p2,Two,BBB,200,7,8", "p3,Three,AAA,300,9,1"]

@@ -4,11 +4,11 @@ import threading
 import numpy as np
 import pytest
 
-from teamrank.core import TargetContext, team_from_ids
+from teamrank.core import ObjectSpace, TargetContext, team_from_ids
 from teamrank.dataio import NbParams, gen_synthetic
 from teamrank.errors import InvalidArgument, InvalidPartition, StaleIndex
 from teamrank import nnindex
-from teamrank.nnindex import HEADER, NnIndex, build_index, fingerprint, index_path
+from teamrank.nnindex import HEADER, NnIndex, _key_id_order, build_index, fingerprint, index_path
 from teamrank.ranking import brute_force_rank, odis_keys, rtc_star_rank, virtual_object
 
 
@@ -103,6 +103,59 @@ class TestBuild:
             build_index(space, team, target, w, 0, tmp_path)
         with pytest.raises(InvalidArgument):
             fingerprint(space, team, target, w, -1)
+
+
+def tie_heavy_setup():
+    """Row order unlike id order, twenty duplicated rows, and a third of the
+    rows above every virtual object, so each run has over a hundred key-0 ties."""
+    rng = np.random.default_rng(20)
+    n, d = 300, 3
+    attrs = rng.integers(0, 40, size=(n, d)).astype(float)
+    lambdas = rng.integers(1, 6, size=n).astype(float)
+    attrs[200:] = 1000.0
+    attrs[150:170], lambdas[150:170] = attrs[130:150], lambdas[130:150]
+    ids = [f"o{i:03d}" for i in rng.permutation(n)]
+    space = ObjectSpace(ids=ids, lambdas=lambdas, attrs=attrs, attribute_names=("a", "b", "c"))
+    team = team_from_ids(space, space.ids[[3, 77, 140]], team_id="C")
+    target = TargetContext(team_id="T", aggregate=team.aggregate * np.array([1.3, 0.9, 1.2]))
+    return space, team, target, np.array([0.5, 1.0, 2.0])
+
+
+class TestRunOrder:
+    def test_runs_are_in_lexsort_key_id_order(self, tmp_path):
+        space, team, target, w = tie_heavy_setup()
+        assert not np.array_equal(space.id_order(), np.arange(len(space)))
+        with build_index(space, team, target, w, 7, tmp_path) as index:
+            for member_index, record in enumerate(team.members):
+                v = virtual_object(team, target, record)
+                keys = odis_keys(v.values, v.tv2, space.rates(), w)
+                assert np.count_nonzero(keys == 0.0) > 100
+                ordinals, _ = index.query_min_raw(member_index, len(space))
+                assert np.array_equal(ordinals, np.lexsort((space.ids, keys)))
+
+    def test_index_file_bytes_are_pinned(self, tmp_path):
+        # any change to a key's bits or to the (key, id) order changes this digest
+        space, team, target, w = tie_heavy_setup()
+        with build_index(space, team, target, w, 7, tmp_path) as index:
+            raw = index_path(tmp_path, index.fingerprint).read_bytes()
+        assert hashlib.sha256(raw).hexdigest() == (
+            "53b5c1c844e766739f3238853f463fb8129921a10fe80317dfbbffce7256058b"
+        )
+
+    def test_tie_only_sort_matches_lexsort(self):
+        rng = np.random.default_rng(4)
+        n = 2000
+        ids = np.array([f"i{j:04d}" for j in rng.permutation(n)])
+        id_rank = np.empty(n, dtype=np.intp)
+        id_rank[np.argsort(ids)] = np.arange(n)
+        mixed = rng.random(n)
+        mixed[:600] = rng.integers(0, 20, 600)
+        mixed[600:650] = np.inf
+        mixed[650:680] = np.nan
+        mixed[680:700] = -0.0
+        rng.shuffle(mixed)
+        for keys in (rng.random(n), np.zeros(n), mixed):
+            assert np.array_equal(_key_id_order(keys, id_rank), np.lexsort((ids, keys)))
 
 
 class TestQueryMin:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from teamrank.core import (
     TargetContext,
     diff,
     post_exchange_diff,
+    team_from_ids,
     team_from_records,
     truncated_distance,
     truncating_vector,
@@ -19,11 +21,14 @@ from teamrank.core import (
 from teamrank.errors import DimensionMismatch, InvalidArgument, NotAMember, StaleIndex
 from teamrank.nnindex import build_index
 from teamrank.ranking import (
+    _CHUNK_ROWS,
     NormalizedCandidate,
+    _exchange_distance_rows,
     _flip_possible,
     brute_force_rank,
     normalized_candidate,
     odis,
+    odis_keys,
     rtc_star_rank,
     verify_corollary,
     virtual_object,
@@ -115,6 +120,68 @@ class TestOdis:
         v = virtual_object(team, target, team.member("r1"))
         with pytest.raises(DimensionMismatch):
             odis(v, NormalizedCandidate("c", np.array([1.0, 2.0, 3.0])), w)
+
+
+class TestRowKernels:
+    """The row-blocked kernels against their whole-array expressions, bit for bit."""
+
+    SIZES = [1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 3 * _CHUNK_ROWS + 7]
+
+    @pytest.mark.parametrize("d", [1, 3, 11, 17])
+    @pytest.mark.parametrize("n", SIZES)
+    def test_odis_keys_equal_the_whole_array_expression(self, n, d):
+        rng = np.random.default_rng(n * 31 + d)
+        rates = rng.uniform(-1.0, 4.0, size=(n, d))
+        values = rng.uniform(0.0, 3.0, size=d)
+        tv2 = (rng.random(d) < 0.7).astype(float)
+        w = rng.uniform(0.1, 2.0, size=d)
+        shortfall = np.maximum(values[None, :] - rates, 0.0)
+        terms = w * shortfall * tv2
+        expected = np.sqrt(np.sum(terms * terms, axis=1))
+        assert np.array_equal(odis_keys(values, tv2, rates, w), expected)
+
+    @pytest.mark.parametrize("d", [1, 3, 11, 17])
+    @pytest.mark.parametrize("n", SIZES)
+    def test_exchange_distances_equal_the_whole_array_expression(self, n, d):
+        rng = np.random.default_rng(n * 37 + d)
+        attrs = rng.uniform(-50.0, 400.0, size=(n, d))
+        lambdas = rng.uniform(1.0, 100.0, size=n)
+        base = rng.uniform(-20.0, 300.0, size=d)
+        lambda_r = float(rng.uniform(1.0, 100.0))
+        w = rng.uniform(0.1, 2.0, size=d)
+        ratio = lambda_r / lambdas
+        new_gap = base[None, :] - ratio[:, None] * attrs
+        terms = w * np.maximum(new_gap, 0.0)
+        expected = np.sqrt(np.sum(terms * terms, axis=1))
+        assert np.array_equal(_exchange_distance_rows(base, lambda_r, attrs, lambdas, w), expected)
+
+    @pytest.mark.parametrize("method", ["bf", "build"])
+    def test_peak_memory_stays_below_one_attribute_matrix(self, method, tmp_path):
+        # numpy reports its buffers to tracemalloc; a kernel that makes one
+        # n x d temporary already reaches the bound
+        n, d = 200_000, 11
+        rng = np.random.default_rng(5)
+        space = ObjectSpace(
+            ids=[f"o{i:06d}" for i in range(n)],
+            lambdas=rng.uniform(500.0, 3000.0, size=n),
+            attrs=rng.integers(0, 400, size=(n, d)).astype(float),
+            attribute_names=[f"a{j}" for j in range(d)],
+        )
+        team = team_from_ids(space, space.ids[rng.choice(n, size=5, replace=False)], team_id="C")
+        target = TargetContext(team_id="T", aggregate=team.aggregate * 1.1)
+        w = np.ones(d)
+        space.rates(), space.digest()  # cached per space, not per call
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            if method == "bf":
+                brute_force_rank(team, target, space, w, 10)
+            else:
+                build_index(space, team, target, w, 10, tmp_path).close()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < n * d * 8
 
 
 class TestBruteForce:
