@@ -12,11 +12,10 @@ counters are snapshotted before the timing runs start. ``bf`` runs in
 memory; the report charges it the ceil(n / B) block reads of a full scan per
 member, worked out here rather than counted, so its ``query_s`` times the
 scoring kernel alone. ``rtcstar`` is charged every index block it fetches:
-one positioned read of ceil(k / B) blocks per fast-path member, and every
-chunk a lower-bound scan reads; a member that re-scores every row is charged
-the ceil(n / B) reads of a full scan, as ``bf`` is. Each ``rtcstar`` row also
-records how many entries each member re-scored (``scan_depths``) and which
-members re-scored every row (``fallback_members``).
+one positioned read of ceil(k / B) blocks per member. Each ``rtcstar`` row
+also records how many entries each member re-scored (``scan_depths``,
+min(k, n) each) and ``fallback_members``, always empty and kept for report
+compatibility.
 
 A synthetic or CSV run with an elite target set picks each team's target by
 :func:`target_from_elite`, the rule the CLI applies too, and both render
@@ -25,12 +24,11 @@ recommendation lists through :func:`recommendations_payload`.
 Synthetic target modes:
 
 * ``dominant``: the target is the team's own aggregate scaled up by
-  ``target_margin``, so every dimension is weak. This isolates the index's
-  constant-I/O behaviour from data-dependent lower-bound scans.
+  ``target_margin``, so every dimension is weak.
 * ``elite``: ``elite_count`` independently sampled team aggregates, scaled by
   ``target_margin``, with the nearest chosen per query team. Strong
-  dimensions occur here, and members that could flip one take the
-  lower-bound scan.
+  dimensions occur here; the index answers both modes with the same
+  ceil(k / B) reads per member.
 
 Reports serialize losslessly to JSON (the round-trip format) and to a flat,
 type-tagged CSV carrying the same numbers at full precision.

@@ -1,22 +1,21 @@
 """Persistent per-member sorted-run index with exact block I/O accounting.
 
-Each team member gets one run: every object of the space keyed by its
-one-sided rate distance to that member's virtual object, sorted ascending.
-The key is not a metric (the one-sided shortfall breaks symmetry and the
-triangle inequality), so no metric-tree pruning is attempted; a globally
-sorted run per member realizes minimum and k-smallest retrieval with a
-deterministic ceil(k / B) block reads. Every read goes through
-``NnIndex.read_entries``: entries [start, start + count) of one member's
-run, fetched in one positioned read of the blocks that hold them and
-charged as that many block reads. The k smallest entries are its start-0
-case; the ranking layer's lower-bound scan reads further into a run in
-growing block-aligned chunks.
+Each team member gets one run: every object of the space keyed by the exact
+post-exchange distance of swapping that member for it, computed by the
+ranking layer's own distance kernel, and sorted ascending by (key, object
+id). That is the order the exhaustive method ranks a member's swaps in, so a
+run's first k entries are exactly that member's k best swaps. The key is not
+a metric, so no metric-tree pruning is attempted; a globally sorted run per
+member realizes k-smallest retrieval with a deterministic ceil(k / B) block
+reads. Every read goes through ``NnIndex.query_min_raw``: the first k
+entries of one member's run, fetched in one positioned read and charged as
+that many block reads.
 
 On-disk layout, one file per index named ``<fingerprint>.idx``:
 
     header (44 bytes, little endian):
         magic            8s   b"TRNNIDX1"
-        version          u16  3
+        version          u16  4
         dimension        u16
         member_count     u32  m
         record_count     u64  n
@@ -25,7 +24,7 @@ On-disk layout, one file per index named ``<fingerprint>.idx``:
 
     data: m runs in member order, each ceil(n / B) blocks of B records,
     16 bytes each:
-        key              f64  one-sided rate distance
+        key              f64  exact post-exchange distance
         ordinal          u64  row position in the space
 
 Entries are sorted by (key, object id): one float argsort of the keys,
@@ -35,10 +34,12 @@ is the one ``np.lexsort((ids, keys))`` gives. Each run's final block is
 padded with (+inf, 0xFF..F) sentinels so every block is the same size.
 Rebuilding from the same configuration is byte-identical. A build writes a
 temporary file in the target directory and renames it into place, so an
-interrupted build leaves no ``.idx`` file behind. A file whose header or size does not
-match, or a short read, raises ``StaleIndex``. Build writes and query reads
-are tallied in separate counters; counter updates are lock-protected so
-concurrent readers never lose increments.
+interrupted build leaves no ``.idx`` file behind. A file whose header or size
+does not match, or a short read, raises ``StaleIndex``; so does a file of an
+earlier version, whose runs hold another key (version 3 held the paper's
+masked rate key). Build writes and query reads are tallied in separate
+counters; counter updates are lock-protected so concurrent readers never
+lose increments.
 """
 
 from __future__ import annotations
@@ -53,14 +54,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ObjectSpace, TargetContext, TeamContext, weight_vector
+from .core import ObjectSpace, TargetContext, TeamContext, diff, weight_vector
 from .errors import (
     EmptySpace,
     InvalidArgument,
     InvalidPartition,
     StaleIndex,
 )
-from .ranking import odis_keys, virtual_object
+from .ranking import _exchange_distance_rows
 
 __all__ = [
     "IoStats",
@@ -72,7 +73,7 @@ __all__ = [
 ]
 
 MAGIC = b"TRNNIDX1"
-VERSION = 3
+VERSION = 4
 HEADER = struct.Struct("<8sHHIQI16s")
 RECORD_DTYPE = np.dtype([("key", "<f8"), ("ordinal", "<u8")])
 PAD_ORDINAL = np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -190,25 +191,23 @@ class NnIndex:
     def reset_query_io(self) -> None:
         self.query_io.reset()
 
-    def read_entries(self, member_index: int, start: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-        """Entries [start, start + count) of a member's run as (ordinals, keys).
+    def query_min_raw(self, member_index: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """k smallest entries of a member's run as (ordinals, keys) arrays.
 
-        One positioned read of the blocks that hold the range, charged to
-        ``query_io`` as that many block reads and one query; the range is cut
-        at n. A short read raises ``StaleIndex``.
+        One positioned read of exactly ceil(k / block_size) blocks while
+        k <= n, charged to ``query_io`` as that many block reads and one
+        query; asking for more than n entries returns all n. A short read
+        raises ``StaleIndex``.
         """
-        if count < 1:
-            raise InvalidArgument(f"count must be >= 1, got {count}")
+        if k < 1:
+            raise InvalidArgument(f"k must be >= 1, got {k}")
         if not 0 <= member_index < self.m:
             raise InvalidPartition(f"member index {member_index} outside [0, {self.m})")
-        if not 0 <= start < self.n:
-            raise InvalidArgument(f"start {start} outside [0, {self.n})")
-        end = min(start + count, self.n)
-        first = start // self.block_size
-        blocks = -(-end // self.block_size) - first
+        count = min(k, self.n)
+        blocks = -(-count // self.block_size)
         block_bytes = self.block_size * RECORD_DTYPE.itemsize
         size = blocks * block_bytes
-        offset = HEADER.size + (member_index * self.data_blocks + first) * block_bytes
+        offset = HEADER.size + member_index * self.data_blocks * block_bytes
         # positioned read: no shared seek state, so concurrent readers are safe
         raw = os.pread(self._file.fileno(), size, offset)
         if len(raw) != size:
@@ -218,17 +217,8 @@ class NnIndex:
             )
         self.query_io.add_read(blocks)
         self.query_io.add_query(1)
-        skip = (start - first * self.block_size) * RECORD_DTYPE.itemsize
-        entries = np.frombuffer(raw, dtype=RECORD_DTYPE, count=end - start, offset=skip)
+        entries = np.frombuffer(raw, dtype=RECORD_DTYPE, count=count)
         return entries["ordinal"].astype(np.intp), entries["key"].copy()
-
-    def query_min_raw(self, member_index: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """k smallest entries of a member's run as (ordinals, keys) arrays.
-
-        Reads exactly ceil(k / block_size) blocks, in one positioned read,
-        while k <= n; asking for more than n entries returns all n.
-        """
-        return self.read_entries(member_index, 0, k)
 
     @classmethod
     def open(cls, directory, fp: str, space: ObjectSpace) -> "NnIndex":
@@ -295,8 +285,9 @@ def build_index(
 ) -> NnIndex:
     """Write one sorted run per team member into one file and open it.
 
-    Keys are produced by the same routine the ranking layer uses, so index
-    keys and freshly computed keys agree bit for bit. Entries sort by
+    Keys are the exact post-exchange distances of the ranking layer's own
+    kernel, so index keys and the distances the exhaustive method computes
+    agree bit for bit. Entries sort by
     (key, object id), through :func:`_key_id_order` with each row's rank in
     ``space.id_order()``; only one run is in memory at a time. The file
     appears under its final name only once every run is written; build
@@ -309,7 +300,7 @@ def build_index(
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
 
-    rates = space.rates()
+    gap = diff(target, team)
     n = len(space)
     m = team.size
     blocks = -(-n // block_size)
@@ -324,8 +315,8 @@ def build_index(
         with os.fdopen(fd, "wb") as fh:
             fh.write(header)
             for record in team.members:
-                v = virtual_object(team, target, record)
-                keys = odis_keys(v.values, v.tv2, rates, w)
+                base = gap + record.attrs
+                keys = _exchange_distance_rows(base, record.lam, space.attrs, space.lambdas, w)
                 order = _key_id_order(keys, id_rank)
                 run = np.empty(blocks * block_size, dtype=RECORD_DTYPE)
                 run["key"][:n] = keys[order]

@@ -3,9 +3,14 @@
 Both methods rank (swap-out member, swap-in candidate) pairs by the exact
 post-exchange distance to the target, with ties broken by ascending
 (swap-out id, swap-in id). The exhaustive method scores every pair. The index
-method maps each member R to a *virtual object*: the rate vector that a
-replacement would need, per unit of R's exchange parameter, to close every
-weak-dimension gap exactly:
+method reads, per member, the first ``top_k`` entries of that member's run,
+which the index keeps sorted by (exact distance, candidate id), and re-scores
+them with the same kernel; the merged result is identical to the exhaustive
+baseline.
+
+The paper's index key is kept as a reported quantity. It maps each member R
+to a *virtual object*: the rate vector that a replacement would need, per
+unit of R's exchange parameter, to close every weak-dimension gap exactly:
 
     v_i = max(0, (gap_i + r_i) / lambda_r) on weak dimensions, 0 on strong
 
@@ -16,28 +21,8 @@ their own exchange parameter) through the one-sided key
 
 For a fixed member, exact post-exchange distance equals lambda_r * odis
 whenever the trade flips no strong dimension and the virtual object needed
-no clipping, so candidates retrieved in ascending key order arrive already
-ranked. A flip only adds non-negative strong-dimension terms, so as long as
-no clipped dimension meets a negative candidate rate, lambda_r * odis is a
-lower bound on the exact distance (the lower-bounding lemma of
-filter-and-refine search). Each member takes one of three paths:
-
-* fast path: no candidate can flip a strong dimension (the member carries
-  no more than the team's surplus there, or a cheap per-dimension rate
-  minimum proves no capable candidate exists). The member's first
-  ``top_k`` index entries, re-scored exactly, are its best swaps.
-* lower-bound scan: a flip is possible. The member's run is read in
-  (key, id) order in growing chunks and re-scored exactly until the next
-  entry's bound (lambda_r * key, member id, candidate id) is past the k-th
-  best (distance, swap-out id, swap-in id) pooled over all members so far,
-  the stopping rule of multi-step k-nearest-neighbour search with a
-  threshold shared across runs.
-* full re-score: a clipped dimension meets negative candidate rates, so the
-  key bounds nothing; every row of the in-memory candidate matrix is
-  re-scored.
-
-All three call one per-member scoring kernel, and the merged result is
-identical to the exhaustive baseline.
+no clipping (:func:`verify_corollary` reports both cases). Each returned
+recommendation carries its pair's ``odis``.
 """
 
 from __future__ import annotations
@@ -115,7 +100,7 @@ class SwapRecommendation:
 
 @dataclass(frozen=True)
 class CorollaryReport:
-    """Diagnostic pairing the exact distance with the index key.
+    """Diagnostic pairing the exact distance with the paper's odis key.
 
     When ``strong_flip`` is False and the virtual object was not clipped,
     ``dis_prime == lambda_r * odis`` up to floating-point noise.
@@ -152,6 +137,8 @@ _CHUNK_ROWS = 4096
 def odis_keys(values: np.ndarray, tv2: np.ndarray, rates: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Vectorized one-sided key for every row of a rate matrix.
 
+    ``values`` and ``tv2`` are one virtual object's vectors, or one row per
+    rate row (each row keyed against its own member's virtual object).
     Rows are processed in blocks of ``_CHUNK_ROWS`` through one reused
     temporary. Each row's arithmetic is the whole-array expression
     ``sqrt(sum((w * max(values - rate, 0) * tv2) ** 2))``, operation for
@@ -159,17 +146,18 @@ def odis_keys(values: np.ndarray, tv2: np.ndarray, rates: np.ndarray, w: np.ndar
     """
     rates = np.atleast_2d(rates)
     n, d = rates.shape
-    if d != values.size:
-        raise DimensionMismatch(f"rates have {d} dims, virtual object has {values.size}")
+    if d != values.shape[-1]:
+        raise DimensionMismatch(f"rates have {d} dims, virtual object has {values.shape[-1]}")
+    values, tv2 = np.broadcast_to(values, (n, d)), np.broadcast_to(tv2, (n, d))
     out = np.empty(n)
     buf = np.empty((min(n, _CHUNK_ROWS), d))
     for start in range(0, n, _CHUNK_ROWS):
         stop = min(start + _CHUNK_ROWS, n)
         terms = buf[: stop - start]
-        np.subtract(values, rates[start:stop], out=terms)
+        np.subtract(values[start:stop], rates[start:stop], out=terms)
         np.maximum(terms, 0.0, out=terms)
         np.multiply(w, terms, out=terms)
-        np.multiply(terms, tv2, out=terms)
+        np.multiply(terms, tv2[start:stop], out=terms)
         np.multiply(terms, terms, out=terms)
         np.add.reduce(terms, axis=1, out=out[start:stop])
     return np.sqrt(out, out=out)
@@ -235,18 +223,15 @@ def _member_entries(
     space: ObjectSpace,
     gap: np.ndarray,
     record: ObjectRecord,
-    v: VirtualObject,
     w: np.ndarray,
     top_k: int,
     rows: np.ndarray | None = None,
-    keys: np.ndarray | None = None,
-) -> list[tuple[float, str, float]]:
-    """One member's best ``top_k`` swaps as (distance, swap-in id, key) entries.
+) -> list[tuple[float, str, int]]:
+    """One member's best ``top_k`` swaps as (distance, swap-in id, row) entries.
 
     The shared per-member kernel: exact post-exchange distances over the
     candidate ``rows`` (every row of the space when None), smallest first
-    with ties by ascending id. ``keys`` are the index keys aligned with
-    ``rows``; for a full scan the chosen entries' keys are computed.
+    with ties by ascending id.
     """
     if rows is None:
         attrs, lambdas, ids = space.attrs, space.lambdas, space.ids
@@ -254,22 +239,40 @@ def _member_entries(
         attrs, lambdas, ids = space.attrs[rows], space.lambdas[rows], space.ids[rows]
     dist = _exchange_distance_rows(gap + record.attrs, record.lam, attrs, lambdas, w)
     chosen = _member_top(dist, ids, top_k)
-    if keys is None:
-        chosen_keys = odis_keys(v.values, v.tv2, space.rates()[chosen], w)
-    else:
-        chosen_keys = keys[chosen]
-    return [(float(dist[i]), str(ids[i]), float(key)) for i, key in zip(chosen, chosen_keys)]
+    chosen_rows = chosen if rows is None else rows[chosen]
+    return list(zip(dist[chosen].tolist(), ids[chosen].tolist(), chosen_rows.tolist()))
 
 
 def _merge_and_rank(
-    per_member: list[tuple[str, list[tuple[float, str, float]]]],
+    team: TeamContext,
+    target: TargetContext,
+    space: ObjectSpace,
+    w: np.ndarray,
+    per_member: list[list[tuple[float, str, int]]],
     top_k: int,
 ) -> list[SwapRecommendation]:
-    pool = [(dist, out_id, in_id, key) for out_id, entries in per_member for dist, in_id, key in entries]
-    pool.sort(key=lambda item: (item[0], item[1], item[2]))
+    """Pool the members' entries, keep the best ``top_k`` and key only those.
+
+    Each kept row's ``odis`` is taken against its own member's virtual object.
+    """
+    # (swap-out id, swap-in id) is unique, so the row never decides the order
+    pool = sorted(
+        (dist, record.id, in_id, row)
+        for record, entries in zip(team.members, per_member)
+        for dist, in_id, row in entries
+    )
+    top = pool[:top_k]
+    virtual = {out_id: virtual_object(team, target, team.member(out_id)) for out_id in {t[1] for t in top}}
+    objects = [virtual[out_id] for _, out_id, _, _ in top]
+    keys = odis_keys(
+        np.array([v.values for v in objects]),
+        np.array([v.tv2 for v in objects]),
+        space.rates()[[row for *_, row in top]],
+        w,
+    )
     return [
-        SwapRecommendation(swap_out_id=out_id, swap_in_id=in_id, new_distance=dist, odis=key)
-        for dist, out_id, in_id, key in pool[:top_k]
+        SwapRecommendation(swap_out_id=out_id, swap_in_id=in_id, new_distance=dist, odis=float(key))
+        for (dist, out_id, in_id, _), key in zip(top, keys)
     ]
 
 
@@ -290,63 +293,8 @@ def brute_force_rank(
     if w.size != gap.size or space.dimension != gap.size:
         raise DimensionMismatch("team, target, space and weights must share a dimension")
 
-    per_member = []
-    for record in team.members:
-        v = virtual_object(team, target, record)
-        per_member.append((record.id, _member_entries(space, gap, record, v, w, top_k)))
-    return _merge_and_rank(per_member, top_k)
-
-
-def _flip_possible(gap: np.ndarray, record: ObjectRecord, min_rates: np.ndarray) -> bool:
-    """Could any candidate turn one of the team's strong dimensions weak?
-
-    On a strong dimension the post-exchange gap is (gap_i + r_i) minus the
-    candidate's scaled rate; it can only go positive if some candidate's rate
-    falls below (gap_i + r_i) / lambda_r. The comparison carries a small
-    guard so borderline members take the lower-bound scan.
-    """
-    strong = gap < 0.0
-    if not strong.any():
-        return False
-    threshold = (gap + record.attrs) / record.lam
-    guard = 1e-12 * np.maximum(1.0, np.abs(threshold))
-    return bool(np.any(strong & (min_rates < threshold + guard)))
-
-
-# lambda_r * key is a lower bound on the exact distance up to rounding; the
-# bound is shrunk by this factor before it may end a scan
-_BOUND_GUARD = 1.0 - 1e-12
-
-
-@dataclass
-class _RunScan:
-    """A flip member's progress through its index run, in (key, id) order."""
-
-    member_index: int
-    record: ObjectRecord
-    v: VirtualObject
-    chunk_blocks: int = 0
-    last_key: float = 0.0
-    last_id: str = ""
-
-
-def _kth(per_member: list[tuple[str, list[tuple[float, str, float]]]], top_k: int):
-    """The k-th smallest (distance, out id, in id) pooled so far, None while short of k."""
-    pool = sorted((dist, out_id, in_id) for out_id, entries in per_member for dist, in_id, _ in entries)
-    return pool[top_k - 1] if len(pool) >= top_k else None
-
-
-def _past_kth(lambda_r: float, key: float, out_id: str, in_id: str, kth) -> bool:
-    """Is the bound (lambda_r * key, out id, in id) past the k-th pooled triple?
-
-    Ids break the tie only at key 0, where the bound 0 needs no rounding
-    guard; above 0 only a strictly larger guarded bound counts.
-    """
-    if kth is None:
-        return False
-    if key == 0.0:
-        return kth[0] == 0.0 and (out_id, in_id) > kth[1:]
-    return lambda_r * key * _BOUND_GUARD > kth[0]
+    per_member = [_member_entries(space, gap, record, w, top_k) for record in team.members]
+    return _merge_and_rank(team, target, space, w, per_member, top_k)
 
 
 def rtc_star_rank(
@@ -361,24 +309,17 @@ def rtc_star_rank(
 ) -> list[SwapRecommendation]:
     """Index-backed ranking, guaranteed equal to :func:`brute_force_rank`.
 
-    Each member takes one of three paths, all scored by the shared kernel:
-
-    * fast path (no strong-dimension flip possible): the first ``top_k``
-      index entries, one read of ceil(top_k / block_size) blocks, arrive in
-      exact order;
-    * lower-bound scan (a flip is possible): lambda_r * key still bounds the
-      exact distance from below, so the run is read in (key, id) order in
-      block chunks, ceil(top_k / block_size) blocks first and doubling after,
-      and re-scored until its next entry's guarded bound passes the k-th
-      (distance, out id, in id) pooled over every member so far; members are
-      advanced best-first, lowest bound first;
-    * full re-score (a clipped dimension meets negative candidate rates, so
-      the key is no lower bound): every row, charged as the ceil(n /
-      block_size) block reads of a full scan.
+    Each member's run is sorted by (exact distance, candidate id), the order
+    the exhaustive method ranks that member's swaps in, so its first
+    ``top_k`` entries, one read of ceil(top_k / block_size) blocks, are that
+    member's best swaps. They are re-scored by the shared kernel, so reported
+    distances come from the kernel and the keys only decide which rows are
+    read.
 
     ``stats_out``, when given, receives per-member block reads
-    (``per_member_reads``), entries re-scored per member (``scan_depths``)
-    and the ids of members that re-scored every row (``fallback_members``).
+    (``per_member_reads``) and entries re-scored per member
+    (``scan_depths``, min(top_k, n) each); ``fallback_members`` is always
+    empty and kept for report compatibility.
     """
     if top_k < 1:
         raise InvalidArgument(f"top_k must be >= 1, got {top_k}")
@@ -395,67 +336,19 @@ def rtc_star_rank(
         )
 
     gap = diff(target, team)
-    min_rates = space.min_rates()
-    first_blocks = -(-top_k // index.block_size)
-
     per_member = []
     per_member_reads = []
-    scan_depths = []
-    fallback_members = []
-    scans = []
     for member_index, record in enumerate(team.members):
-        v = virtual_object(team, target, record)
         before = index.query_io.blocks_read
-        clip_unsafe = v.clipped and bool(np.any(v.clipped_dims & (min_rates < 0.0)))
-        if clip_unsafe:
-            fallback_members.append(record.id)
-            # charged as the full scan it stands for, the arithmetic bf uses
-            index.query_io.add_read(index.data_blocks)
-            entries = _member_entries(space, gap, record, v, w, top_k)
-            depth = len(space)
-        elif _flip_possible(gap, record, min_rates):
-            scans.append(_RunScan(member_index, record, v))
-            entries, depth = [], 0
-        else:
-            ordinals, keys = index.query_min_raw(member_index, top_k)
-            entries = _member_entries(space, gap, record, v, w, top_k, ordinals, keys)
-            depth = len(ordinals)
-        per_member.append((record.id, entries))
+        rows, _ = index.query_min_raw(member_index, top_k)
+        per_member.append(_member_entries(space, gap, record, w, top_k, rows))
         per_member_reads.append(index.query_io.blocks_read - before)
-        scan_depths.append(depth)
-
-    kth = _kth(per_member, top_k) if scans else None
-    while scans:
-        scan = min(scans, key=lambda s: (s.record.lam * s.last_key, s.record.id))
-        record, i = scan.record, scan.member_index
-        depth = scan_depths[i]
-        if depth == len(space) or (
-            depth and _past_kth(record.lam, scan.last_key, record.id, scan.last_id, kth)
-        ):
-            scans.remove(scan)
-            continue
-        scan.chunk_blocks = 2 * scan.chunk_blocks or first_blocks
-        before = index.query_io.blocks_read
-        ordinals, keys = index.read_entries(i, depth, scan.chunk_blocks * index.block_size)
-        per_member_reads[i] += index.query_io.blocks_read - before
-        if kth is not None:
-            # entries whose positive-key bound is past the k-th need no exact score
-            cut = int(np.searchsorted(record.lam * keys * _BOUND_GUARD, kth[0], side="right"))
-            if cut < len(keys):
-                scans.remove(scan)
-            ordinals, keys = ordinals[:cut], keys[:cut]
-        if len(keys):
-            entries = _member_entries(space, gap, record, scan.v, w, top_k, ordinals, keys)
-            per_member[i] = (record.id, sorted(per_member[i][1] + entries)[:top_k])
-            scan_depths[i] += len(keys)
-            scan.last_key, scan.last_id = float(keys[-1]), str(space.ids[ordinals[-1]])
-            kth = _kth(per_member, top_k)
 
     if stats_out is not None:
         stats_out["per_member_reads"] = per_member_reads
-        stats_out["scan_depths"] = scan_depths
-        stats_out["fallback_members"] = fallback_members
-    return _merge_and_rank(per_member, top_k)
+        stats_out["scan_depths"] = [min(top_k, len(space))] * team.size
+        stats_out["fallback_members"] = []
+    return _merge_and_rank(team, target, space, w, per_member, top_k)
 
 
 def verify_corollary(
@@ -465,7 +358,7 @@ def verify_corollary(
     cand: ObjectRecord,
     w,
 ) -> CorollaryReport:
-    """Report the exact distance next to the index key for one pair."""
+    """Report the exact distance next to the paper's odis key for one pair."""
     w = weight_vector(w)
     gap = diff(target, team)
     new_gap = post_exchange_diff(gap, swap_out, cand)

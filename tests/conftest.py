@@ -87,8 +87,8 @@ def random_instance(
     if negative:
         # every value of dimension 0 goes negative, and the target sits just
         # above the team there: the member lowest on it gets a clipped virtual
-        # object while candidate rates are negative, where index keys stop
-        # tracking exact order
+        # object while candidate rates are negative, where the paper's odis
+        # key stops tracking exact order
         shift = rng.uniform(0.5, 2.0, size=d) * space.attrs.mean(axis=0)
         shift[0] = space.attrs[:, 0].max() + 1.0
         space = ObjectSpace(

@@ -252,6 +252,31 @@ class TestExitCodes:
         assert out == ""
         assert "error" in err.lower()
 
+    def test_version_3_index_is_data_error_until_rebuilt(self, league, capsys, tmp_path):
+        # version 3 runs were keyed by the paper's masked rate key, not by exact distance
+        idx = tmp_path / "idx"
+        build = ["index", "build", *real_flags(league), "--team", "BBB",
+                 "--block-size", "3", "--index-dir", str(idx)]
+        rank = ["rank", "--method", "rtcstar", *real_flags(league), "--team", "BBB",
+                "--top-k", "2", "--block-size", "3", "--index-dir", str(idx)]
+        code, out, _ = run(build, capsys)
+        assert code == 0
+        path = idx / json.loads(out)["files"][0]
+        current = path.read_bytes()
+        path.write_bytes(current[:8] + (3).to_bytes(2, "little") + current[10:])
+        code, out, err = run(rank, capsys)
+        assert code == 2
+        assert out == ""
+        assert "error" in err.lower()
+        assert run(build, capsys)[0] == 0
+        assert path.read_bytes() == current
+        code, out, _ = run(rank, capsys)
+        assert code == 0
+        rtc = json.loads(out)["recommendations"]
+        code, out, _ = run(["rank", "--method", "bf", *real_flags(league), "--team", "BBB",
+                            "--top-k", "2"], capsys)
+        assert json.loads(out)["recommendations"] == rtc
+
     def test_help_exits_zero(self, capsys):
         assert run(["--help"], capsys)[0] == 0
 

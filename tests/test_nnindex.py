@@ -4,12 +4,12 @@ import threading
 import numpy as np
 import pytest
 
-from teamrank.core import ObjectSpace, TargetContext, team_from_ids
+from teamrank.core import ObjectSpace, TargetContext, diff, team_from_ids
 from teamrank.dataio import NbParams, gen_synthetic
 from teamrank.errors import InvalidArgument, InvalidPartition, StaleIndex
 from teamrank import nnindex
 from teamrank.nnindex import HEADER, NnIndex, _key_id_order, build_index, fingerprint, index_path
-from teamrank.ranking import brute_force_rank, odis_keys, rtc_star_rank, virtual_object
+from teamrank.ranking import _exchange_distance_rows, brute_force_rank, rtc_star_rank
 
 
 def make_setup(seed=0, n=40, d=3, m=2, lambda_range=(1.0, 50.0)):
@@ -20,6 +20,12 @@ def make_setup(seed=0, n=40, d=3, m=2, lambda_range=(1.0, 50.0)):
     target = TargetContext(team_id="T", aggregate=team.aggregate * rng.uniform(0.8, 1.3, d))
     w = rng.uniform(0.2, 2.0, d)
     return space, team, target, w
+
+
+def exact_keys(space, team, target, w, record):
+    """A member's exact post-exchange distance to every row: its run's keys."""
+    base = diff(target, team) + record.attrs
+    return _exchange_distance_rows(base, record.lam, space.attrs, space.lambdas, np.asarray(w, dtype=float))
 
 
 def query_min(index, space, member, k):
@@ -50,8 +56,7 @@ class TestBuild:
         space, team, target, w = make_setup(seed=5, n=60, m=2)
         with build_index(space, team, target, w, block_size=10, directory=tmp_path) as index:
             for member_index, record in enumerate(team.members):
-                v = virtual_object(team, target, record)
-                fresh = odis_keys(v.values, v.tv2, space.rates(), w)
+                fresh = exact_keys(space, team, target, w, record)
                 stored = np.full(len(space), np.nan)
                 ordinals, keys = index.query_min_raw(member_index, len(space))
                 stored[ordinals] = keys
@@ -86,9 +91,9 @@ class TestBuild:
             calls.append(1)
             if len(calls) == 2:
                 raise RuntimeError("interrupted")
-            return odis_keys(*args)
+            return _exchange_distance_rows(*args)
 
-        monkeypatch.setattr(nnindex, "odis_keys", fail_on_second_member)
+        monkeypatch.setattr(nnindex, "_exchange_distance_rows", fail_on_second_member)
         for directory in (fresh, rebuilt):
             with pytest.raises(RuntimeError):
                 build_index(space, team, target, w, 4, directory)
@@ -127,8 +132,7 @@ class TestRunOrder:
         assert not np.array_equal(space.id_order(), np.arange(len(space)))
         with build_index(space, team, target, w, 7, tmp_path) as index:
             for member_index, record in enumerate(team.members):
-                v = virtual_object(team, target, record)
-                keys = odis_keys(v.values, v.tv2, space.rates(), w)
+                keys = exact_keys(space, team, target, w, record)
                 assert np.count_nonzero(keys == 0.0) > 100
                 ordinals, _ = index.query_min_raw(member_index, len(space))
                 assert np.array_equal(ordinals, np.lexsort((space.ids, keys)))
@@ -139,7 +143,7 @@ class TestRunOrder:
         with build_index(space, team, target, w, 7, tmp_path) as index:
             raw = index_path(tmp_path, index.fingerprint).read_bytes()
         assert hashlib.sha256(raw).hexdigest() == (
-            "53b5c1c844e766739f3238853f463fb8129921a10fe80317dfbbffce7256058b"
+            "ab4042f9acf4e2e5349a803fe941d291d3cd15f6147a1a851a671a391a405633"
         )
 
     def test_tie_only_sort_matches_lexsort(self):
@@ -163,9 +167,7 @@ class TestQueryMin:
         for seed in range(100):
             space, team, target, w = make_setup(seed=seed, n=30, m=1, d=2)
             with build_index(space, team, target, w, 6, tmp_path / str(seed)) as index:
-                record = team.members[0]
-                v = virtual_object(team, target, record)
-                keys = odis_keys(v.values, v.tv2, space.rates(), w)
+                keys = exact_keys(space, team, target, w, team.members[0])
                 result = query_min(index, space, 0, 1)
                 assert index.query_io.blocks_read == 1
                 assert result[0][1] == keys.min()
@@ -182,9 +184,7 @@ class TestQueryMin:
     def test_small_k_single_block_matches_linear_scan(self, tmp_path):
         space, team, target, w = make_setup(seed=4, n=50, m=1)
         with build_index(space, team, target, w, 10, tmp_path) as index:
-            record = team.members[0]
-            v = virtual_object(team, target, record)
-            keys = odis_keys(v.values, v.tv2, space.rates(), w)
+            keys = exact_keys(space, team, target, w, team.members[0])
             got = query_min(index, space, 0, 3)
             assert index.query_io.blocks_read == 1
             assert [k for _, k in got] == sorted(keys)[:3]
@@ -207,20 +207,6 @@ class TestQueryMin:
                 query_min(index, space, 0, k)
                 assert index.query_io.blocks_read == -(-k // b)
                 assert index.query_io.queries_served == 1
-
-    def test_any_range_reads_the_blocks_that_hold_it(self, tmp_path):
-        space, team, target, w = make_setup(seed=5, n=47, m=2)
-        with build_index(space, team, target, w, 5, tmp_path) as index:
-            whole = index.query_min_raw(1, 47)
-            for start, count in ((0, 5), (5, 10), (3, 4), (9, 2), (44, 10), (46, 1)):
-                index.reset_query_io()
-                ordinals, keys = index.read_entries(1, start, count)
-                end = min(start + count, 47)
-                assert np.array_equal(ordinals, whole[0][start:end])
-                assert np.array_equal(keys, whole[1][start:end])
-                assert index.query_io.blocks_read == -(-end // 5) - start // 5
-            with pytest.raises(InvalidArgument):
-                index.read_entries(0, 47, 1)
 
     def test_invalid_partition_and_k(self, tmp_path):
         space, team, target, w = make_setup(seed=8, m=2)
@@ -339,15 +325,16 @@ class TestDamagedPartitions:
             with pytest.raises(StaleIndex):
                 index.query_min_raw(1, 10)
 
-    def test_truncation_inside_a_lower_bound_scan_is_caught(self, tmp_path):
+    def test_truncation_inside_a_query_read_is_caught(self, tmp_path):
         from teamrank.core import ObjectRecord, ObjectSpace, team_from_records
 
         def rec(rid, attrs):
             return ObjectRecord(id=rid, label=rid, lam=1.0, attrs=np.array(attrs))
 
-        # one member, strong on y by 5: the twenty candidates at key 0 drain
-        # y and land at distance 5, so the scan reads past its first blocks
-        # to the twenty at key 0.5 (distance 0.5) and stops at those at key 2
+        # one member, strong on y by 5: the paper's masked key puts the twenty
+        # a* rows first, at key 0, but they drain y and land at distance 5;
+        # the run is keyed by exact distance, so its first k entries are the
+        # b* rows (distance 0.5) and the a* rows are never read
         space = ObjectSpace.from_records(
             [rec(f"a{i:02d}", [10.0, 0.0]) for i in range(20)]
             + [rec(f"b{i:02d}", [2.5, 6.0]) for i in range(20)]
@@ -364,17 +351,17 @@ class TestDamagedPartitions:
             got = rtc_star_rank(team, target, space, w, index, k, stats_out=stats)
             assert got == brute_force_rank(team, target, space, w, k)
             assert [r.swap_in_id for r in got] == ["b00", "b01", "b02"]
-            assert stats["scan_depths"] == [40]
-            assert stats["fallback_members"] == []
-            # keep the first ceil(k / B) blocks and one block of the next chunk
+            assert index.query_io.blocks_read == -(-k // b)
+            assert stats["scan_depths"] == [k]
+            # keep fewer records than the first ceil(k / B) blocks hold
             with open(index_path(tmp_path, fp), "r+b") as fh:
-                fh.truncate(HEADER.size + 3 * b * 16)
+                fh.truncate(HEADER.size + k * 16)
             with pytest.raises(StaleIndex):
                 rtc_star_rank(team, target, space, w, index, k)
 
     def test_version_1_partition_is_stale(self, tmp_path):
         space, fp, path = self.build_closed(tmp_path)
-        for version in (1, 2):
+        for version in (1, 2, 3):
             raw = bytearray(path.read_bytes())
             raw[8:10] = version.to_bytes(2, "little")
             path.write_bytes(bytes(raw))

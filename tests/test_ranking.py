@@ -24,7 +24,6 @@ from teamrank.ranking import (
     _CHUNK_ROWS,
     NormalizedCandidate,
     _exchange_distance_rows,
-    _flip_possible,
     brute_force_rank,
     normalized_candidate,
     odis,
@@ -132,13 +131,15 @@ class TestRowKernels:
     def test_odis_keys_equal_the_whole_array_expression(self, n, d):
         rng = np.random.default_rng(n * 31 + d)
         rates = rng.uniform(-1.0, 4.0, size=(n, d))
-        values = rng.uniform(0.0, 3.0, size=d)
-        tv2 = (rng.random(d) < 0.7).astype(float)
         w = rng.uniform(0.1, 2.0, size=d)
-        shortfall = np.maximum(values[None, :] - rates, 0.0)
-        terms = w * shortfall * tv2
-        expected = np.sqrt(np.sum(terms * terms, axis=1))
-        assert np.array_equal(odis_keys(values, tv2, rates, w), expected)
+        # one virtual object for every row, then one per row
+        for shape in ((d,), (n, d)):
+            values = rng.uniform(0.0, 3.0, size=shape)
+            tv2 = (rng.random(shape) < 0.7).astype(float)
+            shortfall = np.maximum(values - rates, 0.0)
+            terms = w * shortfall * tv2
+            expected = np.sqrt(np.sum(terms * terms, axis=1))
+            assert np.array_equal(odis_keys(values, tv2, rates, w), expected)
 
     @pytest.mark.parametrize("d", [1, 3, 11, 17])
     @pytest.mark.parametrize("n", SIZES)
@@ -272,8 +273,9 @@ class TestRtcStar:
 
     @settings(max_examples=40)
     @given(st.integers(0, 10_000))
-    # identity swaps of different members tie in exact arithmetic, and
-    # lambda_r * key rounds above the exact distance: the scan's guard holds
+    # identity swaps of different members tie in exact arithmetic, and the
+    # paper's lambda_r * odis rounds above the exact distance: runs keyed by
+    # the exact distance still return bf's order
     @example(278)
     @example(2927)
     def test_oracle_equivalence_on_random_instances(self, seed):
@@ -282,18 +284,21 @@ class TestRtcStar:
 
         negative = random_instance(seed, n=int(20 + seed % 80), negative=True)
         min_rates = negative.space.min_rates()
-        # the clip-unsafe fallback: a clipped dimension meets negative rates
+        # a clipped dimension of the paper's virtual object meets negative rates
         assert any(
             np.any(virtual_object(negative.team, negative.target, r).clipped_dims & (min_rates < 0.0))
             for r in negative.team.members
         )
         ties = random_instance(seed, n=int(20 + seed % 80), ties_at_zero=True)
         gap = diff(ties.target, ties.team)
-        # an elite target: some dimension is strong, some member could flip
-        # one (so it takes the lower-bound scan), and some member has two
-        # candidates that close every gap
+        # an elite target: some dimension is strong, some swap flips one, and
+        # some member has two candidates that close every gap
         assert np.any(gap < 0.0)
-        assert any(_flip_possible(gap, r, ties.space.min_rates()) for r in ties.team.members)
+        assert any(
+            np.any((gap < 0.0) & (post_exchange_diff(gap, r, c) > 0.0))
+            for r in ties.team.members
+            for c in ties.space.records()
+        )
         assert any(
             sum(np.all(post_exchange_diff(gap, r, c) <= 0.0) for c in ties.space.records()) >= 2
             for r in ties.team.members
@@ -313,9 +318,13 @@ class TestRtcStar:
                         stats_out=stats,
                     )
             assert got == expected
-            if inst is ties:
-                # no member needed the full re-score
-                assert stats["fallback_members"] == []
+            assert stats["scan_depths"] == [min(inst.top_k, len(inst.space))] * inst.team.size
+            assert stats["fallback_members"] == []
+            # each pair's odis is keyed against its own swap-out member's virtual object
+            for r in got:
+                v = virtual_object(inst.team, inst.target, inst.team.member(r.swap_out_id))
+                cand = normalized_candidate(inst.space.record(inst.space.index_of(r.swap_in_id)))
+                assert r.odis == odis(v, cand, inst.weights)
 
     def test_improvement_guarantee_when_members_in_space(self, tmp_path):
         for seed in range(15):
