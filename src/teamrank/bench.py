@@ -15,7 +15,9 @@ scoring kernel alone. ``rtcstar`` is charged every index block it fetches:
 one positioned read of ceil(k / B) blocks per member. Each ``rtcstar`` row
 also records how many entries each member re-scored (``scan_depths``,
 min(k, n) each) and ``fallback_members``, always empty and kept for report
-compatibility.
+compatibility. The report's top-level ``timing`` also records
+``member_workers``: how many threads ``bf`` and the index build scored
+members on, so a report says how many cores its timings had.
 
 A synthetic or CSV run with an elite target set picks each team's target by
 :func:`target_from_elite`, the rule the CLI applies too, and both render
@@ -52,7 +54,7 @@ from .core import ObjectSpace, TargetContext, TeamContext, diff, team_from_ids, 
 from .dataio import NbParams, gen_synthetic, load_manifest, load_objects_and_rosters, load_teams
 from .errors import InvalidArgument
 from .nnindex import build_index
-from .ranking import SwapRecommendation, brute_force_rank, rtc_star_rank
+from .ranking import SwapRecommendation, _member_workers, brute_force_rank, rtc_star_rank
 from .weighting import TargetSelection, compute_weights, select_target
 
 __all__ = [
@@ -407,6 +409,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             "build_s": sum(r.timing[method]["build_s"] for r in method_rows),
             "query_s": sum(r.timing[method]["query_s"] for r in method_rows),
         }
+    totals_timing["member_workers"] = max((_member_workers(t.size, len(space)) for t in teams), default=1)
 
     return ExperimentReport(
         config=config.to_dict(),
@@ -419,7 +422,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 CSV_COLUMNS = [
     "record_type", "team", "target", "distance_before", "distance_after", "methods_agree",
     "method", "rank", "swap_out", "swap_in", "new_distance", "odis",
-    "blocks_read", "blocks_written", "queries_served", "build_s", "query_s",
+    "blocks_read", "blocks_written", "queries_served", "build_s", "query_s", "member_workers",
 ]
 
 
@@ -492,7 +495,10 @@ def emit_report(report: ExperimentReport, format: str, path) -> None:
             for method, io in report.io.items():
                 emit("io", team="__total__", method=method, **io)
             for method, timing in report.timing.items():
-                emit("timing", team="__total__", method=method, **timing)
+                if method == "member_workers":
+                    emit("timing", team="__total__", member_workers=timing)
+                else:
+                    emit("timing", team="__total__", method=method, **timing)
         return
     raise InvalidArgument(f"unknown report format {format!r}")
 

@@ -356,6 +356,24 @@ def sample_negative_binomial(params: NbParams, size: int, rng: np.random.Generat
     return rng.poisson(intensity).astype(np.float64)
 
 
+def _numbered_ids(prefix: str, count: int, width: int) -> np.ndarray:
+    """``prefix`` followed by i zero-padded to ``width`` digits, for i < count.
+
+    The same array ``np.char.mod(f"{prefix}%0{width}d", np.arange(count))``
+    gives (``prefix`` taken literally), built by writing each column's UCS-4
+    code points into one integer matrix and viewing its rows as strings,
+    instead of formatting one Python string per row.
+    """
+    length = len(prefix) + width
+    codes = np.empty((count, length), dtype="<u4")
+    codes[:, : len(prefix)] = [ord(c) for c in prefix]
+    rest = np.arange(count)
+    for column in range(length - 1, len(prefix) - 1, -1):
+        codes[:, column] = rest % 10 + ord("0")
+        rest //= 10
+    return codes.view(f"<U{length}").reshape(count)
+
+
 def gen_synthetic(
     params,
     count: int,
@@ -396,8 +414,7 @@ def gen_synthetic(
     lam_rng = np.random.default_rng(children[-1])
     lambdas = lam_rng.uniform(lo, hi, size=count)
 
-    width = max(7, len(str(count - 1)))
-    ids = np.char.mod(f"{id_prefix}%0{width}d", np.arange(count))
+    ids = _numbered_ids(id_prefix, count, width=max(7, len(str(count - 1))))
     return ObjectSpace(ids=ids, lambdas=lambdas, attrs=attrs, attribute_names=names)
 
 

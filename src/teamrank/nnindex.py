@@ -32,7 +32,9 @@ then a re-sort of only the entries whose key ties a neighbour's, by (key,
 rank in the space's ascending-id row order). That order is unique, so a run
 is the one ``np.lexsort((ids, keys))`` gives. Each run's final block is
 padded with (+inf, 0xFF..F) sentinels so every block is the same size.
-Rebuilding from the same configuration is byte-identical. A build writes a
+Rebuilding from the same configuration is byte-identical, on any number
+of threads: runs are computed one member per thread
+(``ranking._map_members``) and written in member order. A build writes a
 temporary file in the target directory and renames it into place, so an
 interrupted build leaves no ``.idx`` file behind. A file whose header or size
 does not match, or a short read, raises ``StaleIndex``; so does a file of an
@@ -61,7 +63,7 @@ from .errors import (
     InvalidPartition,
     StaleIndex,
 )
-from .ranking import _exchange_distance_rows
+from .ranking import _exchange_distance_rows, _map_members
 
 __all__ = [
     "IoStats",
@@ -251,15 +253,18 @@ class NnIndex:
         return cls(fh, directory, fp, block_size=B, n=n, m=m, d=d)
 
 
-def _key_id_order(keys: np.ndarray, id_rank: np.ndarray) -> np.ndarray:
-    """Row positions sorted by (key, object id): ``np.lexsort((ids, keys))``.
+def _key_id_order(keys: np.ndarray, id_rank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row positions sorted by (key, object id), and the keys in that order.
 
-    One unstable float argsort orders the keys; only entries whose key equals
-    a neighbour's are then re-sorted, by (key, ``id_rank``), in place. The tied
-    positions hold the same keys in the same order after the re-sort, so each
-    run of equal keys lands back on its own positions, now in id order.
-    Re-sorting only the tied entries, not the whole run, is what keeps runs
-    with many ties (thousands of key-0 candidates) cheap.
+    The order is ``np.lexsort((ids, keys))``. One unstable float argsort
+    orders the keys; only entries whose key equals a neighbour's are then
+    re-sorted, by (key, ``id_rank``), in place. The tied positions hold the
+    same keys in the same order after the re-sort, so each run of equal keys
+    lands back on its own positions, now in id order; the sorted keys are
+    refreshed there too, because equal keys need not share their bits
+    (-0.0 and 0.0, NaN payloads). Re-sorting only the tied entries, not the
+    whole run, is what keeps runs with many ties (thousands of key-0
+    candidates) cheap.
     """
     order = np.argsort(keys)
     ordered = keys[order]
@@ -271,8 +276,10 @@ def _key_id_order(keys: np.ndarray, id_rank: np.ndarray) -> np.ndarray:
     positions = np.flatnonzero(tied)
     if positions.size:
         rows = order[positions]
-        order[positions] = rows[np.lexsort((id_rank[rows], keys[rows]))]
-    return order
+        rows = rows[np.lexsort((id_rank[rows], keys[rows]))]
+        order[positions] = rows
+        ordered[positions] = keys[rows]
+    return order, ordered
 
 
 def build_index(
@@ -287,11 +294,13 @@ def build_index(
 
     Keys are the exact post-exchange distances of the ranking layer's own
     kernel, so index keys and the distances the exhaustive method computes
-    agree bit for bit. Entries sort by
-    (key, object id), through :func:`_key_id_order` with each row's rank in
-    ``space.id_order()``; only one run is in memory at a time. The file
-    appears under its final name only once every run is written; build
-    writes land in the build counter only.
+    agree bit for bit. Entries sort by (key, object id), through
+    :func:`_key_id_order` with each row's rank in ``space.id_order()``.
+    Runs are computed one member per thread (``ranking._map_members``) and
+    written in member order by the calling thread, so the file holds the
+    same bytes on any number of threads; at most one run per worker is in
+    memory at a time. The file appears under its final name only once every
+    run is written; build writes land in the build counter only.
     """
     if len(space) < 1:
         raise EmptySpace("cannot index an empty object space")
@@ -304,26 +313,32 @@ def build_index(
     n = len(space)
     m = team.size
     blocks = -(-n // block_size)
-    # each row's position in ascending id order, the tie-break of every run
+    # each row's position in ascending id order, the tie-break of every run;
+    # computed here, with the space's cached digest, before any worker starts
     id_rank = np.empty(n, dtype=np.intp)
     id_rank[space.id_order()] = np.arange(n)
     header = HEADER.pack(MAGIC, VERSION, space.dimension, m, n, block_size, bytes.fromhex(fp))
+
+    def member_run(record) -> np.ndarray:
+        keys = _exchange_distance_rows(gap + record.attrs, record.lam, space.attrs, space.lambdas, w)
+        order, sorted_keys = _key_id_order(keys, id_rank)
+        del keys
+        run = np.empty(blocks * block_size, dtype=RECORD_DTYPE)
+        run["key"][:n] = sorted_keys
+        run["ordinal"][:n] = order
+        run["key"][n:] = np.inf
+        run["ordinal"][n:] = PAD_ORDINAL
+        return run
 
     # the temporary name does not end in .idx, so no reader mistakes it for an index
     fd, tmp = tempfile.mkstemp(prefix=f".{fp}.", suffix=".tmp", dir=directory)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(header)
-            for record in team.members:
-                base = gap + record.attrs
-                keys = _exchange_distance_rows(base, record.lam, space.attrs, space.lambdas, w)
-                order = _key_id_order(keys, id_rank)
-                run = np.empty(blocks * block_size, dtype=RECORD_DTYPE)
-                run["key"][:n] = keys[order]
-                run["ordinal"][:n] = order.astype(np.uint64)
-                run["key"][n:] = np.inf
-                run["ordinal"][n:] = PAD_ORDINAL
+            for run in _map_members(member_run, team.members, n):
                 fh.write(run.data)
+                # dropped before the next member is submitted
+                del run
         os.replace(tmp, index_path(directory, fp))
     except BaseException:
         os.unlink(tmp)

@@ -8,6 +8,13 @@ which the index keeps sorted by (exact distance, candidate id), and re-scores
 them with the same kernel; the merged result is identical to the exhaustive
 baseline.
 
+Both methods work member by member. The exhaustive method's per-member
+passes, and the index build's, run on one thread per member up to the usable
+cores once the space is larger than one kernel block (``_map_members``);
+entries are merged in member order by the calling thread, so the result is
+byte-identical on any number of threads. The index method reads only
+``top_k`` rows per member and stays on the calling thread.
+
 The paper's index key is kept as a reported quantity. It maps each member R
 to a *virtual object*: the rate vector that a replacement would need, per
 unit of R's exchange parameter, to close every weak-dimension gap exactly:
@@ -27,8 +34,11 @@ recommendation carries its pair's ``odis``.
 
 from __future__ import annotations
 
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -219,6 +229,45 @@ def _member_top(dist: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
     return candidates[order[:k]]
 
 
+def _member_workers(members: int, n: int) -> int:
+    """Threads the per-member passes over ``n`` rows run on.
+
+    One per member, up to the cores this process may run on. At
+    ``n <= _CHUNK_ROWS`` a member's pass is one kernel block, cheaper than
+    starting a thread pool, so it stays on the calling thread.
+    """
+    if n <= _CHUNK_ROWS:
+        return 1
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cores = os.cpu_count() or 1
+    return max(1, min(members, cores))
+
+
+def _map_members(fn: Callable, members: Sequence, n: int) -> Iterator:
+    """Yield ``fn(member)`` for each member, in member order.
+
+    The passes run on :func:`_member_workers` threads; the numpy calls they
+    spend their time in release the GIL. Member ``i + workers`` is submitted
+    only when the caller asks for the result after member ``i``'s, so a
+    caller that drops each result before asking for the next holds at most
+    ``workers`` of them at once. A pass's exception reaches the caller
+    unchanged.
+    """
+    workers = _member_workers(len(members), n)
+    if workers == 1:
+        yield from map(fn, members)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending = deque(pool.submit(fn, member) for member in members[:workers])
+        for member in members[workers:]:
+            yield pending.popleft().result()
+            pending.append(pool.submit(fn, member))
+        while pending:
+            yield pending.popleft().result()
+
+
 def _member_entries(
     space: ObjectSpace,
     gap: np.ndarray,
@@ -293,7 +342,9 @@ def brute_force_rank(
     if w.size != gap.size or space.dimension != gap.size:
         raise DimensionMismatch("team, target, space and weights must share a dimension")
 
-    per_member = [_member_entries(space, gap, record, w, top_k) for record in team.members]
+    per_member = list(
+        _map_members(lambda record: _member_entries(space, gap, record, w, top_k), team.members, len(space))
+    )
     return _merge_and_rank(team, target, space, w, per_member, top_k)
 
 

@@ -8,6 +8,7 @@ members are always drawn from the object space, so the identity swap is
 available.
 """
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,3 +134,9 @@ def random_instance(
         top_k=top_k,
         block_size=block_size,
     )
+
+
+def pretend_cores(monkeypatch, count):
+    """Make the process's CPU affinity report ``count`` cores, so the
+    threaded member passes run the same way on any machine."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from conftest import pretend_cores
 from teamrank.bench import (
     ExperimentConfig,
     ExperimentReport,
@@ -134,12 +135,24 @@ class TestRunExperiment:
         assert row.distance_after == pytest.approx(row.distance_before, rel=1e-9)
         assert [r["swap_out"] for r in row.recommendations] == [r["swap_in"] for r in row.recommendations]
 
+    def test_member_workers_are_recorded(self, report, monkeypatch):
+        # 300 rows are one kernel block: every member pass runs on the caller's thread
+        assert report.timing["member_workers"] == 1
+        pretend_cores(monkeypatch, 3)
+        big = run_experiment(
+            mini_config(dataset={"kind": "synthetic", "n": 5000, "params": PARAMS, "seed": 3},
+                        n_teams=1, timing_repeats=1)
+        )
+        assert big.timing["member_workers"] == 3
+        assert all(row.methods_agree for row in big.rows)
+
 
 class TestEmitAndParse:
     def test_json_round_trip_is_lossless(self, report, tmp_path):
         path = tmp_path / "report.json"
         emit_report(report, "json", path)
         assert parse_report(path) == report
+        assert parse_report(path).timing["member_workers"] == report.timing["member_workers"]
 
     def test_csv_and_json_share_numeric_values(self, report, tmp_path):
         emit_report(report, "json", tmp_path / "r.json")
@@ -148,6 +161,8 @@ class TestEmitAndParse:
         with open(tmp_path / "r.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         by_team = {r["team_id"]: r for r in data["rows"]}
+        workers = [r["member_workers"] for r in rows if r["member_workers"]]
+        assert workers == [str(data["timing"]["member_workers"])]
         for row in rows:
             if row["record_type"] == "team":
                 expected = by_team[row["team"]]

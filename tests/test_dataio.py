@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from teamrank.core import ObjectSpace
 from teamrank.dataio import (
     DatasetManifest,
+    _numbered_ids,
     NbParams,
     chi_square_gof,
     chi_square_statistic,
@@ -443,6 +444,17 @@ class TestGenSynthetic:
         assert np.isfinite(space.attrs).all()
         assert space.attrs[0, 0] >= 0.0
         assert float(space.attrs[0, 0]).is_integer()
+
+    @pytest.mark.parametrize(
+        "prefix, count",
+        [("o", 1), ("o", 10), ("o", 1_070_000), ("", 5), ("ä-", 1234), ("player", 99)],
+    )
+    def test_ids_equal_char_mod_formatting(self, prefix, count):
+        width = max(7, len(str(count - 1)))
+        got = _numbered_ids(prefix, count, width)
+        want = np.char.mod(f"{prefix}%0{width}d", np.arange(count))
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
     def test_lambda_range_respected(self):
         space = gen_synthetic([NbParams(1.0, 0.1)], count=300, seed=1, lambda_range=(2.0, 3.0))

@@ -4,12 +4,13 @@ import threading
 import numpy as np
 import pytest
 
+from conftest import pretend_cores
 from teamrank.core import ObjectSpace, TargetContext, diff, team_from_ids
 from teamrank.dataio import NbParams, gen_synthetic
 from teamrank.errors import InvalidArgument, InvalidPartition, StaleIndex
 from teamrank import nnindex
 from teamrank.nnindex import HEADER, NnIndex, _key_id_order, build_index, fingerprint, index_path
-from teamrank.ranking import _exchange_distance_rows, brute_force_rank, rtc_star_rank
+from teamrank.ranking import _CHUNK_ROWS, _exchange_distance_rows, brute_force_rank, rtc_star_rank
 
 
 def make_setup(seed=0, n=40, d=3, m=2, lambda_range=(1.0, 50.0)):
@@ -126,6 +127,57 @@ def tie_heavy_setup():
     return space, team, target, np.array([0.5, 1.0, 2.0])
 
 
+class TestThreadedBuild:
+    # more rows than one kernel block, so members' runs are built on a pool
+    N = 3 * _CHUNK_ROWS + 7
+    # computed with the one-thread build; runs written in member order make
+    # the file independent of the thread count
+    PINNED = {
+        1: "b5a4c112b479653d9886f7247eaea54c4c5ab820ed5f3b8f3e41d1d774dfc827",
+        2: "a1aa0026b249d074cdf370adc148accb0ba423bac24fb5db676db0fcdf91d428",
+        5: "5ddd221bc5ef588fe300c3dcec90d0b57d0e685d5e9c4458a787817e081ad72b",
+        7: "8fefa9f5838f4111208b91b3f41aa1574d00a054e09b5b4a6306ac2e4556e1c3",
+    }
+
+    @pytest.mark.parametrize("cores", [1, 2, 4])
+    @pytest.mark.parametrize("m", [1, 2, 5, 7])
+    def test_index_file_bytes_are_pinned(self, tmp_path, monkeypatch, m, cores):
+        pretend_cores(monkeypatch, cores)
+        space, team, target, w = make_setup(seed=30 + m, n=self.N, m=m)
+        with build_index(space, team, target, w, 10, tmp_path) as index:
+            raw = index_path(tmp_path, index.fingerprint).read_bytes()
+        assert hashlib.sha256(raw).hexdigest() == self.PINNED[m]
+
+    def test_interrupted_build_leaves_no_index_and_keeps_the_old_one(self, tmp_path, monkeypatch):
+        pretend_cores(monkeypatch, 2)
+        space, team, target, w = make_setup(seed=10, n=self.N, m=5)
+        fresh, rebuilt = tmp_path / "fresh", tmp_path / "rebuilt"
+        build_index(space, team, target, w, 4, rebuilt).close()
+        path = index_path(rebuilt, fingerprint(space, team, target, w, 4))
+        before = path.read_bytes()
+
+        lock, calls = threading.Lock(), []
+        error = RuntimeError("interrupted")
+
+        def fail_on_third_member(*args):
+            with lock:
+                calls.append(1)
+                third = len(calls) == 3
+            if third:
+                raise error
+            return _exchange_distance_rows(*args)
+
+        monkeypatch.setattr(nnindex, "_exchange_distance_rows", fail_on_third_member)
+        for directory in (fresh, rebuilt):
+            with pytest.raises(RuntimeError) as caught:
+                build_index(space, team, target, w, 4, directory)
+            assert caught.value is error
+            calls.clear()
+        assert list(fresh.iterdir()) == []
+        assert list(rebuilt.iterdir()) == [path]
+        assert path.read_bytes() == before
+
+
 class TestRunOrder:
     def test_runs_are_in_lexsort_key_id_order(self, tmp_path):
         space, team, target, w = tie_heavy_setup()
@@ -159,7 +211,11 @@ class TestRunOrder:
         mixed[680:700] = -0.0
         rng.shuffle(mixed)
         for keys in (rng.random(n), np.zeros(n), mixed):
-            assert np.array_equal(_key_id_order(keys, id_rank), np.lexsort((ids, keys)))
+            order, sorted_keys = _key_id_order(keys, id_rank)
+            expected = np.lexsort((ids, keys))
+            assert np.array_equal(order, expected)
+            # bit for bit: the tied -0.0 and 0.0 keys, and the NaNs, sit where their rows do
+            assert np.array_equal(sorted_keys.view(np.uint64), keys[expected].view(np.uint64))
 
 
 class TestQueryMin:

@@ -1,4 +1,7 @@
 import math
+import os
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -6,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_instance
+from conftest import pretend_cores, random_instance
 from teamrank.core import (
     ObjectRecord,
     ObjectSpace,
@@ -24,6 +27,10 @@ from teamrank.ranking import (
     _CHUNK_ROWS,
     NormalizedCandidate,
     _exchange_distance_rows,
+    _map_members,
+    _member_entries,
+    _member_workers,
+    _merge_and_rank,
     brute_force_rank,
     normalized_candidate,
     odis,
@@ -238,6 +245,83 @@ class TestBruteForce:
         recs = brute_force_rank(team, target, space, [1.0, 1.0], 2)
         assert [(r.swap_out_id, r.swap_in_id) for r in recs] == [("r1", "pa"), ("r1", "pb")]
         assert recs[0].new_distance == recs[1].new_distance
+
+
+class TestMemberThreads:
+    # more rows than one kernel block, so the passes run on a pool
+    N = 3 * _CHUNK_ROWS + 7
+
+    def test_worker_count(self, monkeypatch):
+        pretend_cores(monkeypatch, 3)
+        assert _member_workers(5, _CHUNK_ROWS) == 1
+        assert _member_workers(5, _CHUNK_ROWS + 1) == 3
+        assert _member_workers(2, _CHUNK_ROWS + 1) == 2
+        pretend_cores(monkeypatch, 1)
+        assert _member_workers(5, self.N) == 1
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert _member_workers(7, self.N) == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _member_workers(7, self.N) == 1
+
+    def test_members_run_concurrently_in_a_bounded_window(self, monkeypatch):
+        pretend_cores(monkeypatch, 2)
+        # both workers must be inside fn at once to pass the barrier
+        barrier = threading.Barrier(2, timeout=10)
+        lock, alive, peak = threading.Lock(), [0], [0]
+
+        def fn(member):
+            with lock:
+                alive[0] += 1
+                peak[0] = max(peak[0], alive[0])
+            if member < 2:
+                barrier.wait()
+            time.sleep(0.002 * (member % 3))
+            return member
+
+        got = []
+        for result in _map_members(fn, list(range(7)), self.N):
+            # a result the caller holds still counts against the window
+            with lock:
+                got.append(result)
+                alive[0] -= 1
+        assert got == list(range(7))
+        assert peak[0] == 2
+
+    def test_worker_exception_reaches_the_caller(self, monkeypatch):
+        pretend_cores(monkeypatch, 2)
+        error = RuntimeError("member 3")
+
+        def fn(member):
+            if member == 3:
+                raise error
+            return member
+
+        with pytest.raises(RuntimeError) as caught:
+            list(_map_members(fn, list(range(5)), self.N))
+        assert caught.value is error
+
+    @pytest.mark.parametrize("cores", [1, 2, 4])
+    @pytest.mark.parametrize("m", [1, 2, 5, 7])
+    def test_brute_force_equals_serial_member_passes(self, monkeypatch, m, cores):
+        pretend_cores(monkeypatch, cores)
+        rng = np.random.default_rng(40 + m)
+        d = 4
+        space = ObjectSpace(
+            ids=[f"o{i:05d}" for i in rng.permutation(self.N)],
+            lambdas=rng.uniform(1.0, 50.0, size=self.N),
+            attrs=rng.integers(0, 30, size=(self.N, d)).astype(float),
+            attribute_names=[f"a{j}" for j in range(d)],
+        )
+        team = team_from_ids(space, space.ids[rng.choice(self.N, size=m, replace=False)], team_id="C")
+        target = TargetContext(team_id="T", aggregate=team.aggregate * rng.uniform(0.8, 1.3, d))
+        w = rng.uniform(0.2, 2.0, d)
+        k = 25
+        gap = diff(target, team)
+        serial = [_member_entries(space, gap, record, w, k) for record in team.members]
+        assert brute_force_rank(team, target, space, w, k) == _merge_and_rank(team, target, space, w, serial, k)
 
 
 class TestRtcStar:
