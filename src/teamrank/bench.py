@@ -16,8 +16,9 @@ one positioned read of ceil(k / B) blocks per member. Each ``rtcstar`` row
 also records how many entries each member re-scored (``scan_depths``,
 min(k, n) each) and ``fallback_members``, always empty and kept for report
 compatibility. The report's top-level ``timing`` also records
-``member_workers``: how many threads ``bf`` and the index build scored
-members on, so a report says how many cores its timings had.
+``member_workers``: the most threads that ``bf`` or an index build scored
+members on in the run, so a report says how many cores its timings had;
+the JSON report carries it and the CSV report does not.
 
 A synthetic or CSV run with an elite target set picks each team's target by
 :func:`target_from_elite`, the rule the CLI applies too, and both render
@@ -54,7 +55,7 @@ from .core import ObjectSpace, TargetContext, TeamContext, diff, team_from_ids, 
 from .dataio import NbParams, gen_synthetic, load_manifest, load_objects_and_rosters, load_teams
 from .errors import InvalidArgument
 from .nnindex import build_index
-from .ranking import SwapRecommendation, _member_workers, brute_force_rank, rtc_star_rank
+from .ranking import SwapRecommendation, brute_force_rank, rtc_star_rank
 from .weighting import TargetSelection, compute_weights, select_target
 
 __all__ = [
@@ -298,6 +299,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         synthetic_elite = _synthetic_elite(space, config)
 
     rows: list[TeamRow] = []
+    member_workers = 1
     own_dir = None
     if config.index_dir is None:
         own_dir = tempfile.TemporaryDirectory(prefix="teamrank-index-")
@@ -326,7 +328,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             results: dict[str, list[SwapRecommendation]] = {}
 
             if "bf" in config.methods:
-                results["bf"] = brute_force_rank(team, target, space, weights, config.top_k)
+                bf_stats: dict = {}
+                results["bf"] = brute_force_rank(team, target, space, weights, config.top_k, stats_out=bf_stats)
+                member_workers = max(member_workers, bf_stats["member_workers"])
                 row_io["bf"] = {
                     "blocks_read": bf_reads * team.size,
                     "blocks_written": 0,
@@ -345,8 +349,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
             if "rtcstar" in config.methods:
                 build_start = time.perf_counter()
-                index = build_index(space, team, target, weights, config.block_size, index_dir)
+                build_stats: dict = {}
+                index = build_index(
+                    space, team, target, weights, config.block_size, index_dir, stats_out=build_stats
+                )
                 build_s = time.perf_counter() - build_start
+                member_workers = max(member_workers, build_stats["member_workers"])
                 with index:
                     stats = {}
                     index.reset_query_io()
@@ -409,7 +417,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             "build_s": sum(r.timing[method]["build_s"] for r in method_rows),
             "query_s": sum(r.timing[method]["query_s"] for r in method_rows),
         }
-    totals_timing["member_workers"] = max((_member_workers(t.size, len(space)) for t in teams), default=1)
+    totals_timing["member_workers"] = member_workers
 
     return ExperimentReport(
         config=config.to_dict(),
@@ -422,7 +430,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 CSV_COLUMNS = [
     "record_type", "team", "target", "distance_before", "distance_after", "methods_agree",
     "method", "rank", "swap_out", "swap_in", "new_distance", "odis",
-    "blocks_read", "blocks_written", "queries_served", "build_s", "query_s", "member_workers",
+    "blocks_read", "blocks_written", "queries_served", "build_s", "query_s",
 ]
 
 
@@ -494,11 +502,8 @@ def emit_report(report: ExperimentReport, format: str, path) -> None:
                     )
             for method, io in report.io.items():
                 emit("io", team="__total__", method=method, **io)
-            for method, timing in report.timing.items():
-                if method == "member_workers":
-                    emit("timing", team="__total__", member_workers=timing)
-                else:
-                    emit("timing", team="__total__", method=method, **timing)
+            for method in report.io:
+                emit("timing", team="__total__", method=method, **report.timing[method])
         return
     raise InvalidArgument(f"unknown report format {format!r}")
 

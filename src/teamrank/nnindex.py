@@ -34,9 +34,10 @@ is the one ``np.lexsort((ids, keys))`` gives. Each run's final block is
 padded with (+inf, 0xFF..F) sentinels so every block is the same size.
 Rebuilding from the same configuration is byte-identical, on any number
 of threads: runs are computed one member per thread
-(``ranking._map_members``) and written in member order. A build writes a
-temporary file in the target directory and renames it into place, so an
-interrupted build leaves no ``.idx`` file behind. A file whose header or size
+(``ranking._map_members``, at most as many runs at once as fit in the
+bytes of the space's attribute matrix) and written in member order. A build
+writes a temporary file in the target directory and renames it into place,
+so an interrupted build leaves no ``.idx`` file behind. A file whose header or size
 does not match, or a short read, raises ``StaleIndex``; so does a file of an
 earlier version, whose runs hold another key (version 3 held the paper's
 masked rate key). Build writes and query reads are tallied in separate
@@ -282,6 +283,11 @@ def _key_id_order(keys: np.ndarray, id_rank: np.ndarray) -> tuple[np.ndarray, np
     return order, ordered
 
 
+# a build pass holds keys, order and sorted keys, then the order and sorted
+# keys beside the 16-byte run: four arrays; one more covers the shared id_rank
+_BUILD_PASS_ARRAYS = 5
+
+
 def build_index(
     space: ObjectSpace,
     team: TeamContext,
@@ -289,6 +295,8 @@ def build_index(
     w,
     block_size: int,
     directory,
+    *,
+    stats_out: dict | None = None,
 ) -> NnIndex:
     """Write one sorted run per team member into one file and open it.
 
@@ -299,8 +307,11 @@ def build_index(
     Runs are computed one member per thread (``ranking._map_members``) and
     written in member order by the calling thread, so the file holds the
     same bytes on any number of threads; at most one run per worker is in
-    memory at a time. The file appears under its final name only once every
-    run is written; build writes land in the build counter only.
+    memory at a time, and no more workers than :data:`_BUILD_PASS_ARRAYS`
+    allows in one attribute matrix's bytes. The file appears under its final
+    name only once every run is written; build writes land in the build
+    counter only. ``stats_out``, when given, receives ``member_workers``: the
+    threads the runs were built on.
     """
     if len(space) < 1:
         raise EmptySpace("cannot index an empty object space")
@@ -335,7 +346,9 @@ def build_index(
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(header)
-            for run in _map_members(member_run, team.members, n):
+            for run in _map_members(
+                member_run, team.members, n, space.dimension, _BUILD_PASS_ARRAYS, stats_out
+            ):
                 fh.write(run.data)
                 # dropped before the next member is submitted
                 del run

@@ -9,10 +9,11 @@ them with the same kernel; the merged result is identical to the exhaustive
 baseline.
 
 Both methods work member by member. The exhaustive method's per-member
-passes, and the index build's, run on one thread per member up to the usable
-cores once the space is larger than one kernel block (``_map_members``);
-entries are merged in member order by the calling thread, so the result is
-byte-identical on any number of threads. The index method reads only
+passes, and the index build's, run on one thread per member once the space
+is larger than one kernel block (``_map_members``), up to the usable cores
+and up to as many passes as fit in the bytes of the space's attribute
+matrix; entries are merged in member order by the calling thread, so the
+result is byte-identical on any number of threads. The index method reads only
 ``top_k`` rows per member and stays on the calling thread.
 
 The paper's index key is kept as a reported quantity. It maps each member R
@@ -229,12 +230,17 @@ def _member_top(dist: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
     return candidates[order[:k]]
 
 
-def _member_workers(members: int, n: int) -> int:
-    """Threads the per-member passes over ``n`` rows run on.
+def _member_workers(members: int, n: int, d: int, pass_arrays: int) -> int:
+    """Threads the per-member passes over an ``n`` x ``d`` space run on.
 
-    One per member, up to the cores this process may run on. At
-    ``n <= _CHUNK_ROWS`` a member's pass is one kernel block, cheaper than
-    starting a thread pool, so it stays on the calling thread.
+    One per member, up to the cores this process may run on, and up to as
+    many passes as fit in the bytes of the space's attribute matrix: a pass
+    that holds at most ``pass_arrays`` n-length 8-byte arrays at once fits
+    ``d // pass_arrays`` times in n * d * 8 bytes. Each pass's kernel block
+    is left out of that count; it is a small share of the matrix once n is
+    well above ``_CHUNK_ROWS``. At ``n <= _CHUNK_ROWS`` a member's pass is
+    one kernel block, cheaper than starting a thread pool, so it stays on
+    the calling thread.
     """
     if n <= _CHUNK_ROWS:
         return 1
@@ -242,10 +248,12 @@ def _member_workers(members: int, n: int) -> int:
         cores = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         cores = os.cpu_count() or 1
-    return max(1, min(members, cores))
+    return max(1, min(members, cores, d // pass_arrays))
 
 
-def _map_members(fn: Callable, members: Sequence, n: int) -> Iterator:
+def _map_members(
+    fn: Callable, members: Sequence, n: int, d: int, pass_arrays: int, stats_out: dict | None = None
+) -> Iterator:
     """Yield ``fn(member)`` for each member, in member order.
 
     The passes run on :func:`_member_workers` threads; the numpy calls they
@@ -253,9 +261,12 @@ def _map_members(fn: Callable, members: Sequence, n: int) -> Iterator:
     only when the caller asks for the result after member ``i``'s, so a
     caller that drops each result before asking for the next holds at most
     ``workers`` of them at once. A pass's exception reaches the caller
-    unchanged.
+    unchanged. ``stats_out``, when given, receives the thread count as
+    ``member_workers``.
     """
-    workers = _member_workers(len(members), n)
+    workers = _member_workers(len(members), n, d, pass_arrays)
+    if stats_out is not None:
+        stats_out["member_workers"] = workers
     if workers == 1:
         yield from map(fn, members)
         return
@@ -266,6 +277,11 @@ def _map_members(fn: Callable, members: Sequence, n: int) -> Iterator:
             pending.append(pool.submit(fn, member))
         while pending:
             yield pending.popleft().result()
+
+
+# a bf pass holds its distances and their partition copy; the kernel block,
+# the selection mask and the candidates round that up to three arrays
+_BF_PASS_ARRAYS = 3
 
 
 def _member_entries(
@@ -331,8 +347,14 @@ def brute_force_rank(
     space: ObjectSpace,
     w,
     top_k: int,
+    *,
+    stats_out: dict | None = None,
 ) -> list[SwapRecommendation]:
-    """Score every (member, candidate) pair and keep the best ``top_k``."""
+    """Score every (member, candidate) pair and keep the best ``top_k``.
+
+    ``stats_out``, when given, receives ``member_workers``: the threads the
+    member passes ran on.
+    """
     if top_k < 1:
         raise InvalidArgument(f"top_k must be >= 1, got {top_k}")
     if len(space) < 1:
@@ -343,7 +365,14 @@ def brute_force_rank(
         raise DimensionMismatch("team, target, space and weights must share a dimension")
 
     per_member = list(
-        _map_members(lambda record: _member_entries(space, gap, record, w, top_k), team.members, len(space))
+        _map_members(
+            lambda record: _member_entries(space, gap, record, w, top_k),
+            team.members,
+            len(space),
+            space.dimension,
+            _BF_PASS_ARRAYS,
+            stats_out,
+        )
     )
     return _merge_and_rank(team, target, space, w, per_member, top_k)
 

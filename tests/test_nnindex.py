@@ -9,7 +9,15 @@ from teamrank.core import ObjectSpace, TargetContext, diff, team_from_ids
 from teamrank.dataio import NbParams, gen_synthetic
 from teamrank.errors import InvalidArgument, InvalidPartition, StaleIndex
 from teamrank import nnindex
-from teamrank.nnindex import HEADER, NnIndex, _key_id_order, build_index, fingerprint, index_path
+from teamrank.nnindex import (
+    _BUILD_PASS_ARRAYS,
+    HEADER,
+    NnIndex,
+    _key_id_order,
+    build_index,
+    fingerprint,
+    index_path,
+)
 from teamrank.ranking import _CHUNK_ROWS, _exchange_distance_rows, brute_force_rank, rtc_star_rank
 
 
@@ -128,29 +136,33 @@ def tie_heavy_setup():
 
 
 class TestThreadedBuild:
-    # more rows than one kernel block, so members' runs are built on a pool
+    # more rows than one kernel block, and enough dimensions that four
+    # members' runs fit in the attribute matrix, so runs are built on a pool
     N = 3 * _CHUNK_ROWS + 7
+    D = 4 * _BUILD_PASS_ARRAYS
     # computed with the one-thread build; runs written in member order make
     # the file independent of the thread count
     PINNED = {
-        1: "b5a4c112b479653d9886f7247eaea54c4c5ab820ed5f3b8f3e41d1d774dfc827",
-        2: "a1aa0026b249d074cdf370adc148accb0ba423bac24fb5db676db0fcdf91d428",
-        5: "5ddd221bc5ef588fe300c3dcec90d0b57d0e685d5e9c4458a787817e081ad72b",
-        7: "8fefa9f5838f4111208b91b3f41aa1574d00a054e09b5b4a6306ac2e4556e1c3",
+        1: "bf2c917500aa74e6d1ee2da988a07c43a99e9f8cdbaa8cfffdec21d5ad83313e",
+        2: "acbe45e44f887b65c5150cf129d40fd926528b66ba0c4085324d674519baeb51",
+        5: "419b3a5062b98be003e22400a90b34b575110d010892ec9299c02c1a0f0fd525",
+        7: "31b0c81e997cf03fb83383bfc38375711134a3ebefb330c3a915915117d3cc42",
     }
 
     @pytest.mark.parametrize("cores", [1, 2, 4])
     @pytest.mark.parametrize("m", [1, 2, 5, 7])
     def test_index_file_bytes_are_pinned(self, tmp_path, monkeypatch, m, cores):
         pretend_cores(monkeypatch, cores)
-        space, team, target, w = make_setup(seed=30 + m, n=self.N, m=m)
-        with build_index(space, team, target, w, 10, tmp_path) as index:
+        space, team, target, w = make_setup(seed=30 + m, n=self.N, d=self.D, m=m)
+        stats = {}
+        with build_index(space, team, target, w, 10, tmp_path, stats_out=stats) as index:
             raw = index_path(tmp_path, index.fingerprint).read_bytes()
         assert hashlib.sha256(raw).hexdigest() == self.PINNED[m]
+        assert stats["member_workers"] == min(m, cores)
 
     def test_interrupted_build_leaves_no_index_and_keeps_the_old_one(self, tmp_path, monkeypatch):
         pretend_cores(monkeypatch, 2)
-        space, team, target, w = make_setup(seed=10, n=self.N, m=5)
+        space, team, target, w = make_setup(seed=10, n=self.N, d=self.D, m=5)
         fresh, rebuilt = tmp_path / "fresh", tmp_path / "rebuilt"
         build_index(space, team, target, w, 4, rebuilt).close()
         path = index_path(rebuilt, fingerprint(space, team, target, w, 4))
@@ -169,9 +181,11 @@ class TestThreadedBuild:
 
         monkeypatch.setattr(nnindex, "_exchange_distance_rows", fail_on_third_member)
         for directory in (fresh, rebuilt):
+            stats = {}
             with pytest.raises(RuntimeError) as caught:
-                build_index(space, team, target, w, 4, directory)
+                build_index(space, team, target, w, 4, directory, stats_out=stats)
             assert caught.value is error
+            assert stats["member_workers"] == 2
             calls.clear()
         assert list(fresh.iterdir()) == []
         assert list(rebuilt.iterdir()) == [path]

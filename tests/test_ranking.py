@@ -22,8 +22,9 @@ from teamrank.core import (
     truncating_vector,
 )
 from teamrank.errors import DimensionMismatch, InvalidArgument, NotAMember, StaleIndex
-from teamrank.nnindex import build_index
+from teamrank.nnindex import _BUILD_PASS_ARRAYS, build_index
 from teamrank.ranking import (
+    _BF_PASS_ARRAYS,
     _CHUNK_ROWS,
     NormalizedCandidate,
     _exchange_distance_rows,
@@ -163,11 +164,26 @@ class TestRowKernels:
         expected = np.sqrt(np.sum(terms * terms, axis=1))
         assert np.array_equal(_exchange_distance_rows(base, lambda_r, attrs, lambdas, w), expected)
 
+    # the tracemalloc bound of the two memory tests: one n x d float64 matrix
+    MEMORY_N, MEMORY_D = 200_000, 11
+
     @pytest.mark.parametrize("method", ["bf", "build"])
     def test_peak_memory_stays_below_one_attribute_matrix(self, method, tmp_path):
         # numpy reports its buffers to tracemalloc; a kernel that makes one
         # n x d temporary already reaches the bound
-        n, d = 200_000, 11
+        assert self.traced_peak(method, tmp_path) < self.MEMORY_N * self.MEMORY_D * 8
+
+    @pytest.mark.parametrize("method, workers", [("bf", 3), ("build", 2)])
+    def test_peak_memory_bound_holds_on_many_cores(self, method, workers, tmp_path, monkeypatch):
+        # the worker count is capped by memory, not only by cores
+        pretend_cores(monkeypatch, 8)
+        stats = {}
+        assert self.traced_peak(method, tmp_path, stats) < self.MEMORY_N * self.MEMORY_D * 8
+        assert stats["member_workers"] == workers
+
+    def traced_peak(self, method, tmp_path, stats_out=None):
+        """tracemalloc peak, in bytes, of one five-member bf or build pass."""
+        n, d = self.MEMORY_N, self.MEMORY_D
         rng = np.random.default_rng(5)
         space = ObjectSpace(
             ids=[f"o{i:06d}" for i in range(n)],
@@ -183,13 +199,12 @@ class TestRowKernels:
         try:
             before = tracemalloc.get_traced_memory()[0]
             if method == "bf":
-                brute_force_rank(team, target, space, w, 10)
+                brute_force_rank(team, target, space, w, 10, stats_out=stats_out)
             else:
-                build_index(space, team, target, w, 10, tmp_path).close()
-            peak = tracemalloc.get_traced_memory()[1] - before
+                build_index(space, team, target, w, 10, tmp_path, stats_out=stats_out).close()
+            return tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak < n * d * 8
 
 
 class TestBruteForce:
@@ -253,18 +268,27 @@ class TestMemberThreads:
 
     def test_worker_count(self, monkeypatch):
         pretend_cores(monkeypatch, 3)
-        assert _member_workers(5, _CHUNK_ROWS) == 1
-        assert _member_workers(5, _CHUNK_ROWS + 1) == 3
-        assert _member_workers(2, _CHUNK_ROWS + 1) == 2
+        assert _member_workers(5, _CHUNK_ROWS, 11, 1) == 1
+        assert _member_workers(5, _CHUNK_ROWS + 1, 11, 1) == 3
+        assert _member_workers(2, _CHUNK_ROWS + 1, 11, 1) == 2
         pretend_cores(monkeypatch, 1)
-        assert _member_workers(5, self.N) == 1
+        assert _member_workers(5, self.N, 11, 1) == 1
+
+    def test_worker_count_is_capped_by_the_attribute_matrix(self, monkeypatch):
+        pretend_cores(monkeypatch, 64)
+        # d // pass_arrays passes fit in the bytes of one n x d matrix
+        assert _member_workers(7, self.N, 11, _BF_PASS_ARRAYS) == 3
+        assert _member_workers(7, self.N, 11, _BUILD_PASS_ARRAYS) == 2
+        assert _member_workers(7, self.N, 20, _BUILD_PASS_ARRAYS) == 4
+        # a pass larger than the matrix still runs, on the calling thread
+        assert _member_workers(7, self.N, 3, _BUILD_PASS_ARRAYS) == 1
 
     def test_cpu_count_without_affinity(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert _member_workers(7, self.N) == 3
+        assert _member_workers(7, self.N, 11, 1) == 3
         monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert _member_workers(7, self.N) == 1
+        assert _member_workers(7, self.N, 11, 1) == 1
 
     def test_members_run_concurrently_in_a_bounded_window(self, monkeypatch):
         pretend_cores(monkeypatch, 2)
@@ -282,7 +306,7 @@ class TestMemberThreads:
             return member
 
         got = []
-        for result in _map_members(fn, list(range(7)), self.N):
+        for result in _map_members(fn, list(range(7)), self.N, 11, 1):
             # a result the caller holds still counts against the window
             with lock:
                 got.append(result)
@@ -300,7 +324,7 @@ class TestMemberThreads:
             return member
 
         with pytest.raises(RuntimeError) as caught:
-            list(_map_members(fn, list(range(5)), self.N))
+            list(_map_members(fn, list(range(5)), self.N, 11, 1))
         assert caught.value is error
 
     @pytest.mark.parametrize("cores", [1, 2, 4])
@@ -308,7 +332,8 @@ class TestMemberThreads:
     def test_brute_force_equals_serial_member_passes(self, monkeypatch, m, cores):
         pretend_cores(monkeypatch, cores)
         rng = np.random.default_rng(40 + m)
-        d = 4
+        # enough dimensions that four bf passes fit in the attribute matrix
+        d = 4 * _BF_PASS_ARRAYS
         space = ObjectSpace(
             ids=[f"o{i:05d}" for i in rng.permutation(self.N)],
             lambdas=rng.uniform(1.0, 50.0, size=self.N),
@@ -321,7 +346,11 @@ class TestMemberThreads:
         k = 25
         gap = diff(target, team)
         serial = [_member_entries(space, gap, record, w, k) for record in team.members]
-        assert brute_force_rank(team, target, space, w, k) == _merge_and_rank(team, target, space, w, serial, k)
+        stats = {}
+        assert brute_force_rank(team, target, space, w, k, stats_out=stats) == _merge_and_rank(
+            team, target, space, w, serial, k
+        )
+        assert stats["member_workers"] == min(m, cores)
 
 
 class TestRtcStar:
