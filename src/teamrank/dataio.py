@@ -6,15 +6,26 @@ attribute subset to project; loaders reject files whose header is missing a
 named column and reject rows with unparseable, non-finite, or non-positive
 lambda values, reporting the 1-based data row number.
 
-Each file is read once: :func:`load_objects_and_rosters` builds the space
-and the rosters from one read of an object file, with the cyclic garbage
-collector paused while ``csv.reader`` builds the row list. Every row's field
-count is checked once per file, and each numeric column is converted by one
-numpy call, which parses a cell exactly as Python's ``float`` does;
-finiteness and ``lambda > 0`` are checked on whole arrays. Only when one of
-those checks fails is the file parsed again row by row, to raise the first
-bad row's error with the same row number and message a row-major parse
-gives.
+Each file is read once, as bytes, and parsed one of two ways; both give
+the same values, bit for bit, and the same errors. When vectorised scans of
+the bytes prove that ``csv.reader`` would split every line on ',' and
+nothing else (no '"'; no control byte but tab, newline and the '\r' of
+'\r\n'; no empty line; the header's comma count on every line; no line
+over ``csv.field_size_limit()``), one ``np.loadtxt`` pass converts the
+used columns. ``loadtxt`` parses every numeric cell it takes as Python's
+``float`` does, except around control bytes (it reads '5\x1c' as 5.0),
+which the scans rule out.
+Files written by ``csv.writer`` without quotes, such as
+:func:`write_objects_csv`'s, take this path. Any other file (quoted,
+``\r``-only line ends, a blank line) is split into ``csv.reader`` rows
+with the cyclic garbage collector paused; so is any file whose ``loadtxt``
+pass declines a cell or finds a value out of range, from the same bytes.
+Every row's field count is then checked once per file, and each numeric
+column is converted by one numpy call. Finiteness and ``lambda > 0`` are
+checked on whole arrays on both paths. Only when a check fails is the file
+parsed again row by row, to raise the first bad row's error with the same
+row number and message a row-major parse gives. A cell longer than
+``csv.field_size_limit()`` is a :class:`MalformedRow` for its row.
 
 Synthetic spaces draw each attribute independently from a negative binomial
 distribution parameterized as failures before the r-th success: mean
@@ -29,8 +40,10 @@ column plus one for the lambda column.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import gc
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -123,23 +136,134 @@ def load_manifest(path) -> DatasetManifest:
         return DatasetManifest.from_dict(json.load(fh))
 
 
-def _read_rows(path):
+def _read_bytes(path) -> bytes:
+    """The one read of a CSV file that each loader makes."""
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def _plain_line_count(raw: bytes) -> int | None:
+    """How many lines ``raw`` has, if ``csv.reader`` would split each one on ',' alone; else None.
+
+    That holds when the bytes have no '"'; no control byte but '\\t', '\\n'
+    and the '\\r' of '\\r\\n'; no empty line; the header's comma count on
+    every line; and no line longer than ``csv.field_size_limit()``. Each rule
+    is one vectorised scan. A file of fewer than two lines is left to
+    ``csv.reader`` as well.
+    """
+    if b'"' in raw:
+        return None
+    b = np.frombuffer(raw, dtype=np.uint8)
+    low = np.flatnonzero(b <= ord(","))  # control bytes, ' ' to '+', and ','
+    kinds = b[low]
+    ends = low[kinds == ord("\n")]
+    if not raw.endswith(b"\n"):
+        ends = np.append(ends, b.size)
+    if ends.size < 2:
+        return None
+    if ((kinds < ord(" ")) & (kinds != ord("\t")) & (kinds != ord("\n")) & (kinds != ord("\r"))).any():
+        return None
+    returns = low[kinds == ord("\r")]
+    if returns.size and (returns[-1] + 1 == b.size or (b[returns + 1] != ord("\n")).any()):
+        return None
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    lengths = ends - starts
+    # a line is empty when it holds nothing or only the '\r' of its '\r\n'
+    if lengths.max() > csv.field_size_limit() or (lengths <= (b[starts] == ord("\r"))).any():
+        return None
+    commas = np.diff(np.searchsorted(low[kinds == ord(",")], ends), prepend=0)
+    if (commas != commas[0]).any():
+        return None
+    return ends.size
+
+
+def _csv_rows(text: str) -> list[list[str]]:
+    """``csv.reader``'s rows of ``text``, its lines split as a file opened with ``newline=""`` splits them.
+
+    A ``csv.Error``, such as a cell longer than ``csv.field_size_limit()``,
+    raises :class:`MalformedRow` with the 1-based data row it stopped at
+    (row 0 is the header).
+    """
     # the row lists hold only strings, so they form no cycles; with the cyclic
     # collector on, it would walk the growing list again and again while it is built
     collecting = gc.isenabled()
     gc.disable()
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            rows = list(csv.reader(fh))
+        return list(csv.reader(io.StringIO(text, newline="")))
+    except csv.Error as exc:
+        rows_read = 0
+        with contextlib.suppress(csv.Error):
+            for _ in csv.reader(io.StringIO(text, newline="")):
+                rows_read += 1
+        raise MalformedRow(rows_read, str(exc)) from None
     finally:
         if collecting:
             gc.enable()
-    if not rows:
-        raise EmptyFile(f"{path}: file is empty")
-    header, data = rows[0], rows[1:]
-    if not data:
-        raise EmptyFile(f"{path}: no data rows")
-    return header, data
+
+
+class _CsvFile:
+    """A CSV file read once: its header, then the columns the loader asks for.
+
+    A file that :func:`_plain_line_count` vouches for is parsed by one
+    ``np.loadtxt`` pass over its lines per :meth:`columns` call. Any other
+    file, and any file whose pass declines a cell, is parsed from the same
+    text into ``csv.reader`` rows, and every later call reads those rows.
+    """
+
+    def __init__(self, path):
+        self.path = path
+        raw = _read_bytes(path)
+        self.text = raw.decode("utf-8")
+        self.line_count = _plain_line_count(raw)
+        if self.line_count is None:
+            self._split_rows()
+        else:
+            self.header = self.text[: self.text.index("\n")].removesuffix("\r").split(",")
+
+    def _split_rows(self):
+        rows = _csv_rows(self.text)
+        if not rows:
+            raise EmptyFile(f"{self.path}: file is empty")
+        self.header, self.data = rows[0], rows[1:]
+        if not self.data:
+            raise EmptyFile(f"{self.path}: no data rows")
+        self.line_count = None
+
+    def columns(self, groups, texts=(), positive=None) -> tuple[list[np.ndarray], list]:
+        """:func:`_float_columns` of ``groups``, and the text cells of each column position in ``texts``."""
+        if self.line_count is not None:
+            parsed = self._loadtxt(groups, texts, positive)
+            if parsed is not None:
+                return parsed
+            self._split_rows()
+        floats = _float_columns(self.header, self.data, groups, positive)
+        return floats, [[row[col] for row in self.data] for col in texts]
+
+    def _loadtxt(self, groups, texts, positive):
+        """The same as :meth:`columns`, from one ``np.loadtxt`` pass over the data lines.
+
+        None when ``loadtxt`` declines a cell (it declines some that
+        ``float`` takes, such as ``1_000``), or when the row count, finiteness
+        or ``positive`` check fails; :func:`_float_columns` then words the error.
+        """
+        fields = [(f"{g},{j}", np.float64) for g, group in enumerate(groups) for j in range(len(group))]
+        fields += [(f"text {j}", object) for j in range(len(texts))]
+        try:
+            table = np.loadtxt(
+                self.text.split("\n")[1 : self.line_count],
+                dtype=fields,
+                delimiter=",",
+                quotechar=None,
+                comments=None,
+                usecols=[col for group in groups for _, col in group] + list(texts),
+                ndmin=1,
+            )
+        except ValueError:
+            return None
+        out = [np.column_stack([table[f"{g},{j}"] for j in range(len(group))]) for g, group in enumerate(groups)]
+        if len(table) != self.line_count - 1 or not _in_domain(out, groups, positive):
+            return None
+        return out, [table[f"text {j}"].tolist() for j in range(len(texts))]
 
 
 def _column_indices(header, names, path) -> dict[str, int]:
@@ -183,6 +307,14 @@ def _parse_rows(header, data, columns, positive=None) -> np.ndarray:
     return out
 
 
+def _in_domain(matrices, groups, positive) -> bool:
+    """Every value finite, and every value of a column named ``positive`` > 0."""
+    return all(
+        np.isfinite(matrix).all() and (matrix[:, [name == positive for name, _ in group]] > 0.0).all()
+        for matrix, group in zip(matrices, groups)
+    )
+
+
 def _float_columns(header, data, groups, positive=None) -> list[np.ndarray]:
     """One (rows, len(group)) float64 matrix per group of (name, position) columns.
 
@@ -202,41 +334,35 @@ def _float_columns(header, data, groups, positive=None) -> list[np.ndarray]:
         except ValueError:
             pass
         else:
-            if all(
-                np.isfinite(matrix).all() and (matrix[:, [name == positive for name, _ in group]] > 0.0).all()
-                for matrix, group in zip(out, groups)
-            ):
+            if _in_domain(out, groups, positive):
                 return out
     values = _parse_rows(header, data, [column for group in groups for column in group], positive)
     return np.split(values, np.cumsum([len(group) for group in groups[:-1]]), axis=1)
 
 
-def _objects_from_rows(header, data, manifest: DatasetManifest, path) -> ObjectSpace:
+def _objects_from(table: _CsvFile, manifest: DatasetManifest, team: int | None = None):
+    """The space, and the rosters in the column at position ``team`` (None without one), from one parse."""
     wanted = [manifest.id_column, manifest.lambda_column, manifest.label_column, *manifest.attributes]
-    pos = _column_indices(header, wanted, path)
-    lambdas, attrs = _float_columns(
-        header,
-        data,
+    pos = _column_indices(table.header, wanted, table.path)
+    (lambdas, attrs), (ids, labels, *teams) = table.columns(
         [[(manifest.lambda_column, pos[manifest.lambda_column])], [(a, pos[a]) for a in manifest.attributes]],
+        [pos[manifest.id_column], pos[manifest.label_column or manifest.id_column], *([] if team is None else [team])],
         positive=manifest.lambda_column,
     )
-    ids = [row[pos[manifest.id_column]] for row in data]
-    labels = [row[pos[manifest.label_column]] for row in data] if manifest.label_column else ids
-    return ObjectSpace(
+    space = ObjectSpace(
         ids=ids,
         lambdas=lambdas[:, 0],
         attrs=attrs,
         attribute_names=manifest.attributes,
         labels=labels,
     )
+    return space, (_rosters(teams[0], ids) if teams else None)
 
 
-def _rosters_from_rows(header, data, manifest: DatasetManifest, path) -> dict[str, list[str]]:
-    pos = _column_indices(header, [manifest.id_column, manifest.team_column], path)
-    _float_columns(header, data, [])  # checks field counts only
+def _rosters(teams, ids) -> dict[str, list[str]]:
     rosters: dict[str, list[str]] = {}
-    for row in data:
-        rosters.setdefault(row[pos[manifest.team_column]], []).append(row[pos[manifest.id_column]])
+    for team, oid in zip(teams, ids):
+        rosters.setdefault(team, []).append(oid)
     return rosters
 
 
@@ -253,13 +379,16 @@ def _require_team(manifest: DatasetManifest) -> None:
 def load_objects(path, manifest: DatasetManifest) -> ObjectSpace:
     """Read one record per data row, projected to the manifest's attributes."""
     _require_lambda(manifest)
-    return _objects_from_rows(*_read_rows(path), manifest, path)
+    return _objects_from(_CsvFile(path), manifest)[0]
 
 
 def load_rosters(path, manifest: DatasetManifest) -> dict[str, list[str]]:
     """Map each team id to its member object ids, in file order."""
     _require_team(manifest)
-    return _rosters_from_rows(*_read_rows(path), manifest, path)
+    table = _CsvFile(path)
+    pos = _column_indices(table.header, [manifest.id_column, manifest.team_column], path)
+    _, (teams, ids) = table.columns([], [pos[manifest.team_column], pos[manifest.id_column]])
+    return _rosters(teams, ids)
 
 
 def load_objects_and_rosters(path, manifest: DatasetManifest) -> tuple[ObjectSpace, dict[str, list[str]]]:
@@ -268,34 +397,36 @@ def load_objects_and_rosters(path, manifest: DatasetManifest) -> tuple[ObjectSpa
     Raises what the two calls in that order would raise.
     """
     _require_lambda(manifest)
-    header, data = _read_rows(path)
-    space = _objects_from_rows(header, data, manifest, path)
+    table = _CsvFile(path)
+    # the team column is parsed with the objects when the header has it; when
+    # it does not, the checks below raise only after any error in the objects
+    team = table.header.index(manifest.team_column) if manifest.team_column in table.header else None
+    space, rosters = _objects_from(table, manifest, team)
     _require_team(manifest)
-    return space, _rosters_from_rows(header, data, manifest, path)
+    _column_indices(table.header, [manifest.team_column], path)
+    return space, rosters
 
 
 def load_teams(path, manifest: DatasetManifest) -> tuple[list[TargetContext], RankedSeries]:
     """Read team aggregate vectors plus the wins series used for weighting."""
     if manifest.wins_column is None:
         raise InvalidArgument("team manifest needs a wins column")
-    header, data = _read_rows(path)
+    table = _CsvFile(path)
     wanted = [manifest.id_column, manifest.wins_column, *manifest.attributes]
-    pos = _column_indices(header, wanted, path)
-    aggregates, wins = _float_columns(
-        header, data, [[(a, pos[a]) for a in manifest.attributes], [(manifest.wins_column, pos[manifest.wins_column])]]
+    pos = _column_indices(table.header, wanted, path)
+    (aggregates, wins), (ids,) = table.columns(
+        [[(a, pos[a]) for a in manifest.attributes], [(manifest.wins_column, pos[manifest.wins_column])]],
+        [pos[manifest.id_column]],
     )
-    targets = [
-        TargetContext(team_id=row[pos[manifest.id_column]], aggregate=aggregate.copy())
-        for row, aggregate in zip(data, aggregates)
-    ]
+    targets = [TargetContext(team_id=tid, aggregate=aggregate.copy()) for tid, aggregate in zip(ids, aggregates)]
     return targets, RankedSeries(values=wins[:, 0], higher_is_better=True)
 
 
 def load_column(path, column: str) -> np.ndarray:
     """One numeric column of a CSV file, under the same row checks as the loaders."""
-    header, data = _read_rows(path)
-    pos = _column_indices(header, [column], path)
-    (values,) = _float_columns(header, data, [[(column, pos[column])]])
+    table = _CsvFile(path)
+    pos = _column_indices(table.header, [column], path)
+    (values,), _ = table.columns([[(column, pos[column])]])
     return values[:, 0]
 
 

@@ -1,5 +1,7 @@
 import csv
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -277,21 +279,39 @@ class TestExitCodes:
                             "--top-k", "2"], capsys)
         assert json.loads(out)["recommendations"] == rtc
 
+    @pytest.mark.parametrize("command", ["gof", "ingest", "rank"])
+    def test_cell_over_the_field_size_limit_is_data_error(self, league, capsys, tmp_path, command):
+        limit = csv.field_size_limit()
+        if command == "gof":
+            data = tmp_path / "samples.csv"
+            data.write_text("x\n1\n" + "9" * 200_000 + "\n3\n")
+            argv = ["gof", "--csv", str(data), "--column", "x", "--r", "1.0", "--p", "0.5"]
+            row = 2
+        else:
+            players = Path(league["players"])
+            players.write_bytes(players.read_bytes().replace(b"Player 4,", b"x" * 200_000 + b",", 1))
+            argv = (["ingest", "--objects", league["players"], "--manifest", league["players_manifest"]]
+                    if command == "ingest" else ["rank", "--method", "bf", *real_flags(league), "--team", "AAA"])
+            row = 5
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: row {row}: field larger than field limit ({limit})\n"
+
     def test_help_exits_zero(self, capsys):
         assert run(["--help"], capsys)[0] == 0
 
 
 @pytest.fixture()
 def reads(monkeypatch):
-    """Paths passed to ``dataio._read_rows``, one entry per read."""
+    """Paths passed to ``dataio._read_bytes``, one entry per read."""
     seen = []
-    real = dataio._read_rows
+    real = dataio._read_bytes
 
     def counting(path):
         seen.append(str(path))
         return real(path)
 
-    monkeypatch.setattr(dataio, "_read_rows", counting)
+    monkeypatch.setattr(dataio, "_read_bytes", counting)
     return seen
 
 
@@ -312,6 +332,36 @@ class TestOneReadPerFile:
         assert code == 0
         assert reads.count(league["players"]) == 1
         assert reads.count(league["teams"]) == 1
+
+    @pytest.mark.parametrize(
+        "edit, row_parses",
+        [
+            (None, 0),
+            ((rb"Player 3,", b'"Player 3",'), 1),
+            # 1_234 is a number to float but not to np.loadtxt
+            ((rb"(p000,Player 0,AAA,)(\d)(\d+)", rb"\1\2_\3"), 1),
+        ],
+        ids=["column-wise", "quoted", "declined-cell"],
+    )
+    def test_each_parse_path_reads_the_objects_file_once(self, league, capsys, reads, monkeypatch, edit, row_parses):
+        players = Path(league["players"])
+        argv = ["rank", "--method", "bf", *real_flags(league), "--team", "AAA"]
+        code, plain, _ = run(argv, capsys)
+        assert code == 0
+        if edit is not None:
+            edited, count = re.subn(*edit, players.read_bytes(), count=1)
+            assert count == 1
+            players.write_bytes(edited)
+        parses = []
+        real = dataio._csv_rows
+        monkeypatch.setattr(dataio, "_csv_rows", lambda text: parses.append(text) or real(text))
+        reads.clear()
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        assert json.loads(out)["recommendations"] == json.loads(plain)["recommendations"]
+        assert reads.count(league["players"]) == 1
+        assert reads.count(league["teams"]) == 1
+        assert len(parses) == row_parses
 
     def test_run_experiment_reads_the_objects_file_once(self, league, reads):
         config = ExperimentConfig(

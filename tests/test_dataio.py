@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from teamrank import dataio
 from teamrank.core import ObjectSpace
 from teamrank.dataio import (
     DatasetManifest,
@@ -119,11 +120,14 @@ class TestLoadObjects:
 
     def test_collector_state_is_restored_after_a_read(self, tmp_path):
         path = write(tmp_path, "objects.csv", "id,name,Tm,MP,FG,AST\np1,One,AAA,100,5,6\n")
+        quoted = write(tmp_path, "quoted.csv", 'id,name,Tm,MP,FG,AST\np1,"One",AAA,100,5,6\n')
         was_enabled = gc.isenabled()
         try:
             for enabled in (True, False):
                 gc.enable() if enabled else gc.disable()
                 load_objects(path, OBJECT_MANIFEST)
+                assert gc.isenabled() is enabled
+                load_objects(quoted, OBJECT_MANIFEST)  # csv.reader rows, built with the collector paused
                 assert gc.isenabled() is enabled
                 with pytest.raises(FileNotFoundError):
                     load_objects(tmp_path / "missing.csv", OBJECT_MANIFEST)
@@ -260,6 +264,125 @@ class TestLoaderErrorParity:
         assert np.array_equal(space.attrs, [[5.0, 6.0]])
 
 
+class TestFieldSizeLimit:
+    """A cell over ``csv.field_size_limit()`` is a :class:`MalformedRow` naming its row, from every loader."""
+
+    LIMIT_MESSAGE = f"field larger than field limit ({csv.field_size_limit()})"
+
+    @pytest.mark.parametrize("load", [load_objects, load_rosters, load_objects_and_rosters])
+    def test_object_loaders(self, tmp_path, load):
+        path = write(tmp_path, "objects.csv", "\n".join([HEADER, *GOOD, f"p3,{'x' * 200_000},AAA,300,9,1"]) + "\n")
+        with pytest.raises(MalformedRow) as excinfo:
+            load(path, OBJECT_MANIFEST)
+        assert (type(excinfo.value), excinfo.value.row, str(excinfo.value)) == (
+            MalformedRow,
+            3,
+            f"row 3: {self.LIMIT_MESSAGE}",
+        )
+
+    def test_teams_and_column(self, tmp_path):
+        path = write(tmp_path, "teams.csv", f"Team,W,FG,AST\r\nAAA,50,{'9' * 200_000},200\r\n")
+        for load, arg in ((load_teams, TEAM_MANIFEST), (load_column, "W")):
+            with pytest.raises(MalformedRow) as excinfo:
+                load(path, arg)
+            assert str(excinfo.value) == f"row 1: {self.LIMIT_MESSAGE}"
+
+    def test_header_cell_is_row_0(self, tmp_path):
+        path = write(tmp_path, "data.csv", f"a,{'b' * 200_000}\n1,2\n")
+        with pytest.raises(MalformedRow) as excinfo:
+            load_column(path, "a")
+        assert excinfo.value.row == 0
+
+    def test_long_line_of_short_cells_loads(self, tmp_path):
+        limit = csv.field_size_limit()
+        label = "y" * limit
+        path = write(tmp_path, "objects.csv", f"{HEADER}\np1,{label},AAA,100,{'0' * (limit - 1)}5,6\n")
+        space = load_objects(path, OBJECT_MANIFEST)
+        assert space.labels.tolist() == [label]
+        assert np.array_equal(space.attrs, [[5.0, 6.0]])
+
+
+def write_league(path, *, quoted_label=False, cell=None):
+    """200 players written by ``csv.writer``, as the CLI's files and the benchmark's are: '\\r\\n' line ends, no quotes.
+
+    ``quoted_label`` gives row 8 a label with a comma, which ``csv.writer``
+    quotes; ``cell`` replaces row 5's FG cell.
+    """
+    space = gen_synthetic(
+        {"FG": NbParams(1.44, 0.008), "AST": NbParams(0.93, 0.0092)}, count=200, seed=3, lambda_range=(1.0, 100.0)
+    )
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        out = csv.writer(fh)
+        out.writerow(HEADER.split(","))
+        columns = zip(space.ids.tolist(), space.lambdas.tolist(), space.attrs.tolist())
+        for i, (oid, lam, (fg, ast)) in enumerate(columns):
+            name = "Smith, John" if quoted_label and i == 7 else f"player {i}"
+            fg = cell if cell is not None and i == 4 else repr(fg)
+            out.writerow([oid, name, ("AAA", "BBB", "FA")[i % 3], repr(lam), fg, repr(ast)])
+    return path
+
+
+class TestParsePath:
+    """Which parse a file gets: the speed of the common file rests on these."""
+
+    @pytest.fixture()
+    def row_parses(self, monkeypatch):
+        """Texts handed to the ``csv.reader`` path, one entry per parse."""
+        seen = []
+        real = dataio._csv_rows
+
+        def counting(text):
+            seen.append(text)
+            return real(text)
+
+        monkeypatch.setattr(dataio, "_csv_rows", counting)
+        return seen
+
+    def test_csv_writer_file_is_parsed_column_wise(self, tmp_path, monkeypatch):
+        path = write_league(tmp_path / "objects.csv")
+        teams = tmp_path / "teams.csv"
+        with open(teams, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows([["Team", "W", "FG", "AST"], ["AAA", 50, 100.5, 200], ["BBB", 38, 90, 150.25]])
+        raw = path.read_bytes()
+        assert raw.count(b"\r\n") == 201 and b'"' not in raw
+        ref_space, ref_rosters = _reference_objects(path, OBJECT_MANIFEST)
+        ref_ids, ref_aggregates, ref_wins = _reference_teams(teams, TEAM_MANIFEST)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("csv.reader rows were built")
+
+        monkeypatch.setattr(dataio, "_csv_rows", refuse)
+        monkeypatch.setattr(dataio, "_float_columns", refuse)
+        for space in (load_objects(path, OBJECT_MANIFEST), load_objects_and_rosters(path, OBJECT_MANIFEST)[0]):
+            assert space.ids.tolist() == ref_space.ids.tolist()
+            assert space.labels.tolist() == ref_space.labels.tolist()
+            assert space.lambdas.tobytes() == ref_space.lambdas.tobytes()
+            assert space.attrs.tobytes() == ref_space.attrs.tobytes()
+        assert load_objects_and_rosters(path, OBJECT_MANIFEST)[1] == load_rosters(path, OBJECT_MANIFEST) == ref_rosters
+        assert load_column(path, "MP").tobytes() == ref_space.lambdas.tobytes()
+        targets, wins = load_teams(teams, TEAM_MANIFEST)
+        assert [t.team_id for t in targets] == ref_ids
+        assert np.stack([t.aggregate for t in targets]).tobytes() == ref_aggregates.tobytes()
+        assert wins.values.tobytes() == ref_wins.tobytes()
+
+    def test_one_quoted_label_takes_the_row_path_with_the_same_values(self, tmp_path, row_parses):
+        plain = load_objects_and_rosters(write_league(tmp_path / "plain.csv"), OBJECT_MANIFEST)
+        assert row_parses == []
+        quoted_path = write_league(tmp_path / "quoted.csv", quoted_label=True)
+        assert quoted_path.read_bytes().count(b'"') == 2
+        quoted = load_objects_and_rosters(quoted_path, OBJECT_MANIFEST)
+        assert len(row_parses) == 1
+        assert quoted[0].labels[7] == "Smith, John"
+        assert np.delete(quoted[0].labels, 7).tolist() == np.delete(plain[0].labels, 7).tolist()
+        assert quoted[0].digest() == plain[0].digest()
+        assert quoted[1] == plain[1]
+
+    def test_a_cell_loadtxt_declines_is_parsed_from_rows_as_float_does(self, tmp_path, row_parses):
+        space = load_objects(write_league(tmp_path / "objects.csv", cell="1_0"), OBJECT_MANIFEST)
+        assert len(row_parses) == 1
+        assert space.attrs[4, 0] == 10.0
+
+
 class TestLoadObjectsAndRosters:
     def test_matches_the_two_separate_loads(self, tmp_path):
         path = write(tmp_path, "objects.csv", "\n".join([HEADER, *GOOD, "p3,Three,AAA,300,9,1"]) + "\n")
@@ -349,6 +472,17 @@ def _reference_teams(path, manifest):
     return ids, np.array(aggregates), np.array(wins)
 
 
+def _reference_column(path, column):
+    header, data = _reference_rows(path)
+    col = header.index(column)
+    values = []
+    for row_no, row in enumerate(data, start=1):
+        if len(row) != len(header):
+            raise MalformedRow(row_no, f"expected {len(header)} fields, got {len(row)}")
+        values.append(_reference_float(row[col], row_no, column))
+    return np.array(values)
+
+
 def _outcome(load, *args):
     try:
         return "ok", load(*args)
@@ -360,38 +494,112 @@ def _outcome(load, *args):
 
 GOOD_CELLS = st.sampled_from(["1", "250", "2.5", "0.001", "+2", "1e-3", " 1.5 ", "1_000", "7e2", "0"])
 BAD_CELLS = st.sampled_from(["-1", "", "abc", "nan", "inf", "-inf", "1e400", "0x10", "1__0"])
-CELLS = st.one_of(GOOD_CELLS, GOOD_CELLS, GOOD_CELLS, GOOD_CELLS, GOOD_CELLS, BAD_CELLS)
+# cells where np.loadtxt and float part ways or csv.reader splits unusually:
+# loadtxt reads '5\x1c' as 5.0, float rejects it; loadtxt declines '1_000' and
+# '١٢', float takes them; '"7"' and '"2,5"' are quoted
+AWKWARD_CELLS = st.sampled_from(
+    ["1_000", "١٢", "5\x1c", "1\x0b", "1\x85", "a b", "1\x00", "#3", "4#", "\t6", '"7"', '"2,5"']
+)
+CELLS = st.one_of(GOOD_CELLS, GOOD_CELLS, GOOD_CELLS, GOOD_CELLS, GOOD_CELLS, BAD_CELLS, AWKWARD_CELLS)
+# cells that leave a file on the column-wise path and that np.loadtxt reads as float does
+PLAIN_CELLS = st.sampled_from(["1", "250", "2.5", "0.001", "+2", "1e-3", " 1.5 ", "7e2", "0", "\t6", "1\x85", "3\xa0"])
+# how much of a file is irregular: nothing, only its numeric cells, or anything
+MODES = st.sampled_from(["plain", "cells", "any"])
+
+
+@st.composite
+def text_cells(draw, plain, mode):
+    """``plain``, or it padded or commented.
+
+    In mode "any" also with an odd character, or quoted around ',', '""' or a newline.
+    """
+    kinds = ["plain"] * 6 + ["padded", "hash"] + (["odd", "quoted"] if mode == "any" else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "padded":
+        return draw(st.sampled_from([f" {plain}", f"{plain} ", f" {plain} ", f"\t{plain}"]))
+    if kind == "hash":
+        return f"#{plain}"
+    if kind == "odd":
+        return plain + draw(st.sampled_from(["\x1c", "\x0b", "\x85", "\x00", " b", " "]))
+    if kind == "quoted":
+        return '"' + plain + draw(st.sampled_from([", x", '""', "\nx", "\r\nx"])) + '"'
+    return plain
+
+
+@st.composite
+def csv_text(draw, lines, mode):
+    """``lines`` joined by '\\n' or '\\r\\n', now and then without a final newline.
+
+    In mode "any" also now and then with a lone '\\r' or a blank or blank-looking line.
+    """
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    ends = [eol] * len(lines)
+    shape = draw(st.sampled_from(["plain"] * 6 + ["lone_cr", "blank_mid", "blank_end", "space_line", "no_final_eol"]))
+    if mode != "any" and shape != "no_final_eol":
+        shape = "plain"
+    if shape == "lone_cr":
+        ends[draw(st.integers(0, len(lines) - 1))] = "\r"
+    elif shape in ("blank_mid", "space_line"):
+        at = draw(st.integers(1, len(lines)))
+        lines = [*lines[:at], "" if shape == "blank_mid" else draw(st.sampled_from([" ", "\t", "  "])), *lines[at:]]
+        ends.insert(at, eol)
+    elif shape == "blank_end":
+        lines, ends = [*lines, ""], [*ends, eol]
+    elif shape == "no_final_eol":
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+def rows_of(draw, header, make_row, mode):
+    """Header and data lines, now and then with an unused last column.
+
+    In mode "any" now and then a row is one field short or long.
+    """
+    note = draw(st.booleans()) and draw(st.booleans())
+    width = len(header) + note
+    lines = [",".join([*header, "note"][:width])]
+    widths = [width] * 8 + ([width - 1, width + 1] if mode == "any" else [])
+    for i in range(draw(st.integers(1, 6))):
+        cells = [*make_row(i), "n", "9"]
+        lines.append(",".join(cells[: draw(st.sampled_from(widths))]))
+    return lines
 
 
 @st.composite
 def object_files(draw):
-    n = draw(st.integers(1, 6))
-    lines = [HEADER]
-    for i in range(n):
+    mode = draw(MODES)
+    cells = {"plain": PLAIN_CELLS, "cells": CELLS, "any": draw(st.sampled_from([PLAIN_CELLS, CELLS]))}[mode]
+
+    def row(i):
         team = draw(st.sampled_from(["AAA", "BBB", "FA"]))
-        oid = draw(st.sampled_from([f"p{i}", "p0"]))  # an occasional duplicate id
-        cells = [oid, f"name {i}", team, *(draw(CELLS) for _ in range(3))]
-        width = draw(st.sampled_from([6] * 8 + [5, 7]))
-        cells = (cells + ["9"])[:width]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+        oid = draw(text_cells(draw(st.sampled_from([f"p{i}", "p0"])), mode))  # an occasional duplicate id
+        return [oid, draw(text_cells(f"name {i}", mode)), team, *(draw(cells) for _ in range(3))]
+
+    return draw(csv_text(rows_of(draw, HEADER.split(","), row, mode), mode))
 
 
 @st.composite
 def team_files(draw):
-    lines = ["Team,W,FG,AST"]
-    for i in range(draw(st.integers(1, 5))):
-        cells = [f"T{i}", *(draw(CELLS) for _ in range(3))]
-        lines.append(",".join(cells[: draw(st.sampled_from([4] * 8 + [3]))]))
-    return "\n".join(lines) + "\n"
+    mode = draw(MODES)
+    cells = {"plain": PLAIN_CELLS, "cells": CELLS, "any": draw(st.sampled_from([PLAIN_CELLS, CELLS]))}[mode]
+
+    def row(i):
+        return [draw(text_cells(f"T{i}", mode)), *(draw(cells) for _ in range(3))]
+
+    return draw(csv_text(rows_of(draw, ["Team", "W", "FG", "AST"], row, mode), mode))
+
+
+def _write_bytes(factory, name, text):
+    path = factory.mktemp(name) / f"{name}.csv"
+    path.write_bytes(text.encode("utf-8"))
+    return path
 
 
 class TestAgainstRowMajorReference:
-    @settings(max_examples=300)
+    @settings(max_examples=400)
     @given(text=object_files())
     def test_objects_and_rosters(self, tmp_path_factory, text):
-        path = tmp_path_factory.mktemp("objects") / "objects.csv"
-        path.write_text(text, encoding="utf-8")
+        path = _write_bytes(tmp_path_factory, "objects", text)
         got_kind, got = _outcome(load_objects_and_rosters, path, OBJECT_MANIFEST)
         want_kind, want = _outcome(_reference_objects, path, OBJECT_MANIFEST)
         assert got_kind == want_kind
@@ -405,11 +613,10 @@ class TestAgainstRowMajorReference:
         assert space.attrs.tobytes() == ref_space.attrs.tobytes()
         assert rosters == ref_rosters
 
-    @settings(max_examples=300)
+    @settings(max_examples=400)
     @given(text=team_files())
     def test_teams(self, tmp_path_factory, text):
-        path = tmp_path_factory.mktemp("teams") / "teams.csv"
-        path.write_text(text, encoding="utf-8")
+        path = _write_bytes(tmp_path_factory, "teams", text)
         got_kind, got = _outcome(load_teams, path, TEAM_MANIFEST)
         want_kind, want = _outcome(_reference_teams, path, TEAM_MANIFEST)
         assert got_kind == want_kind
@@ -421,6 +628,102 @@ class TestAgainstRowMajorReference:
         assert [t.team_id for t in targets] == ids
         assert np.stack([t.aggregate for t in targets]).tobytes() == aggregates.tobytes()
         assert wins.values.tobytes() == ref_wins.tobytes()
+
+    @settings(max_examples=200)
+    @given(text=team_files(), column=st.sampled_from(["W", "AST"]))
+    def test_column(self, tmp_path_factory, text, column):
+        path = _write_bytes(tmp_path_factory, "column", text)
+        got_kind, got = _outcome(load_column, path, column)
+        want_kind, want = _outcome(_reference_column, path, column)
+        assert got_kind == want_kind
+        assert got.tobytes() == want.tobytes() if want_kind == "ok" else got == want
+
+
+# One file per edge of the column-wise path's guard, each against the csv.reader reference.
+_ROWS = ["p1,One,AAA,100,5,6", "p2,Two,BBB,200,7,8", "p3,Three,AAA,300,9,1"]
+GUARD_EDGES = {
+    "lf": "\n".join([HEADER, *_ROWS]) + "\n",
+    "crlf": "\r\n".join([HEADER, *_ROWS]) + "\r\n",
+    "lone_cr": f"{HEADER}\n{_ROWS[0]}\r{_ROWS[1]}\n{_ROWS[2]}\n",
+    "lone_cr_at_end": "\n".join([HEADER, *_ROWS]) + "\r",
+    "blank_line_mid": "\n".join([HEADER, _ROWS[0], "", *_ROWS[1:]]) + "\n",
+    "blank_crlf_line_mid": "\r\n".join([HEADER, _ROWS[0], "", *_ROWS[1:]]) + "\r\n",
+    "blank_line_end": "\n".join([HEADER, *_ROWS]) + "\n\n",
+    "whitespace_line": "\n".join([HEADER, _ROWS[0], "  ", *_ROWS[1:]]) + "\n",
+    "no_final_newline": "\r\n".join([HEADER, *_ROWS]),
+    "quoted_comma": "\n".join([HEADER, 'p1,"One, Jr",AAA,100,5,6', *_ROWS[1:]]) + "\n",
+    "quoted_quote": "\n".join([HEADER, 'p1,"One ""1""",AAA,100,5,6', *_ROWS[1:]]) + "\n",
+    "quoted_newline": "\n".join([HEADER, 'p1,"One\nJr",AAA,100,5,6', *_ROWS[1:]]) + "\n",
+    "quoted_number": "\n".join([HEADER, 'p1,One,AAA,"100",5,6', *_ROWS[1:]]) + "\n",
+    "unused_last_column": "\n".join([HEADER + ",note", *(r + ",n" for r in _ROWS)]) + "\n",
+    "unused_last_column_missing": "\n".join([HEADER + ",note", _ROWS[0] + ",n", _ROWS[1], _ROWS[2] + ",n"]) + "\n",
+    "extra_trailing_field": "\n".join([HEADER, _ROWS[0], _ROWS[1] + ",x", _ROWS[2]]) + "\n",
+    "hash_cells": "\n".join([HEADER, "#p1,One#,AAA,100,5,6", *_ROWS[1:]]) + "\n",
+    "padded_text_cells": "\n".join([HEADER, " p1 ,\tOne ,AAA,100,5,6", "p2 , Two,BBB,200,7,8", _ROWS[2]]) + "\n",
+    "padded_number": "\n".join([HEADER, "p1,One,AAA, 100 ,\t5,6 ", *_ROWS[1:]]) + "\n",
+    "underscore": "\n".join([HEADER, "p1,One,AAA,1_000,5,6", *_ROWS[1:]]) + "\n",
+    "arabic_digits": "\n".join([HEADER, "p1,One,AAA,100,١٢,6", *_ROWS[1:]]) + "\n",
+    "file_separator": "\n".join([HEADER, _ROWS[0], "p2,Two,BBB,200,5\x1c,8", _ROWS[2]]) + "\n",
+    "vertical_tab": "\n".join([HEADER, _ROWS[0], "p2,Two,BBB,200,1\x0b,8", _ROWS[2]]) + "\n",
+    "next_line": "\n".join([HEADER, _ROWS[0], "p2,Two,BBB,200,1\x85,8", _ROWS[2]]) + "\n",
+    "next_line_in_label": "\n".join([HEADER, _ROWS[0], "p2,Tw\x85o ,BBB,200,7,8", _ROWS[2]]) + "\n",
+    "inner_space": "\n".join([HEADER, _ROWS[0], "p2,Two,BBB,200,a b,8", _ROWS[2]]) + "\n",
+    "nul_in_number": "\n".join([HEADER, _ROWS[0], "p2,Two,BBB,200,7\x00,8", _ROWS[2]]) + "\n",
+    "nul_in_id": "\n".join([HEADER, _ROWS[0], "p2\x00,Two,BBB,200,7,8", _ROWS[2]]) + "\n",
+}
+
+SINGLE_COLUMN_EDGES = {
+    "one_column_blank_line": "x\n1\n\n3\n",
+    "one_column_blank_crlf_line": "x\r\n1\r\n\r\n3\r\n",
+    "one_column_blank_line_end": "x\n1\n3\n\n",
+    "one_column_whitespace_line": "x\n1\n \n3\n",
+    "one_column_lone_cr": "x\n1\r2\n3\n",
+    "one_column_lone_cr_at_end": "x\n1\n2\r",
+}
+
+
+class TestGuardEdges:
+    @pytest.mark.parametrize("text", ["", "\r\n", HEADER, HEADER + "\r\n"])
+    def test_no_data_rows_is_empty(self, tmp_path, text):
+        path = tmp_path / "objects.csv"
+        path.write_bytes(text.encode("utf-8"))
+        for load, arg in ((load_objects_and_rosters, OBJECT_MANIFEST), (load_column, "FG")):
+            with pytest.raises(EmptyFile):
+                load(path, arg)
+
+    @pytest.mark.parametrize("text", GUARD_EDGES.values(), ids=GUARD_EDGES.keys())
+    def test_objects_and_rosters(self, tmp_path, text):
+        path = tmp_path / "objects.csv"
+        path.write_bytes(text.encode("utf-8"))
+        got_kind, got = _outcome(load_objects_and_rosters, path, OBJECT_MANIFEST)
+        want_kind, want = _outcome(_reference_objects, path, OBJECT_MANIFEST)
+        assert got_kind == want_kind
+        if want_kind == "error":
+            assert got == want
+            return
+        (space, rosters), (ref_space, ref_rosters) = got, want
+        assert space.ids.tolist() == ref_space.ids.tolist()
+        assert space.labels.tolist() == ref_space.labels.tolist()
+        assert space.lambdas.tobytes() == ref_space.lambdas.tobytes()
+        assert space.attrs.tobytes() == ref_space.attrs.tobytes()
+        assert rosters == ref_rosters
+
+    @pytest.mark.parametrize(
+        "text, column",
+        [
+            *((text, "FG") for text in GUARD_EDGES.values()),
+            # one column: no comma count tells a blank or split line apart
+            *((text, "x") for text in SINGLE_COLUMN_EDGES.values()),
+        ],
+        ids=[*GUARD_EDGES, *SINGLE_COLUMN_EDGES],
+    )
+    def test_column(self, tmp_path, text, column):
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode("utf-8"))
+        got_kind, got = _outcome(load_column, path, column)
+        want_kind, want = _outcome(_reference_column, path, column)
+        assert got_kind == want_kind
+        assert got.tobytes() == want.tobytes() if want_kind == "ok" else got == want
 
 
 class TestGenSynthetic:
