@@ -11,8 +11,11 @@ and expensive. I/O numbers come from a dedicated accounting pass whose
 counters are snapshotted before the timing runs start. ``bf`` runs in
 memory; the report charges it the ceil(n / B) block reads of a full scan per
 member, worked out here rather than counted, so its ``query_s`` times the
-scoring kernel alone. ``rtcstar`` is charged every index block it fetches:
-one positioned read of ceil(k / B) blocks per member. Each ``rtcstar`` row
+scoring kernel alone. ``rtcstar`` builds each team's index with runs of k
+entries (``run_length=top_k``), so its ``build_s`` is one pass of the kernel
+and top-k selection ``bf`` runs plus ceil(k / B) blocks written per member;
+it is charged every index block it fetches: one positioned read of
+ceil(k / B) blocks per member. Each ``rtcstar`` row
 also records how many entries each member re-scored (``scan_depths``,
 min(k, n) each) and ``fallback_members``, always empty and kept for report
 compatibility. The report's top-level ``timing`` also records
@@ -351,7 +354,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                 build_start = time.perf_counter()
                 build_stats: dict = {}
                 index = build_index(
-                    space, team, target, weights, config.block_size, index_dir, stats_out=build_stats
+                    space, team, target, weights, config.block_size, index_dir,
+                    run_length=config.top_k, stats_out=build_stats,
                 )
                 build_s = time.perf_counter() - build_start
                 member_workers = max(member_workers, build_stats["member_workers"])

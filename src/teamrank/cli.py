@@ -154,7 +154,7 @@ def _resolve_team_target(args, space, rosters, weights, elite):
 def _cmd_index_build(args) -> dict:
     space, rosters, _targets, weights, elite = _load_real(args)
     team, target = _resolve_team_target(args, space, rosters, weights, elite)
-    index = build_index(space, team, target, weights, args.block_size, args.index_dir)
+    index = build_index(space, team, target, weights, args.block_size, args.index_dir, run_length=args.top_k)
     with index:
         payload = {
             "config": _config_echo(args),
@@ -183,10 +183,17 @@ def _cmd_rank(args) -> dict:
             index_dir = scratch.name
         try:
             fp = fingerprint(space, team, target, weights, args.block_size)
+            index = None
             if index_path(index_dir, fp).exists():
                 index = NnIndex.open(index_dir, fp, space)
-            else:
-                index = build_index(space, team, target, weights, args.block_size, index_dir)
+                # runs too short for this top_k are rebuilt, as a missing file is
+                if index.run_length < min(args.top_k, len(space)):
+                    index.close()
+                    index = None
+            if index is None:
+                index = build_index(
+                    space, team, target, weights, args.block_size, index_dir, run_length=args.top_k
+                )
             with index:
                 recs = rtc_star_rank(team, target, space, weights, index, args.top_k)
         finally:
@@ -290,6 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     index_sub = p.add_subparsers(dest="index_command", required=True)
     pb = index_sub.add_parser("build", help="build the index file")
     add_real_inputs(pb)
+    pb.add_argument("--top-k", type=_positive_int, default=10, dest="top_k", help="entries kept per run")
     pb.add_argument("--block-size", type=_positive_int, default=100, dest="block_size")
     pb.add_argument("--index-dir", required=True, dest="index_dir")
     add_common(pb)

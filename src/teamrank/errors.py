@@ -57,6 +57,10 @@ class StaleIndex(TeamRankError):
     """The index fingerprint does not match the query configuration."""
 
 
+class ShortIndex(StaleIndex):
+    """An index run holds fewer entries than a query asks for."""
+
+
 class MissingColumn(TeamRankError):
     """A column named by the manifest is absent from the file header."""
 

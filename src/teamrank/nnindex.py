@@ -1,48 +1,51 @@
 """Persistent per-member sorted-run index with exact block I/O accounting.
 
-Each team member gets one run: every object of the space keyed by the exact
-post-exchange distance of swapping that member for it, computed by the
+Each team member gets one run: the objects of the space keyed by the exact
+post-exchange distance of swapping that member for them, computed by the
 ranking layer's own distance kernel, and sorted ascending by (key, object
 id). That is the order the exhaustive method ranks a member's swaps in, so a
-run's first k entries are exactly that member's k best swaps. The key is not
-a metric, so no metric-tree pruning is attempted; a globally sorted run per
-member realizes k-smallest retrieval with a deterministic ceil(k / B) block
-reads. Every read goes through ``NnIndex.query_min_raw``: the first k
-entries of one member's run, fetched in one positioned read and charged as
-that many block reads.
+run's first k entries are exactly that member's k best swaps. A run holds
+only the first L of them, the run length: a query for k <= L entries reads
+ceil(k / B) blocks and nothing else in the run is ever read. The key is not
+a metric, so no metric-tree pruning is attempted. Every read goes through
+``NnIndex.query_min_raw``: the first k entries of one member's run,
+fetched in one positioned read and charged as that many block reads.
 
 On-disk layout, one file per index named ``<fingerprint>.idx``:
 
-    header (44 bytes, little endian):
+    header (52 bytes, little endian):
         magic            8s   b"TRNNIDX1"
-        version          u16  4
+        version          u16  5
         dimension        u16
         member_count     u32  m
         record_count     u64  n
+        run_length       u64  L, entries per run
         block_size       u32  B, entries per block
         fingerprint      16s  raw digest bytes
 
-    data: m runs in member order, each ceil(n / B) blocks of B records,
+    data: m runs in member order, each ceil(L / B) blocks of B records,
     16 bytes each:
         key              f64  exact post-exchange distance
         ordinal          u64  row position in the space
 
-Entries are sorted by (key, object id): one float argsort of the keys,
-then a re-sort of only the entries whose key ties a neighbour's, by (key,
-rank in the space's ascending-id row order). That order is unique, so a run
-is the one ``np.lexsort((ids, keys))`` gives. Each run's final block is
-padded with (+inf, 0xFF..F) sentinels so every block is the same size.
-Rebuilding from the same configuration is byte-identical, on any number
-of threads: runs are computed one member per thread
-(``ranking._map_members``, at most as many runs at once as fit in the
-bytes of the space's attribute matrix) and written in member order. A build
+A run is picked and ordered by the exhaustive method's own top-k kernel
+(``ranking._member_top``): the L smallest keys in ``np.lexsort((ids,
+keys))`` order, with each key's own bits, so a run of length L is the first
+L entries of the full sorted run. L is whole blocks, or all n entries; only
+a run of all n entries can end inside a block, and its final block is padded
+with (+inf, 0xFF..F) sentinels so every block is the same size. The run
+length is not part of the fingerprint: a query for min(k, n) > L entries
+raises ``ShortIndex`` (a ``StaleIndex``), never a short list, and the caller
+rebuilds with a longer run. Rebuilding from the same configuration is
+byte-identical, on any number of threads: runs are computed one member per
+thread (``ranking._map_members``) and written in member order. A build
 writes a temporary file in the target directory and renames it into place,
-so an interrupted build leaves no ``.idx`` file behind. A file whose header or size
-does not match, or a short read, raises ``StaleIndex``; so does a file of an
-earlier version, whose runs hold another key (version 3 held the paper's
-masked rate key). Build writes and query reads are tallied in separate
-counters; counter updates are lock-protected so concurrent readers never
-lose increments.
+so an interrupted build leaves no ``.idx`` file behind. A file whose header
+or size does not match, or a short read, raises ``StaleIndex``; so does a
+file of an earlier version (version 4 held all n entries per run, version 3
+the paper's masked rate key). Build writes and query reads are tallied in
+separate counters; counter updates are lock-protected so concurrent readers
+never lose increments.
 """
 
 from __future__ import annotations
@@ -62,9 +65,10 @@ from .errors import (
     EmptySpace,
     InvalidArgument,
     InvalidPartition,
+    ShortIndex,
     StaleIndex,
 )
-from .ranking import _exchange_distance_rows, _map_members
+from .ranking import _PASS_ARRAYS, _exchange_distance_rows, _map_members, _member_top
 
 __all__ = [
     "IoStats",
@@ -76,8 +80,8 @@ __all__ = [
 ]
 
 MAGIC = b"TRNNIDX1"
-VERSION = 4
-HEADER = struct.Struct("<8sHHIQI16s")
+VERSION = 5
+HEADER = struct.Struct("<8sHHIQQI16s")
 RECORD_DTYPE = np.dtype([("key", "<f8"), ("ordinal", "<u8")])
 PAD_ORDINAL = np.uint64(0xFFFFFFFFFFFFFFFF)
 
@@ -166,13 +170,14 @@ def fingerprint(space: ObjectSpace, team: TeamContext, target: TargetContext, w,
 class NnIndex:
     """Handle over one built index file plus its I/O counters."""
 
-    def __init__(self, fh, directory, fp: str, block_size: int, n: int, m: int, d: int):
+    def __init__(self, fh, directory, fp: str, block_size: int, n: int, m: int, d: int, run_length: int):
         self.directory = Path(directory)
         self.fingerprint = fp
         self.block_size = int(block_size)
         self.n = int(n)
         self.m = int(m)
         self.d = int(d)
+        self.run_length = int(run_length)
         self.build_io = IoStats()
         self.query_io = IoStats()
         self._file = fh
@@ -180,7 +185,7 @@ class NnIndex:
     @property
     def data_blocks(self) -> int:
         """Blocks per member run."""
-        return -(-self.n // self.block_size)
+        return -(-self.run_length // self.block_size)
 
     def close(self) -> None:
         self._file.close()
@@ -199,14 +204,20 @@ class NnIndex:
 
         One positioned read of exactly ceil(k / block_size) blocks while
         k <= n, charged to ``query_io`` as that many block reads and one
-        query; asking for more than n entries returns all n. A short read
-        raises ``StaleIndex``.
+        query; asking for more than n entries returns all n. A run too short
+        for min(k, n) entries raises ``ShortIndex`` before any read; a short
+        read raises ``StaleIndex``.
         """
         if k < 1:
             raise InvalidArgument(f"k must be >= 1, got {k}")
         if not 0 <= member_index < self.m:
             raise InvalidPartition(f"member index {member_index} outside [0, {self.m})")
         count = min(k, self.n)
+        if count > self.run_length:
+            raise ShortIndex(
+                f"{index_path(self.directory, self.fingerprint)}: runs hold {self.run_length} "
+                f"entries, a query for {k} needs {count}"
+            )
         blocks = -(-count // self.block_size)
         block_bytes = self.block_size * RECORD_DTYPE.itemsize
         size = blocks * block_bytes
@@ -235,7 +246,7 @@ class NnIndex:
             raw = fh.read(HEADER.size)
             if len(raw) != HEADER.size:
                 raise StaleIndex(f"{path}: truncated header")
-            magic, version, d, m, n, B, digest = HEADER.unpack(raw)
+            magic, version, d, m, n, length, B, digest = HEADER.unpack(raw)
             if magic != MAGIC or version != VERSION:
                 raise StaleIndex(f"{path}: bad magic or version")
             if digest != bytes.fromhex(fp):
@@ -245,47 +256,16 @@ class NnIndex:
                     f"index was built over {n} records x {d} dims, "
                     f"got a space of {len(space)} x {space.dimension}"
                 )
+            # a run is whole blocks of real entries, or all n entries
+            if B < 1 or not 1 <= length <= n or (length % B and length != n):
+                raise StaleIndex(f"{path}: run length {length} does not fit {n} records in blocks of {B}")
             size = os.fstat(fh.fileno()).st_size
-            if B < 1 or size != HEADER.size + m * -(-n // B) * B * RECORD_DTYPE.itemsize:
+            if size != HEADER.size + m * -(-length // B) * B * RECORD_DTYPE.itemsize:
                 raise StaleIndex(f"{path}: file size {size} does not match its header")
         except BaseException:
             fh.close()
             raise
-        return cls(fh, directory, fp, block_size=B, n=n, m=m, d=d)
-
-
-def _key_id_order(keys: np.ndarray, id_rank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row positions sorted by (key, object id), and the keys in that order.
-
-    The order is ``np.lexsort((ids, keys))``. One unstable float argsort
-    orders the keys; only entries whose key equals a neighbour's are then
-    re-sorted, by (key, ``id_rank``), in place. The tied positions hold the
-    same keys in the same order after the re-sort, so each run of equal keys
-    lands back on its own positions, now in id order; the sorted keys are
-    refreshed there too, because equal keys need not share their bits
-    (-0.0 and 0.0, NaN payloads). Re-sorting only the tied entries, not the
-    whole run, is what keeps runs with many ties (thousands of key-0
-    candidates) cheap.
-    """
-    order = np.argsort(keys)
-    ordered = keys[order]
-    # "not greater" rather than "equal": NaN keys sort last and tie like lexsort's
-    tie = ~(ordered[1:] > ordered[:-1])
-    tied = np.zeros(len(keys), dtype=bool)
-    tied[1:] = tie
-    tied[:-1] |= tie
-    positions = np.flatnonzero(tied)
-    if positions.size:
-        rows = order[positions]
-        rows = rows[np.lexsort((id_rank[rows], keys[rows]))]
-        order[positions] = rows
-        ordered[positions] = keys[rows]
-    return order, ordered
-
-
-# a build pass holds keys, order and sorted keys, then the order and sorted
-# keys beside the 16-byte run: four arrays; one more covers the shared id_rank
-_BUILD_PASS_ARRAYS = 5
+        return cls(fh, directory, fp, block_size=B, n=n, m=m, d=d, run_length=length)
 
 
 def build_index(
@@ -296,49 +276,52 @@ def build_index(
     block_size: int,
     directory,
     *,
+    run_length: int | None = None,
     stats_out: dict | None = None,
 ) -> NnIndex:
     """Write one sorted run per team member into one file and open it.
 
     Keys are the exact post-exchange distances of the ranking layer's own
     kernel, so index keys and the distances the exhaustive method computes
-    agree bit for bit. Entries sort by (key, object id), through
-    :func:`_key_id_order` with each row's rank in ``space.id_order()``.
-    Runs are computed one member per thread (``ranking._map_members``) and
-    written in member order by the calling thread, so the file holds the
-    same bytes on any number of threads; at most one run per worker is in
-    memory at a time, and no more workers than :data:`_BUILD_PASS_ARRAYS`
-    allows in one attribute matrix's bytes. The file appears under its final
-    name only once every run is written; build writes land in the build
-    counter only. ``stats_out``, when given, receives ``member_workers``: the
-    threads the runs were built on.
+    agree bit for bit. Each run holds a member's ``run_length`` best
+    entries, picked and ordered by (key, object id) with the exhaustive
+    method's own top-k kernel (``ranking._member_top``); ``run_length``
+    defaults to ``block_size``, is rounded up to whole blocks and is capped
+    at n. Runs are computed one member per thread
+    (``ranking._map_members``, as many at once as ``brute_force_rank``
+    runs) and written in member order by the calling thread, so the file
+    holds the same bytes on any number of threads. The file appears under
+    its final name only once every run is written; build writes land in the
+    build counter only. ``stats_out``, when given, receives
+    ``member_workers``: the threads the runs were built on.
     """
     if len(space) < 1:
         raise EmptySpace("cannot index an empty object space")
     w = weight_vector(w)
     fp = fingerprint(space, team, target, w, block_size)
+    if run_length is None:
+        run_length = block_size
+    if run_length < 1:
+        raise InvalidArgument(f"run_length must be >= 1, got {run_length}")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
 
     gap = diff(target, team)
     n = len(space)
     m = team.size
-    blocks = -(-n // block_size)
-    # each row's position in ascending id order, the tie-break of every run;
-    # computed here, with the space's cached digest, before any worker starts
-    id_rank = np.empty(n, dtype=np.intp)
-    id_rank[space.id_order()] = np.arange(n)
-    header = HEADER.pack(MAGIC, VERSION, space.dimension, m, n, block_size, bytes.fromhex(fp))
+    blocks = -(-min(run_length, n) // block_size)
+    length = min(blocks * block_size, n)
+    header = HEADER.pack(MAGIC, VERSION, space.dimension, m, n, length, block_size, bytes.fromhex(fp))
 
     def member_run(record) -> np.ndarray:
         keys = _exchange_distance_rows(gap + record.attrs, record.lam, space.attrs, space.lambdas, w)
-        order, sorted_keys = _key_id_order(keys, id_rank)
-        del keys
+        top = _member_top(keys, space.ids, length)
         run = np.empty(blocks * block_size, dtype=RECORD_DTYPE)
-        run["key"][:n] = sorted_keys
-        run["ordinal"][:n] = order
-        run["key"][n:] = np.inf
-        run["ordinal"][n:] = PAD_ORDINAL
+        run["key"][:length] = keys[top]
+        run["ordinal"][:length] = top
+        # only a run of all n entries can end inside a block
+        run["key"][length:] = np.inf
+        run["ordinal"][length:] = PAD_ORDINAL
         return run
 
     # the temporary name does not end in .idx, so no reader mistakes it for an index
@@ -346,9 +329,7 @@ def build_index(
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(header)
-            for run in _map_members(
-                member_run, team.members, n, space.dimension, _BUILD_PASS_ARRAYS, stats_out
-            ):
+            for run in _map_members(member_run, team.members, n, space.dimension, _PASS_ARRAYS, stats_out):
                 fh.write(run.data)
                 # dropped before the next member is submitted
                 del run
@@ -358,6 +339,6 @@ def build_index(
         raise
 
     fh = open(index_path(directory, fp), "rb")
-    index = NnIndex(fh, directory, fp, block_size=block_size, n=n, m=m, d=space.dimension)
+    index = NnIndex(fh, directory, fp, block_size=block_size, n=n, m=m, d=space.dimension, run_length=length)
     index.build_io.add_write(m * blocks)
     return index

@@ -2,19 +2,22 @@
 
 Both methods rank (swap-out member, swap-in candidate) pairs by the exact
 post-exchange distance to the target, with ties broken by ascending
-(swap-out id, swap-in id). The exhaustive method scores every pair. The index
-method reads, per member, the first ``top_k`` entries of that member's run,
-which the index keeps sorted by (exact distance, candidate id), and re-scores
-them with the same kernel; the merged result is identical to the exhaustive
-baseline.
+(swap-out id, swap-in id). The exhaustive method scores every pair and keeps
+each member's best ``top_k`` with one top-k kernel (``_member_top``). The
+index build keeps each member's run with the same kernel, so a run is that
+member's best entries in (exact distance, candidate id) order; the index
+method reads the first ``top_k`` of them and re-scores them with the same
+distance kernel. The merged result is identical to the exhaustive baseline,
+and a run shorter than ``top_k`` raises ``ShortIndex`` instead of answering.
 
 Both methods work member by member. The exhaustive method's per-member
-passes, and the index build's, run on one thread per member once the space
-is larger than one kernel block (``_map_members``), up to the usable cores
-and up to as many passes as fit in the bytes of the space's attribute
-matrix; entries are merged in member order by the calling thread, so the
-result is byte-identical on any number of threads. The index method reads only
-``top_k`` rows per member and stays on the calling thread.
+passes, and the index build's, which hold the same arrays, run on one thread
+per member once the space is larger than one kernel block
+(``_map_members``), up to the usable cores and up to as many passes as fit in
+the bytes of the space's attribute matrix; entries are merged in member order
+by the calling thread, so the result is byte-identical on any number of
+threads. The index method reads only ``top_k`` rows per member and stays on
+the calling thread.
 
 The paper's index key is kept as a reported quantity. It maps each member R
 to a *virtual object*: the rate vector that a replacement would need, per
@@ -219,13 +222,19 @@ def _exchange_distance_rows(
 
 
 def _member_top(dist: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
-    """Positions of the smallest k distances, ordered with ties by ascending id."""
+    """Positions of the smallest k distances, ordered with ties by ascending id.
+
+    The order is the first k entries of ``np.lexsort((ids, dist))``, and
+    there are always min(k, n) of them: NaN distances sort last, as in
+    lexsort.
+    """
     n = dist.size
     if k >= n:
         candidates = np.arange(n)
     else:
         kth = np.partition(dist, k - 1)[k - 1]
-        candidates = np.nonzero(dist <= kth)[0]
+        # "not greater" rather than "at most": a NaN k-th keeps every row
+        candidates = np.nonzero(~(dist > kth))[0]
     order = np.lexsort((ids[candidates], dist[candidates]))
     return candidates[order[:k]]
 
@@ -279,9 +288,10 @@ def _map_members(
             yield pending.popleft().result()
 
 
-# a bf pass holds its distances and their partition copy; the kernel block,
-# the selection mask and the candidates round that up to three arrays
-_BF_PASS_ARRAYS = 3
+# a member pass, of bf or of an index build, holds its distances and their
+# partition copy; the kernel block, the selection mask, the candidates and
+# the chosen entries round that up to three arrays
+_PASS_ARRAYS = 3
 
 
 def _member_entries(
@@ -370,7 +380,7 @@ def brute_force_rank(
             team.members,
             len(space),
             space.dimension,
-            _BF_PASS_ARRAYS,
+            _PASS_ARRAYS,
             stats_out,
         )
     )
@@ -389,12 +399,14 @@ def rtc_star_rank(
 ) -> list[SwapRecommendation]:
     """Index-backed ranking, guaranteed equal to :func:`brute_force_rank`.
 
-    Each member's run is sorted by (exact distance, candidate id), the order
-    the exhaustive method ranks that member's swaps in, so its first
-    ``top_k`` entries, one read of ceil(top_k / block_size) blocks, are that
-    member's best swaps. They are re-scored by the shared kernel, so reported
-    distances come from the kernel and the keys only decide which rows are
-    read.
+    Each member's run holds that member's best entries by (exact distance,
+    candidate id), picked by the exhaustive method's own top-k kernel, so its
+    first ``top_k`` entries, one read of ceil(top_k / block_size) blocks, are
+    that member's best swaps. They are re-scored by the shared kernel, so
+    reported distances come from the kernel and the keys only decide which
+    rows are read. An index whose runs hold fewer than min(top_k, n) entries
+    raises ``ShortIndex`` (a ``StaleIndex``); build it with
+    ``run_length >= top_k``.
 
     ``stats_out``, when given, receives per-member block reads
     (``per_member_reads``) and entries re-scored per member

@@ -84,7 +84,8 @@ def exactness_sweep():
 
             expected = brute_force_rank(inst.team, inst.target, inst.space, inst.weights, inst.top_k)
             with build_index(
-                inst.space, inst.team, inst.target, inst.weights, inst.block_size, tmp
+                inst.space, inst.team, inst.target, inst.weights, inst.block_size, tmp,
+                run_length=inst.top_k,
             ) as index:
                 got = rtc_star_rank(inst.team, inst.target, inst.space, inst.weights, index, inst.top_k)
 

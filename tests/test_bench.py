@@ -139,12 +139,14 @@ class TestRunExperiment:
         # 300 rows are one kernel block: every member pass runs on the caller's thread
         assert report.timing["member_workers"] == 1
         pretend_cores(monkeypatch, 3)
-        # twelve dimensions fit four bf passes or two build passes in the attribute matrix
+        # twelve dimensions fit four member passes, of bf or of a build, in the
+        # attribute matrix, so the cores cap both
         params = {f"{name}{j}": value for j in range(4) for name, value in PARAMS.items()}
         dataset = {"kind": "synthetic", "n": 5000, "params": params, "seed": 3}
         big = run_experiment(mini_config(dataset=dataset, n_teams=1, timing_repeats=1))
         assert big.timing["member_workers"] == 3
         assert all(row.methods_agree for row in big.rows)
+        pretend_cores(monkeypatch, 2)
         built = run_experiment(mini_config(dataset=dataset, n_teams=1, timing_repeats=1, methods=["rtcstar"]))
         assert built.timing["member_workers"] == 2
 

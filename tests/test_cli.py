@@ -9,11 +9,17 @@ import pytest
 from teamrank import dataio
 from teamrank.bench import ExperimentConfig, run_experiment
 from teamrank.cli import cli_main
+from teamrank.nnindex import HEADER
 
 
 @pytest.fixture()
 def league(tmp_path):
     """Small three-team league in the documented CSV contract."""
+    return write_league(tmp_path)
+
+
+def write_league(tmp_path, per_team=4):
+    """Three teams of ``per_team`` players each, written as CSV files and manifests."""
     rng = np.random.default_rng(5)
     attrs = ["FG", "AST", "TRB"]
 
@@ -23,7 +29,7 @@ def league(tmp_path):
         writer.writerow(["id", "name", "Tm", "MP", *attrs])
         pid = 0
         for tm in ["AAA", "BBB", "CCC"]:
-            for _ in range(4):
+            for _ in range(per_team):
                 writer.writerow(
                     [f"p{pid:03d}", f"Player {pid}", tm, int(rng.integers(500, 3000)),
                      *map(int, rng.integers(20, 600, size=3))]
@@ -133,6 +139,37 @@ class TestSubcommands:
                             "--top-k", "2"], capsys)
         assert code == 0
         assert json.loads(out)["recommendations"] == rtc["recommendations"]
+
+    def test_short_index_is_rebuilt_for_a_longer_top_k(self, capsys, tmp_path):
+        league = write_league(tmp_path, per_team=15)
+        idx = tmp_path / "idx"
+        flags = [*real_flags(league), "--team", "BBB", "--block-size", "3", "--index-dir", str(idx)]
+
+        def run_length(path):
+            return HEADER.unpack(path.read_bytes()[: HEADER.size])[5]
+
+        code, out, _ = run(["index", "build", *flags, "--top-k", "5"], capsys)
+        assert code == 0
+        built = json.loads(out)
+        path = idx / built["files"][0]
+        assert built["config"]["top_k"] == 5
+        assert built["data_blocks_per_partition"] == 2
+        assert run_length(path) == 6
+        code, out, _ = run(["rank", "--method", "rtcstar", *flags, "--top-k", "30"], capsys)
+        assert code == 0
+        rtc = json.loads(out)["recommendations"]
+        assert run_length(path) >= 30
+        assert sorted(p.name for p in idx.iterdir()) == built["files"]
+        code, out, _ = run(["rank", "--method", "bf", *real_flags(league), "--team", "BBB",
+                            "--top-k", "30"], capsys)
+        assert code == 0
+        assert json.loads(out)["recommendations"] == rtc
+        assert len(rtc) == 30
+        # a run long enough for the query is reused as it is
+        rebuilt = path.read_bytes()
+        code, out, _ = run(["rank", "--method", "rtcstar", *flags, "--top-k", "7"], capsys)
+        assert code == 0
+        assert path.read_bytes() == rebuilt
 
     def test_gen_is_reproducible(self, league, capsys, tmp_path):
         params = tmp_path / "params.json"
@@ -247,7 +284,7 @@ class TestExitCodes:
                             "--block-size", "3", "--index-dir", str(idx)], capsys)
         assert code == 0
         partition = idx / json.loads(out)["files"][0]
-        partition.write_bytes(partition.read_bytes()[:44 + 2 * 16])
+        partition.write_bytes(partition.read_bytes()[: HEADER.size + 2 * 16])
         code, out, err = run(["rank", "--method", "rtcstar", *real_flags(league), "--team", "BBB",
                               "--top-k", "2", "--block-size", "3", "--index-dir", str(idx)], capsys)
         assert code == 2

@@ -1,4 +1,5 @@
 import hashlib
+import struct
 import threading
 
 import numpy as np
@@ -7,18 +8,22 @@ import pytest
 from conftest import pretend_cores
 from teamrank.core import ObjectSpace, TargetContext, diff, team_from_ids
 from teamrank.dataio import NbParams, gen_synthetic
-from teamrank.errors import InvalidArgument, InvalidPartition, StaleIndex
+from teamrank.errors import InvalidArgument, InvalidPartition, ShortIndex, StaleIndex
 from teamrank import nnindex
 from teamrank.nnindex import (
-    _BUILD_PASS_ARRAYS,
     HEADER,
     NnIndex,
-    _key_id_order,
     build_index,
     fingerprint,
     index_path,
 )
-from teamrank.ranking import _CHUNK_ROWS, _exchange_distance_rows, brute_force_rank, rtc_star_rank
+from teamrank.ranking import (
+    _CHUNK_ROWS,
+    _PASS_ARRAYS,
+    _exchange_distance_rows,
+    brute_force_rank,
+    rtc_star_rank,
+)
 
 
 def make_setup(seed=0, n=40, d=3, m=2, lambda_range=(1.0, 50.0)):
@@ -46,24 +51,24 @@ def query_min(index, space, member, k):
 class TestBuild:
     def test_block_arithmetic_and_file_size(self, tmp_path):
         space, team, target, w = make_setup(n=5, m=2)
-        with build_index(space, team, target, w, block_size=2, directory=tmp_path) as index:
+        with build_index(space, team, target, w, block_size=2, directory=tmp_path, run_length=5) as index:
             assert index.data_blocks == 3
             assert index.build_io.blocks_written == 2 * 3
-            assert HEADER.size == 44
+            assert HEADER.size == 52
             path = index_path(tmp_path, index.fingerprint)
             assert list(tmp_path.iterdir()) == [path]
             assert path.stat().st_size == HEADER.size + 2 * 3 * 2 * 16
 
     def test_partitions_are_globally_sorted_runs(self, tmp_path):
         space, team, target, w = make_setup(seed=3, n=100, m=3)
-        with build_index(space, team, target, w, block_size=7, directory=tmp_path) as index:
+        with build_index(space, team, target, w, 7, tmp_path, run_length=len(space)) as index:
             for member in range(index.m):
                 _, keys = index.query_min_raw(member, len(space))
                 assert np.all(np.diff(keys) >= 0)
 
     def test_keys_match_fresh_computation_bit_for_bit(self, tmp_path):
         space, team, target, w = make_setup(seed=5, n=60, m=2)
-        with build_index(space, team, target, w, block_size=10, directory=tmp_path) as index:
+        with build_index(space, team, target, w, 10, tmp_path, run_length=len(space)) as index:
             for member_index, record in enumerate(team.members):
                 fresh = exact_keys(space, team, target, w, record)
                 stored = np.full(len(space), np.nan)
@@ -73,7 +78,7 @@ class TestBuild:
 
     def test_every_object_appears_exactly_once_per_partition(self, tmp_path):
         space, team, target, w = make_setup(seed=7, n=33, m=2)
-        with build_index(space, team, target, w, block_size=4, directory=tmp_path) as index:
+        with build_index(space, team, target, w, 4, tmp_path, run_length=len(space)) as index:
             for member in range(index.m):
                 ordinals, _ = index.query_min_raw(member, len(space))
                 assert sorted(ordinals.tolist()) == list(range(len(space)))
@@ -139,14 +144,14 @@ class TestThreadedBuild:
     # more rows than one kernel block, and enough dimensions that four
     # members' runs fit in the attribute matrix, so runs are built on a pool
     N = 3 * _CHUNK_ROWS + 7
-    D = 4 * _BUILD_PASS_ARRAYS
-    # computed with the one-thread build; runs written in member order make
-    # the file independent of the thread count
+    D = 4 * _PASS_ARRAYS
+    # computed with the one-thread build of full runs; runs written in member
+    # order make the file independent of the thread count
     PINNED = {
-        1: "bf2c917500aa74e6d1ee2da988a07c43a99e9f8cdbaa8cfffdec21d5ad83313e",
-        2: "acbe45e44f887b65c5150cf129d40fd926528b66ba0c4085324d674519baeb51",
-        5: "419b3a5062b98be003e22400a90b34b575110d010892ec9299c02c1a0f0fd525",
-        7: "31b0c81e997cf03fb83383bfc38375711134a3ebefb330c3a915915117d3cc42",
+        1: "d6d4936534a525c974c7d62541ecfd1b50cc0e224f69b811dd716ce9d5d3a195",
+        2: "c6e9ff6159640e09a207d96dcda1e4dd209e22d7bcfa741857cee0a9f33723cf",
+        5: "11520687b0ea48dbbee9eb4492c95de2f592c3ca990c03193f79c375306ec477",
+        7: "94c5748bbfb43f835a24c9b41b52435414310f9d235599121e1241c1e5ec9c1f",
     }
 
     @pytest.mark.parametrize("cores", [1, 2, 4])
@@ -155,7 +160,7 @@ class TestThreadedBuild:
         pretend_cores(monkeypatch, cores)
         space, team, target, w = make_setup(seed=30 + m, n=self.N, d=self.D, m=m)
         stats = {}
-        with build_index(space, team, target, w, 10, tmp_path, stats_out=stats) as index:
+        with build_index(space, team, target, w, 10, tmp_path, run_length=self.N, stats_out=stats) as index:
             raw = index_path(tmp_path, index.fingerprint).read_bytes()
         assert hashlib.sha256(raw).hexdigest() == self.PINNED[m]
         assert stats["member_workers"] == min(m, cores)
@@ -196,7 +201,7 @@ class TestRunOrder:
     def test_runs_are_in_lexsort_key_id_order(self, tmp_path):
         space, team, target, w = tie_heavy_setup()
         assert not np.array_equal(space.id_order(), np.arange(len(space)))
-        with build_index(space, team, target, w, 7, tmp_path) as index:
+        with build_index(space, team, target, w, 7, tmp_path, run_length=len(space)) as index:
             for member_index, record in enumerate(team.members):
                 keys = exact_keys(space, team, target, w, record)
                 assert np.count_nonzero(keys == 0.0) > 100
@@ -206,30 +211,43 @@ class TestRunOrder:
     def test_index_file_bytes_are_pinned(self, tmp_path):
         # any change to a key's bits or to the (key, id) order changes this digest
         space, team, target, w = tie_heavy_setup()
-        with build_index(space, team, target, w, 7, tmp_path) as index:
+        with build_index(space, team, target, w, 7, tmp_path, run_length=len(space)) as index:
             raw = index_path(tmp_path, index.fingerprint).read_bytes()
         assert hashlib.sha256(raw).hexdigest() == (
-            "ab4042f9acf4e2e5349a803fe941d291d3cd15f6147a1a851a671a391a405633"
+            "b3b2c1becc9c6ded9d025c95b6f3a99599047c5794ee1c993460c00420950ec6"
         )
 
-    def test_tie_only_sort_matches_lexsort(self):
-        rng = np.random.default_rng(4)
-        n = 2000
-        ids = np.array([f"i{j:04d}" for j in rng.permutation(n)])
-        id_rank = np.empty(n, dtype=np.intp)
-        id_rank[np.argsort(ids)] = np.arange(n)
-        mixed = rng.random(n)
-        mixed[:600] = rng.integers(0, 20, 600)
-        mixed[600:650] = np.inf
-        mixed[650:680] = np.nan
-        mixed[680:700] = -0.0
-        rng.shuffle(mixed)
-        for keys in (rng.random(n), np.zeros(n), mixed):
-            order, sorted_keys = _key_id_order(keys, id_rank)
-            expected = np.lexsort((ids, keys))
-            assert np.array_equal(order, expected)
-            # bit for bit: the tied -0.0 and 0.0 keys, and the NaNs, sit where their rows do
-            assert np.array_equal(sorted_keys.view(np.uint64), keys[expected].view(np.uint64))
+    @pytest.mark.parametrize("length", ["1", "B-1", "B", "B+1", "n-1", "n", "2n"])
+    def test_each_run_is_the_lexsort_prefix(self, tmp_path, monkeypatch, length):
+        space, team, target, w = tie_heavy_setup()
+        # n - 1 is 23 whole blocks of 13, so that run ends one entry short of n
+        n, b = len(space), 13
+        run_length = {"1": 1, "B-1": b - 1, "B": b, "B+1": b + 1, "n-1": n - 1, "n": n, "2n": 2 * n}[length]
+        kept = min(-(-run_length // b) * b, n)
+
+        def signed_keys(*args):
+            # -0.0 ties +0.0 on every other row; NaN keys sort last, as in lexsort
+            keys = _exchange_distance_rows(*args)
+            keys[::2] = np.where(keys[::2] == 0.0, -0.0, keys[::2])
+            keys[[10, 60, 110, 210, 260]] = np.nan
+            return keys
+
+        monkeypatch.setattr(nnindex, "_exchange_distance_rows", signed_keys)
+        with build_index(space, team, target, w, b, tmp_path, run_length=run_length) as index:
+            assert index.run_length == kept
+            assert index.data_blocks == -(-kept // b)
+            raw = index_path(tmp_path, index.fingerprint).read_bytes()
+        runs = np.frombuffer(raw[HEADER.size:], dtype=nnindex.RECORD_DTYPE).reshape(team.size, -1)
+        for run, record in zip(runs, team.members):
+            keys = signed_keys(diff(target, team) + record.attrs, record.lam, space.attrs, space.lambdas, w)
+            assert np.count_nonzero(keys == 0.0) > 100 and np.signbit(keys[keys == 0.0]).any()
+            expected = np.lexsort((space.ids, keys))[:kept]
+            assert np.array_equal(run["ordinal"][:kept], expected)
+            # bit for bit: each -0.0, 0.0 and NaN key sits where its row does
+            assert np.array_equal(run["key"][:kept].view(np.uint64), keys[expected].view(np.uint64))
+            # only a run of all n entries ends inside a block; padding fills the rest
+            assert np.all(run["key"][kept:] == np.inf)
+            assert np.all(run["ordinal"][kept:] == nnindex.PAD_ORDINAL)
 
 
 class TestQueryMin:
@@ -244,7 +262,7 @@ class TestQueryMin:
 
     def test_k_equals_n_reads_whole_partition_in_order(self, tmp_path):
         space, team, target, w = make_setup(seed=2, n=23, m=2)
-        with build_index(space, team, target, w, 4, tmp_path) as index:
+        with build_index(space, team, target, w, 4, tmp_path, run_length=23) as index:
             entries = query_min(index, space, 0, 23)
             assert index.query_io.blocks_read == index.data_blocks
             keys = [k for _, k in entries]
@@ -261,7 +279,7 @@ class TestQueryMin:
 
     def test_k_larger_than_n_returns_everything(self, tmp_path):
         space, team, target, w = make_setup(seed=6, n=9, m=1)
-        with build_index(space, team, target, w, 4, tmp_path) as index:
+        with build_index(space, team, target, w, 4, tmp_path, run_length=9) as index:
             entries = query_min(index, space, 0, 1000)
             assert len(entries) == 9
             assert index.query_io.blocks_read == index.data_blocks
@@ -273,7 +291,7 @@ class TestQueryMin:
             b = int(rng.integers(1, 12))
             k = int(rng.integers(1, n + 1))
             space, team, target, w = make_setup(seed=trial, n=n, m=1)
-            with build_index(space, team, target, w, b, tmp_path / str(trial)) as index:
+            with build_index(space, team, target, w, b, tmp_path / str(trial), run_length=k) as index:
                 query_min(index, space, 0, k)
                 assert index.query_io.blocks_read == -(-k // b)
                 assert index.query_io.queries_served == 1
@@ -296,7 +314,7 @@ class TestQueryMin:
         space = ObjectSpace.from_records(records, ("x", "y"))
         team = team_from_records([records[0]], team_id="C")
         target = TargetContext(team_id="T", aggregate=[120.0, 120.0])
-        with build_index(space, team, target, [1.0, 1.0], 2, tmp_path) as index:
+        with build_index(space, team, target, [1.0, 1.0], 2, tmp_path, run_length=6) as index:
             entries = query_min(index, space, 0, 6)
             assert [obj for obj, _ in entries] == [f"p{i}" for i in range(6)]
 
@@ -311,7 +329,7 @@ class TestQueryMin:
 
     def test_concurrent_queries_do_not_lose_counts_or_corrupt_reads(self, tmp_path):
         space, team, target, w = make_setup(seed=14, n=64, m=2)
-        with build_index(space, team, target, w, 1, tmp_path) as index:
+        with build_index(space, team, target, w, 1, tmp_path, run_length=64) as index:
             baseline = {
                 (member, k): query_min(index, space, member, k)
                 for member in range(2)
@@ -345,6 +363,7 @@ class TestOpenAndFingerprint:
         built.close()
         with NnIndex.open(tmp_path, built.fingerprint, space) as reopened:
             assert reopened.m == 2
+            assert (reopened.run_length, reopened.data_blocks) == (built.run_length, built.data_blocks) == (5, 1)
             assert query_min(reopened, space, 0, 4) == expected
 
     def test_open_unknown_fingerprint(self, tmp_path):
@@ -373,7 +392,7 @@ class TestOpenAndFingerprint:
 class TestDamagedPartitions:
     def build_closed(self, tmp_path, n=60):
         space, team, target, w = make_setup(seed=21, n=n, m=2)
-        build_index(space, team, target, w, 4, tmp_path).close()
+        build_index(space, team, target, w, 4, tmp_path, run_length=n).close()
         fp = fingerprint(space, team, target, w, 4)
         return space, fp, index_path(tmp_path, fp)
 
@@ -414,7 +433,7 @@ class TestDamagedPartitions:
         team = team_from_records([rec("m", [1.0, 10.0])], team_id="C")
         target = TargetContext(team_id="T", aggregate=[3.0, 5.0])
         w, k, b = np.ones(2), 3, 2
-        build_index(space, team, target, w, b, tmp_path).close()
+        build_index(space, team, target, w, b, tmp_path, run_length=k).close()
         fp = fingerprint(space, team, target, w, b)
         with NnIndex.open(tmp_path, fp, space) as index:
             stats = {}
@@ -437,3 +456,68 @@ class TestDamagedPartitions:
             path.write_bytes(bytes(raw))
             with pytest.raises(StaleIndex):
                 NnIndex.open(tmp_path, fp, space)
+
+    def test_version_4_file_is_stale(self, tmp_path):
+        # a version-4 file held all n entries per run behind a 44-byte header;
+        # its data bytes are those of a version-5 file of full runs
+        space, fp, path = self.build_closed(tmp_path)
+        magic, _, d, m, n, length, b, digest = HEADER.unpack(path.read_bytes()[: HEADER.size])
+        assert length == n
+        old_header = struct.pack("<8sHHIQI16s", magic, 4, d, m, n, b, digest)
+        path.write_bytes(old_header + path.read_bytes()[HEADER.size :])
+        with pytest.raises(StaleIndex, match="version"):
+            NnIndex.open(tmp_path, fp, space)
+
+    @pytest.mark.parametrize("length", [0, 5, 61])
+    def test_run_length_that_does_not_fit_the_blocks_is_stale(self, tmp_path, length):
+        # runs are whole blocks of 4 real entries, or all 60
+        space, fp, path = self.build_closed(tmp_path)
+        raw = bytearray(path.read_bytes())
+        raw[24:32] = length.to_bytes(8, "little")
+        path.write_bytes(bytes(raw))
+        with pytest.raises(StaleIndex, match="run length"):
+            NnIndex.open(tmp_path, fp, space)
+
+
+class TestRunLength:
+    def test_default_run_is_one_block(self, tmp_path):
+        space, team, target, w = make_setup(seed=22, n=40, m=2)
+        with build_index(space, team, target, w, 6, tmp_path) as index:
+            assert (index.run_length, index.data_blocks) == (6, 1)
+            assert index.build_io.blocks_written == 2
+            assert index_path(tmp_path, index.fingerprint).stat().st_size == HEADER.size + 2 * 6 * 16
+
+    def test_longer_query_than_the_run_raises_short_index(self, tmp_path):
+        space, team, target, w = make_setup(seed=23, n=40, m=2)
+        with build_index(space, team, target, w, 4, tmp_path, run_length=6) as index:
+            assert index.run_length == 8
+            assert len(query_min(index, space, 1, 8)) == 8
+            with pytest.raises(ShortIndex):
+                index.query_min_raw(1, 9)
+            # the rule holds on a reopened file too, and nothing is read or counted
+            with NnIndex.open(tmp_path, index.fingerprint, space) as reopened:
+                with pytest.raises(ShortIndex):
+                    reopened.query_min_raw(0, 9)
+                with pytest.raises(StaleIndex):
+                    rtc_star_rank(team, target, space, w, reopened, 9)
+                assert reopened.query_io.snapshot() == nnindex.IoSnapshot(0, 0, 0)
+            assert rtc_star_rank(team, target, space, w, index, 8) == brute_force_rank(team, target, space, w, 8)
+
+    def test_run_of_all_entries_answers_any_k(self, tmp_path):
+        space, team, target, w = make_setup(seed=24, n=10, m=2)
+        with build_index(space, team, target, w, 4, tmp_path, run_length=10) as index:
+            assert len(query_min(index, space, 0, 50)) == 10
+            assert rtc_star_rank(team, target, space, w, index, 50) == brute_force_rank(team, target, space, w, 50)
+        with build_index(space, team, target, w, 4, tmp_path / "short", run_length=8) as index:
+            with pytest.raises(ShortIndex):
+                index.query_min_raw(0, 50)
+
+    def test_run_length_is_not_part_of_the_fingerprint(self, tmp_path):
+        space, team, target, w = make_setup(seed=25, n=30, m=2)
+        fp = fingerprint(space, team, target, w, 5)
+        for run_length in (1, 12, 30):
+            with build_index(space, team, target, w, 5, tmp_path, run_length=run_length) as index:
+                assert index.fingerprint == fp
+        assert list(tmp_path.iterdir()) == [index_path(tmp_path, fp)]
+        with pytest.raises(InvalidArgument):
+            build_index(space, team, target, w, 5, tmp_path, run_length=0)

@@ -22,14 +22,15 @@ from teamrank.core import (
     truncating_vector,
 )
 from teamrank.errors import DimensionMismatch, InvalidArgument, NotAMember, StaleIndex
-from teamrank.nnindex import _BUILD_PASS_ARRAYS, build_index
+from teamrank.nnindex import build_index
 from teamrank.ranking import (
-    _BF_PASS_ARRAYS,
     _CHUNK_ROWS,
+    _PASS_ARRAYS,
     NormalizedCandidate,
     _exchange_distance_rows,
     _map_members,
     _member_entries,
+    _member_top,
     _member_workers,
     _merge_and_rank,
     brute_force_rank,
@@ -173,7 +174,7 @@ class TestRowKernels:
         # n x d temporary already reaches the bound
         assert self.traced_peak(method, tmp_path) < self.MEMORY_N * self.MEMORY_D * 8
 
-    @pytest.mark.parametrize("method, workers", [("bf", 3), ("build", 2)])
+    @pytest.mark.parametrize("method, workers", [("bf", 3), ("build", 3)])
     def test_peak_memory_bound_holds_on_many_cores(self, method, workers, tmp_path, monkeypatch):
         # the worker count is capped by memory, not only by cores
         pretend_cores(monkeypatch, 8)
@@ -262,6 +263,15 @@ class TestBruteForce:
         assert recs[0].new_distance == recs[1].new_distance
 
 
+    def test_member_top_sorts_nan_distances_last_and_never_returns_fewer(self):
+        # a distance is NaN only where the kernel meets inf - inf, at attribute
+        # values near the float64 limit; lexsort puts such rows last, by id
+        dist = np.array([1.0, np.nan, np.nan, 0.5, np.nan])
+        ids = np.array(["a", "e", "c", "d", "b"])
+        for k in range(1, 7):
+            assert _member_top(dist, ids, k).tolist() == [3, 0, 4, 2, 1][:k]
+
+
 class TestMemberThreads:
     # more rows than one kernel block, so the passes run on a pool
     N = 3 * _CHUNK_ROWS + 7
@@ -276,12 +286,14 @@ class TestMemberThreads:
 
     def test_worker_count_is_capped_by_the_attribute_matrix(self, monkeypatch):
         pretend_cores(monkeypatch, 64)
-        # d // pass_arrays passes fit in the bytes of one n x d matrix
-        assert _member_workers(7, self.N, 11, _BF_PASS_ARRAYS) == 3
-        assert _member_workers(7, self.N, 11, _BUILD_PASS_ARRAYS) == 2
-        assert _member_workers(7, self.N, 20, _BUILD_PASS_ARRAYS) == 4
+        # d // pass_arrays passes fit in the bytes of one n x d matrix; a bf
+        # pass and an index build's pass hold the same arrays
+        assert _PASS_ARRAYS == 3
+        assert _member_workers(7, self.N, 11, _PASS_ARRAYS) == 3
+        assert _member_workers(7, self.N, 12, _PASS_ARRAYS) == 4
+        assert _member_workers(7, self.N, 20, _PASS_ARRAYS) == 6
         # a pass larger than the matrix still runs, on the calling thread
-        assert _member_workers(7, self.N, 3, _BUILD_PASS_ARRAYS) == 1
+        assert _member_workers(7, self.N, 2, _PASS_ARRAYS) == 1
 
     def test_cpu_count_without_affinity(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
@@ -333,7 +345,7 @@ class TestMemberThreads:
         pretend_cores(monkeypatch, cores)
         rng = np.random.default_rng(40 + m)
         # enough dimensions that four bf passes fit in the attribute matrix
-        d = 4 * _BF_PASS_ARRAYS
+        d = 4 * _PASS_ARRAYS
         space = ObjectSpace(
             ids=[f"o{i:05d}" for i in rng.permutation(self.N)],
             lambdas=rng.uniform(1.0, 50.0, size=self.N),
@@ -356,7 +368,7 @@ class TestMemberThreads:
 class TestRtcStar:
     def test_matches_brute_force_on_derived_instance(self, tmp_path):
         space, team, target, w = derived_instance()
-        with build_index(space, team, target, w, 1, tmp_path) as index:
+        with build_index(space, team, target, w, 1, tmp_path, run_length=4) as index:
             assert rtc_star_rank(team, target, space, w, index, 4) == brute_force_rank(
                 team, target, space, w, 4
             )
@@ -423,7 +435,8 @@ class TestRtcStar:
             expected = brute_force_rank(inst.team, inst.target, inst.space, inst.weights, inst.top_k)
             with tempfile.TemporaryDirectory() as tmp:
                 with build_index(
-                    inst.space, inst.team, inst.target, inst.weights, inst.block_size, tmp
+                    inst.space, inst.team, inst.target, inst.weights, inst.block_size, tmp,
+                    run_length=inst.top_k,
                 ) as index:
                     stats = {}
                     got = rtc_star_rank(
