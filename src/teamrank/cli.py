@@ -30,7 +30,7 @@ from .dataio import (
     load_teams,
     write_objects_csv,
 )
-from .errors import InvalidArgument, TeamRankError
+from .errors import InvalidArgument, OldIndex, TeamRankError
 from .nnindex import NnIndex, build_index, fingerprint, index_path
 from .ranking import brute_force_rank, rtc_star_rank
 from .weighting import compute_weights
@@ -90,7 +90,8 @@ def _render_pretty(payload: dict, indent: int = 0) -> str:
 def _load_real(args):
     objects_manifest = load_manifest(args.manifest)
     teams_manifest = load_manifest(args.teams_manifest)
-    space, rosters = load_objects_and_rosters(args.objects, objects_manifest)
+    # a command with an index directory keeps its parse of the objects file there too
+    space, rosters = load_objects_and_rosters(args.objects, objects_manifest, getattr(args, "index_dir", None))
     targets, wins = load_teams(args.teams, teams_manifest)
     stats = np.stack([t.aggregate for t in targets])
     weights = compute_weights(stats, wins).weights
@@ -185,11 +186,16 @@ def _cmd_rank(args) -> dict:
             fp = fingerprint(space, team, target, weights, args.block_size)
             index = None
             if index_path(index_dir, fp).exists():
-                index = NnIndex.open(index_dir, fp, space)
-                # runs too short for this top_k are rebuilt, as a missing file is
-                if index.run_length < min(args.top_k, len(space)):
-                    index.close()
-                    index = None
+                # a file of an earlier format version, or with runs too short
+                # for this top_k, is rebuilt, as a missing file is
+                try:
+                    index = NnIndex.open(index_dir, fp, space)
+                except OldIndex:
+                    pass
+                else:
+                    if index.run_length < min(args.top_k, len(space)):
+                        index.close()
+                        index = None
             if index is None:
                 index = build_index(
                     space, team, target, weights, args.block_size, index_dir, run_length=args.top_k

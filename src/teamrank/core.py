@@ -104,14 +104,20 @@ class ObjectRecord:
 class ObjectSpace:
     """A fixed collection of uniformly dimensioned records, array-backed.
 
-    Treated as immutable after construction. The id -> row map is built
-    once, in the constructor, where it also proves the ids unique; the rate
-    matrix (attributes divided by each record's exchange parameter),
-    per-dimension rate minima, the ascending-id row order and the content
-    digest are computed lazily and cached.
+    Treated as immutable after construction. The constructor sorts the row
+    positions by id once (``id_order``) and proves the ids unique with one
+    comparison of neighbouring ids in that order; ``index_of`` and ``in``
+    binary-search the same order. The rate matrix (attributes divided by
+    each record's exchange parameter), per-dimension rate minima and the
+    content digest are computed lazily and cached.
+
+    ``id_order`` and ``digest``, when given, are those of an earlier space
+    over the same arrays, such as a stored snapshot's. ``id_order`` is
+    checked by the same neighbour comparison and sorted afresh when it
+    fails it; ``digest`` is taken as given.
     """
 
-    def __init__(self, ids, lambdas, attrs, attribute_names, labels=None):
+    def __init__(self, ids, lambdas, attrs, attribute_names, labels=None, *, id_order=None, digest=None):
         self.ids = np.asarray(ids, dtype=np.str_)
         self.lambdas = np.asarray(lambdas, dtype=np.float64)
         self.attrs = np.ascontiguousarray(attrs, dtype=np.float64)
@@ -129,9 +135,11 @@ class ObjectSpace:
             )
         if self.ids.shape != (n,) or self.lambdas.shape != (n,) or self.labels.shape != (n,):
             raise DimensionMismatch("ids, labels and lambdas must each have one entry per record")
-        self._index_of = dict(zip(self.ids.tolist(), range(n)))
-        if len(self._index_of) != n:
-            raise InvalidArgument("object ids must be unique within a space")
+        if id_order is None or not self._ascending(np.asarray(id_order)):
+            id_order = np.argsort(self.ids, kind="stable")
+            if not self._ascending(id_order):
+                raise InvalidArgument("object ids must be unique within a space")
+        self._id_order = np.asarray(id_order)
         if not np.all(np.isfinite(self.lambdas)) or np.any(self.lambdas <= 0.0):
             raise InvalidLambda("every exchange parameter must be finite and > 0")
         if not np.all(np.isfinite(self.attrs)):
@@ -139,8 +147,16 @@ class ObjectSpace:
 
         self._rates: np.ndarray | None = None
         self._min_rates: np.ndarray | None = None
-        self._id_order: np.ndarray | None = None
-        self._digest: str | None = None
+        self._digest: str | None = digest
+
+    def _ascending(self, order: np.ndarray) -> bool:
+        """Whether ``order`` lists every row position once, in strictly ascending id order."""
+        n = len(self.ids)
+        if order.shape != (n,) or order.dtype.kind not in "iu" or order.min() < 0 or order.max() >= n:
+            return False
+        # strictly ascending ids repeat no row, so n in-range positions are every row once
+        ranked = self.ids if (order == np.arange(n)).all() else self.ids[order]
+        return bool((ranked[1:] > ranked[:-1]).all())
 
     @classmethod
     def from_records(cls, records: Sequence[ObjectRecord], attribute_names) -> "ObjectSpace":
@@ -178,14 +194,24 @@ class ObjectSpace:
     def records(self) -> list[ObjectRecord]:
         return [self.record(i) for i in range(len(self))]
 
+    def _row_of(self, object_id) -> int | None:
+        key = str(object_id)
+        at = int(np.searchsorted(self.ids, key, sorter=self._id_order))
+        if at < len(self.ids):
+            row = int(self._id_order[at])
+            # the search drops a key's trailing NULs; an element compares as a Python string
+            if self.ids[row] == key:
+                return row
+        return None
+
     def index_of(self, object_id: str) -> int:
-        try:
-            return self._index_of[str(object_id)]
-        except KeyError:
-            raise NotAMember(f"object {object_id!r} is not in the space") from None
+        row = self._row_of(object_id)
+        if row is None:
+            raise NotAMember(f"object {object_id!r} is not in the space")
+        return row
 
     def __contains__(self, object_id) -> bool:
-        return str(object_id) in self._index_of
+        return self._row_of(object_id) is not None
 
     def rates(self) -> np.ndarray:
         """Attribute matrix divided row-wise by each record's exchange parameter."""
@@ -200,8 +226,6 @@ class ObjectSpace:
 
     def id_order(self) -> np.ndarray:
         """Row positions in ascending id order; ids are unique, so the order is too."""
-        if self._id_order is None:
-            self._id_order = np.argsort(self.ids, kind="stable")
         return self._id_order
 
     def digest(self) -> str:
@@ -210,6 +234,9 @@ class ObjectSpace:
             import hashlib
 
             order = self.id_order()
+            if (order == np.arange(len(order))).all():
+                # rows already in id order are hashed where they are, not copied
+                order = slice(None)
             h = hashlib.sha256()
             h.update(b"teamrank-space-v1\x00")
             h.update(str(self.dimension).encode())
@@ -217,9 +244,9 @@ class ObjectSpace:
             h.update(b"\x00ids\x00")
             h.update("\x00".join(self.ids[order].tolist()).encode())
             h.update(b"\x00lambdas\x00")
-            h.update(np.ascontiguousarray(self.lambdas[order]).tobytes())
+            h.update(np.ascontiguousarray(self.lambdas[order]))
             h.update(b"\x00attrs\x00")
-            h.update(np.ascontiguousarray(self.attrs[order]).tobytes())
+            h.update(np.ascontiguousarray(self.attrs[order]))
             self._digest = h.hexdigest()
         return self._digest
 

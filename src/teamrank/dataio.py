@@ -63,6 +63,7 @@ from .errors import (
     MalformedRow,
     MissingColumn,
 )
+from .snapshot import load_snapshot, save_snapshot, snapshot_key
 from .weighting import RankedSeries
 
 __all__ = [
@@ -210,9 +211,10 @@ class _CsvFile:
     text into ``csv.reader`` rows, and every later call reads those rows.
     """
 
-    def __init__(self, path):
+    def __init__(self, path, raw: bytes | None = None):
         self.path = path
-        raw = _read_bytes(path)
+        if raw is None:
+            raw = _read_bytes(path)
         self.text = raw.decode("utf-8")
         self.line_count = _plain_line_count(raw)
         if self.line_count is None:
@@ -341,7 +343,10 @@ def _float_columns(header, data, groups, positive=None) -> list[np.ndarray]:
 
 
 def _objects_from(table: _CsvFile, manifest: DatasetManifest, team: int | None = None):
-    """The space, and the rosters in the column at position ``team`` (None without one), from one parse."""
+    """The space, its id cells as parsed, and the :func:`_group_rows` of the column at position ``team``.
+
+    The grouping is None without a ``team`` position.
+    """
     wanted = [manifest.id_column, manifest.lambda_column, manifest.label_column, *manifest.attributes]
     pos = _column_indices(table.header, wanted, table.path)
     (lambdas, attrs), (ids, labels, *teams) = table.columns(
@@ -356,14 +361,27 @@ def _objects_from(table: _CsvFile, manifest: DatasetManifest, team: int | None =
         attribute_names=manifest.attributes,
         labels=labels,
     )
-    return space, (_rosters(teams[0], ids) if teams else None)
+    return space, ids, (_group_rows(teams[0]) if teams else None)
 
 
-def _rosters(teams, ids) -> dict[str, list[str]]:
-    rosters: dict[str, list[str]] = {}
-    for team, oid in zip(teams, ids):
-        rosters.setdefault(team, []).append(oid)
-    return rosters
+def _group_rows(teams) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The rows of each distinct value of ``teams``, a list of cells, grouped.
+
+    Returns the values in order of first appearance, offsets and row
+    positions: value j's rows are ``members[offsets[j]:offsets[j + 1]]``, in
+    file order.
+    """
+    code_of = {team: j for j, team in enumerate(dict.fromkeys(teams))}
+    codes = np.fromiter(map(code_of.__getitem__, teams), dtype=np.int64, count=len(teams))
+    offsets = np.zeros(len(code_of) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(codes, minlength=len(code_of)), out=offsets[1:])
+    return list(code_of), offsets, np.argsort(codes, kind="stable")
+
+
+def _rosters(teams, offsets, members, ids) -> dict[str, list[str]]:
+    """Each team's ids, in file order, from a :func:`_group_rows` grouping and an array of ids."""
+    bounds = offsets.tolist()
+    return {team: ids[members[a:b]].tolist() for team, a, b in zip(teams, bounds, bounds[1:])}
 
 
 def _require_lambda(manifest: DatasetManifest) -> None:
@@ -388,23 +406,41 @@ def load_rosters(path, manifest: DatasetManifest) -> dict[str, list[str]]:
     table = _CsvFile(path)
     pos = _column_indices(table.header, [manifest.id_column, manifest.team_column], path)
     _, (teams, ids) = table.columns([], [pos[manifest.team_column], pos[manifest.id_column]])
-    return _rosters(teams, ids)
+    return _rosters(*_group_rows(teams), np.array(ids, dtype=object))
 
 
-def load_objects_and_rosters(path, manifest: DatasetManifest) -> tuple[ObjectSpace, dict[str, list[str]]]:
+def load_objects_and_rosters(
+    path, manifest: DatasetManifest, snapshot_dir=None
+) -> tuple[ObjectSpace, dict[str, list[str]]]:
     """:func:`load_objects` and :func:`load_rosters` of one file, read once.
 
-    Raises what the two calls in that order would raise.
+    Raises what the two calls in that order would raise. With a
+    ``snapshot_dir``, a load over bytes and a manifest that an earlier load
+    there parsed without error reads that load's arrays from its snapshot
+    (:mod:`teamrank.snapshot`) instead of parsing; any other load parses,
+    and stores a snapshot there once it has succeeded. A file with a NUL
+    byte gets none, because a ``<U`` array drops an id's trailing NULs.
     """
     _require_lambda(manifest)
-    table = _CsvFile(path)
+    raw = _read_bytes(path)
+    if snapshot_dir is not None:
+        # everything the parse depends on besides the bytes
+        settings = {"manifest": manifest.to_dict(), "field_size_limit": csv.field_size_limit()}
+        key = snapshot_key(raw, json.dumps(settings, sort_keys=True))
+        stored = load_snapshot(snapshot_dir, key, manifest.attributes)
+        if stored is not None:
+            space, (teams, offsets, members) = stored
+            return space, _rosters(teams.tolist(), offsets, members, space.ids)
+    table = _CsvFile(path, raw)
     # the team column is parsed with the objects when the header has it; when
     # it does not, the checks below raise only after any error in the objects
     team = table.header.index(manifest.team_column) if manifest.team_column in table.header else None
-    space, rosters = _objects_from(table, manifest, team)
+    space, ids, groups = _objects_from(table, manifest, team)
     _require_team(manifest)
     _column_indices(table.header, [manifest.team_column], path)
-    return space, rosters
+    if snapshot_dir is not None and b"\x00" not in raw:
+        save_snapshot(snapshot_dir, key, space, *groups)
+    return space, _rosters(*groups, np.array(ids, dtype=object))
 
 
 def load_teams(path, manifest: DatasetManifest) -> tuple[list[TargetContext], RankedSeries]:
@@ -546,7 +582,8 @@ def gen_synthetic(
     lambdas = lam_rng.uniform(lo, hi, size=count)
 
     ids = _numbered_ids(id_prefix, count, width=max(7, len(str(count - 1))))
-    return ObjectSpace(ids=ids, lambdas=lambdas, attrs=attrs, attribute_names=names)
+    # zero-padded numbers of one width ascend in row order
+    return ObjectSpace(ids=ids, lambdas=lambdas, attrs=attrs, attribute_names=names, id_order=np.arange(count))
 
 
 @dataclass(frozen=True)

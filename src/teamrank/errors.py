@@ -61,6 +61,10 @@ class ShortIndex(StaleIndex):
     """An index run holds fewer entries than a query asks for."""
 
 
+class OldIndex(StaleIndex):
+    """An index file was written in an earlier format version."""
+
+
 class MissingColumn(TeamRankError):
     """A column named by the manifest is absent from the file header."""
 

@@ -41,11 +41,11 @@ byte-identical, on any number of threads: runs are computed one member per
 thread (``ranking._map_members``) and written in member order. A build
 writes a temporary file in the target directory and renames it into place,
 so an interrupted build leaves no ``.idx`` file behind. A file whose header
-or size does not match, or a short read, raises ``StaleIndex``; so does a
-file of an earlier version (version 4 held all n entries per run, version 3
-the paper's masked rate key). Build writes and query reads are tallied in
-separate counters; counter updates are lock-protected so concurrent readers
-never lose increments.
+or size does not match, or a short read, raises ``StaleIndex``; a file of
+an earlier version (version 4 held all n entries per run, version 3 the
+paper's masked rate key) raises its subclass ``OldIndex``. Build writes and
+query reads are tallied in separate counters; counter updates are
+lock-protected so concurrent readers never lose increments.
 """
 
 from __future__ import annotations
@@ -65,6 +65,7 @@ from .errors import (
     EmptySpace,
     InvalidArgument,
     InvalidPartition,
+    OldIndex,
     ShortIndex,
     StaleIndex,
 )
@@ -247,6 +248,8 @@ class NnIndex:
             if len(raw) != HEADER.size:
                 raise StaleIndex(f"{path}: truncated header")
             magic, version, d, m, n, length, B, digest = HEADER.unpack(raw)
+            if magic == MAGIC and version < VERSION:
+                raise OldIndex(f"{path}: format version {version}, older than this build's {VERSION}")
             if magic != MAGIC or version != VERSION:
                 raise StaleIndex(f"{path}: bad magic or version")
             if digest != bytes.fromhex(fp):

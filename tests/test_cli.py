@@ -59,6 +59,15 @@ def write_league(tmp_path, per_team=4):
     }
 
 
+def index_files(directory):
+    """The ``.idx`` files in ``directory``, after checking it holds exactly one ``.space`` snapshot besides."""
+    names = sorted(p.name for p in Path(directory).iterdir())
+    assert len([n for n in names if n.endswith(".space")]) == 1
+    idx = [n for n in names if n.endswith(".idx")]
+    assert len(idx) + 1 == len(names)
+    return idx
+
+
 def run(argv, capsys):
     code = cli_main(argv)
     captured = capsys.readouterr()
@@ -121,7 +130,7 @@ class TestSubcommands:
         for name in payload["files"]:
             assert (idx / name).exists()
         assert len(payload["files"]) == 1
-        assert sorted(p.name for p in idx.iterdir()) == payload["files"]
+        assert index_files(idx) == payload["files"]
         assert payload["blocks_written"] == len(payload["members"]) * payload["data_blocks_per_partition"]
 
     def test_rank_reuses_a_prebuilt_index(self, league, capsys, tmp_path):
@@ -159,7 +168,7 @@ class TestSubcommands:
         assert code == 0
         rtc = json.loads(out)["recommendations"]
         assert run_length(path) >= 30
-        assert sorted(p.name for p in idx.iterdir()) == built["files"]
+        assert index_files(idx) == built["files"]
         code, out, _ = run(["rank", "--method", "bf", *real_flags(league), "--team", "BBB",
                             "--top-k", "30"], capsys)
         assert code == 0
@@ -291,30 +300,41 @@ class TestExitCodes:
         assert out == ""
         assert "error" in err.lower()
 
-    def test_version_3_index_is_data_error_until_rebuilt(self, league, capsys, tmp_path):
-        # version 3 runs were keyed by the paper's masked rate key, not by exact distance
+    @pytest.mark.parametrize("version", [3, 4])
+    def test_earlier_version_index_is_rebuilt(self, league, capsys, tmp_path, version):
+        # version 3 runs were keyed by the paper's masked rate key, version 4 held all n entries
         idx = tmp_path / "idx"
         build = ["index", "build", *real_flags(league), "--team", "BBB",
-                 "--block-size", "3", "--index-dir", str(idx)]
+                 "--top-k", "2", "--block-size", "3", "--index-dir", str(idx)]
         rank = ["rank", "--method", "rtcstar", *real_flags(league), "--team", "BBB",
                 "--top-k", "2", "--block-size", "3", "--index-dir", str(idx)]
         code, out, _ = run(build, capsys)
         assert code == 0
         path = idx / json.loads(out)["files"][0]
         current = path.read_bytes()
-        path.write_bytes(current[:8] + (3).to_bytes(2, "little") + current[10:])
+        path.write_bytes(current[:8] + version.to_bytes(2, "little") + current[10:])
         code, out, err = run(rank, capsys)
-        assert code == 2
-        assert out == ""
-        assert "error" in err.lower()
-        assert run(build, capsys)[0] == 0
+        assert (code, err) == (0, "")
+        # rebuilt in place, as the same command builds it
         assert path.read_bytes() == current
-        code, out, _ = run(rank, capsys)
-        assert code == 0
         rtc = json.loads(out)["recommendations"]
         code, out, _ = run(["rank", "--method", "bf", *real_flags(league), "--team", "BBB",
                             "--top-k", "2"], capsys)
         assert json.loads(out)["recommendations"] == rtc
+
+    @pytest.mark.parametrize("version", [6, 0xFFFF])
+    def test_later_version_index_is_data_error(self, league, capsys, tmp_path, version):
+        idx = tmp_path / "idx"
+        code, out, _ = run(["index", "build", *real_flags(league), "--team", "BBB",
+                            "--block-size", "3", "--index-dir", str(idx)], capsys)
+        assert code == 0
+        path = idx / json.loads(out)["files"][0]
+        current = path.read_bytes()
+        path.write_bytes(current[:8] + version.to_bytes(2, "little") + current[10:])
+        code, out, err = run(["rank", "--method", "rtcstar", *real_flags(league), "--team", "BBB",
+                              "--top-k", "2", "--block-size", "3", "--index-dir", str(idx)], capsys)
+        assert (code, out) == (2, "")
+        assert "bad magic or version" in err
 
     @pytest.mark.parametrize("command", ["gof", "ingest", "rank"])
     def test_cell_over_the_field_size_limit_is_data_error(self, league, capsys, tmp_path, command):
@@ -410,3 +430,202 @@ class TestOneReadPerFile:
         assert report.rows[0].methods_agree
         assert reads.count(league["players"]) == 1
         assert reads.count(league["teams"]) == 1
+
+
+def snapshots(directory):
+    return sorted(Path(directory).glob("*.space"))
+
+
+@pytest.fixture()
+def parses(monkeypatch):
+    """One entry per parse of an objects file by ``load_objects_and_rosters``."""
+    seen = []
+    real = dataio._objects_from
+
+    def counting(table, *args, **kwargs):
+        seen.append(str(table.path))
+        return real(table, *args, **kwargs)
+
+    monkeypatch.setattr(dataio, "_objects_from", counting)
+    return seen
+
+
+class TestSpaceSnapshot:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rank", "--method", "bf", "--team", "AAA", "--top-k", "4"],
+            ["rank", "--method", "rtcstar", "--team", "AAA", "--top-k", "4"],
+            ["index", "build", "--team", "BBB", "--block-size", "3"],
+        ],
+        ids=["rank-bf", "rank-rtcstar", "index-build"],
+    )
+    def test_hit_miss_and_no_snapshot_payloads_are_identical(self, league, capsys, tmp_path, parses, argv):
+        idx = tmp_path / "idx"
+        argv = [*argv, *real_flags(league), "--index-dir", str(idx)]
+        code, miss, _ = run(argv, capsys)
+        assert code == 0 and len(parses) == 1
+        assert len(snapshots(idx)) == 1
+        code, hit, _ = run(argv, capsys)
+        assert code == 0 and len(parses) == 1
+        assert hit == miss
+        if argv[0] == "rank":
+            # the same command without a directory parses and keeps nothing
+            plain = argv[: argv.index("--index-dir")]
+            code, out, _ = run(plain, capsys)
+            assert code == 0 and len(parses) == 2
+            assert out == miss.replace(json.dumps(str(idx)), "null")
+
+    def test_one_byte_edit_misses(self, league, capsys, tmp_path, parses):
+        idx = tmp_path / "idx"
+        argv = ["rank", "--method", "bf", "--team", "AAA", *real_flags(league), "--index-dir", str(idx)]
+        assert run(argv, capsys)[0] == 0
+        players = Path(league["players"])
+        raw = players.read_bytes()
+        # one digit of p000's MP cell
+        at = raw.index(b"p000,Player 0,AAA,") + len(b"p000,Player 0,AAA,")
+        players.write_bytes(raw[:at] + bytes([raw[at] ^ 1]) + raw[at + 1 :])
+        code, out, _ = run(argv, capsys)
+        assert code == 0 and len(parses) == 2
+        assert len(snapshots(idx)) == 2
+        code, plain, _ = run(argv[: argv.index("--index-dir")], capsys)
+        assert out == plain.replace("\"index_dir\": null", f"\"index_dir\": {json.dumps(str(idx))}")
+
+    def test_another_manifest_gets_another_key(self, league, tmp_path, parses):
+        idx = tmp_path / "idx"
+        manifest = dataio.load_manifest(league["players_manifest"])
+        unlabelled = dataio.DatasetManifest.from_dict({**manifest.to_dict(), "label_column": None})
+        for m in (manifest, unlabelled, manifest, unlabelled):
+            space, _ = dataio.load_objects_and_rosters(league["players"], m, idx)
+            assert space.labels[4] == ("Player 4" if m is manifest else "p004")
+        assert len(parses) == 2
+        assert len(snapshots(idx)) == 2
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda raw: raw[: len(raw) // 2],
+            lambda raw: raw[:40],
+            lambda raw: b"",
+            lambda raw: bytes(len(raw)),
+            lambda raw: np.random.default_rng(3).integers(0, 256, len(raw), dtype=np.uint8).tobytes(),
+            lambda raw: raw[:8] + (2).to_bytes(2, "little") + raw[10:],
+            lambda raw: raw[:40] + bytes([raw[40] ^ 0xFF]) + raw[41:],
+            lambda raw: raw[:50] + bytes([raw[50] ^ 1]) + raw[51:],
+            lambda raw: raw[:70] + bytes([raw[70] ^ 1]) + raw[71:],
+            lambda raw: raw[:-5] + bytes([raw[-5] ^ 1]) + raw[-4:],
+            lambda raw: raw + b"\0",
+        ],
+        ids=["truncated", "short-header", "empty", "zeros", "garbage", "other-version", "other-width",
+             "other-key", "flipped-digest-byte", "flipped-body-byte", "longer"],
+    )
+    def test_unusable_snapshot_is_rewritten(self, league, tmp_path, parses, damage):
+        idx = tmp_path / "idx"
+        manifest = dataio.load_manifest(league["players_manifest"])
+        space, rosters = dataio.load_objects_and_rosters(league["players"], manifest, idx)
+        (path,) = snapshots(idx)
+        good = path.read_bytes()
+        path.write_bytes(damage(good))
+        again, again_rosters = dataio.load_objects_and_rosters(league["players"], manifest, idx)
+        assert len(parses) == 2
+        assert path.read_bytes() == good
+        assert again.ids.tolist() == space.ids.tolist() and again.attrs.tobytes() == space.attrs.tobytes()
+        assert again_rosters == rosters
+        dataio.load_objects_and_rosters(league["players"], manifest, idx)
+        assert len(parses) == 2
+
+    def test_snapshot_under_another_key_is_not_served(self, league, tmp_path, parses):
+        idx = tmp_path / "idx"
+        manifest = dataio.load_manifest(league["players_manifest"])
+        dataio.load_objects_and_rosters(league["players"], manifest, idx)
+        (old,) = snapshots(idx)
+        players = Path(league["players"])
+        players.write_bytes(players.read_bytes().replace(b"Player 0,", b"Player O,", 1))
+        dataio.load_objects_and_rosters(league["players"], manifest, idx)
+        (new,) = set(snapshots(idx)) - {old}
+        new.write_bytes(old.read_bytes())
+        space, _ = dataio.load_objects_and_rosters(league["players"], manifest, idx)
+        assert space.labels[0] == "Player O"
+        assert len(parses) == 3
+
+    def test_a_lower_cell_limit_is_another_key(self, league, tmp_path):
+        idx = tmp_path / "idx"
+        manifest = dataio.load_manifest(league["players_manifest"])
+        dataio.load_objects_and_rosters(league["players"], manifest, idx)
+        limit = csv.field_size_limit(5)
+        try:
+            with pytest.raises(dataio.MalformedRow, match="field larger than field limit"):
+                dataio.load_objects_and_rosters(league["players"], manifest, idx)
+        finally:
+            csv.field_size_limit(limit)
+
+    def test_hit_returns_what_the_parse_returned(self, league, tmp_path):
+        # rows out of id order, so the stored id order is not the identity
+        players = Path(league["players"])
+        header, *rows = players.read_text().splitlines()
+        players.write_text("\n".join([header, *rows[::-1]]) + "\n")
+        idx = tmp_path / "idx"
+        manifest = dataio.load_manifest(league["players_manifest"])
+        parsed, parsed_rosters = dataio.load_objects_and_rosters(league["players"], manifest)
+        dataio.load_objects_and_rosters(league["players"], manifest, idx)
+        space, rosters = dataio.load_objects_and_rosters(league["players"], manifest, idx)
+        for name in ("ids", "labels", "lambdas", "attrs"):
+            got, want = getattr(space, name), getattr(parsed, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert space.id_order().tolist() == parsed.id_order().tolist() != list(range(len(space)))
+        assert space.attribute_names == parsed.attribute_names
+        assert space.digest() == parsed.digest()
+        assert rosters == parsed_rosters
+        assert list(rosters) == list(parsed_rosters) == ["CCC", "BBB", "AAA"]
+
+    @pytest.mark.parametrize("command", ["rank", "index-build"])
+    def test_malformed_csv_keeps_its_error_and_gets_no_snapshot(self, league, capsys, tmp_path, command):
+        players = Path(league["players"])
+        edited = players.read_bytes().replace(b"Player 1,AAA,", b"Player 1,AAA,x", 1)
+        assert edited != players.read_bytes()
+        players.write_bytes(edited)
+        idx = tmp_path / "idx"
+        argv = (["rank", "--method", "bf"] if command == "rank" else ["index", "build"])
+        argv = [*argv, *real_flags(league), "--team", "AAA", "--index-dir", str(idx)]
+        for _ in range(2):
+            code, out, err = run(argv, capsys)
+            assert (code, out) == (2, "")
+            assert err.startswith("error: row 2: column 'MP': cannot parse 'x")
+            assert not idx.exists() or list(idx.iterdir()) == []
+
+    def test_file_with_a_nul_byte_gets_no_snapshot(self, league, capsys, tmp_path, parses):
+        # a <U array would drop the trailing NUL the parse keeps in the roster id
+        players = Path(league["players"])
+        players.write_bytes(players.read_bytes().replace(b"p011,", b"p011\x00,", 1))
+        idx = tmp_path / "idx"
+        manifest = dataio.load_manifest(league["players_manifest"])
+        for _ in range(2):
+            _, rosters = dataio.load_objects_and_rosters(league["players"], manifest, idx)
+            assert rosters["CCC"][-1] == "p011\x00"
+        assert len(parses) == 2
+        assert not idx.exists() or list(idx.iterdir()) == []
+
+    def test_unwritable_directory_only_skips_the_snapshot(self, league, capsys, tmp_path):
+        blocked = tmp_path / "not-a-directory"
+        blocked.write_text("")
+        argv = ["rank", "--method", "bf", "--team", "AAA", *real_flags(league)]
+        code, out, err = run([*argv, "--index-dir", str(blocked)], capsys)
+        assert (code, err) == (0, "")
+        assert out == run(argv, capsys)[1].replace("\"index_dir\": null", f"\"index_dir\": {json.dumps(str(blocked))}")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rank", "--method", "bf", "--team", "AAA"],
+            ["rank", "--method", "rtcstar", "--team", "AAA"],
+            ["index", "build", "--team", "BBB"],
+        ],
+        ids=["rank-bf", "rank-rtcstar", "index-build"],
+    )
+    def test_a_hit_reads_each_file_once(self, league, capsys, tmp_path, reads, argv):
+        argv = [*argv, *real_flags(league), "--index-dir", str(tmp_path / "idx")]
+        for _ in range(2):
+            reads.clear()
+            assert run(argv, capsys)[0] == 0
+            assert reads.count(league["players"]) == 1
+            assert reads.count(league["teams"]) == 1

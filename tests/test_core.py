@@ -237,6 +237,51 @@ class TestObjectSpace:
         with pytest.raises(NotAMember):
             space.index_of("d")
 
+    @given(
+        ids=st.lists(st.text(max_size=6), min_size=1, max_size=30, unique_by=lambda i: i.rstrip("\x00")),
+        others=st.lists(st.one_of(st.text(max_size=6), st.integers(-20, 20), st.floats(allow_nan=False)), max_size=10),
+        hint=st.sampled_from(["none", "right", "reversed"]),
+    )
+    def test_lookup_agrees_with_a_dict(self, ids, others, hint):
+        # ids arrive in drawn order, unsorted; numpy drops trailing NULs, as ids.tolist() shows
+        space = ObjectSpace(ids=ids, lambdas=np.ones(len(ids)), attrs=np.ones((len(ids), 1)), attribute_names=["x"])
+        if hint != "none":
+            order = space.id_order() if hint == "right" else space.id_order()[::-1]
+            space = ObjectSpace(ids=ids, lambdas=np.ones(len(ids)), attrs=np.ones((len(ids), 1)),
+                                attribute_names=["x"], id_order=order)
+        rows = dict(zip(space.ids.tolist(), range(len(ids))))
+        assert space.ids[space.id_order()].tolist() == sorted(rows)
+        # the ids as given, as stored, as numbers where they read as one, and absent keys
+        probes = [*ids, *rows, *others]
+        probes += [int(i) for i in rows if i.isascii() and i.lstrip("-").isdigit()]
+        for probe in probes:
+            assert (probe in space) == (str(probe) in rows)
+            if str(probe) in rows:
+                assert space.index_of(probe) == rows[str(probe)]
+            else:
+                with pytest.raises(NotAMember):
+                    space.index_of(probe)
+
+    @pytest.mark.parametrize(
+        "ids", [["a", "a"], ["b", "a", "c", "a"], ["x", "x\x00"], ["é", "z", "é"]], ids=["pair", "unsorted", "nul", "non-ascii"]
+    )
+    @pytest.mark.parametrize("hint", [None, "argsort"])
+    def test_duplicate_ids_are_rejected_with_or_without_an_order(self, ids, hint):
+        order = None if hint is None else np.argsort(np.asarray(ids), kind="stable")
+        with pytest.raises(InvalidArgument, match="object ids must be unique within a space"):
+            ObjectSpace(ids=ids, lambdas=np.ones(len(ids)), attrs=np.ones((len(ids), 1)),
+                        attribute_names=["x"], id_order=order)
+
+    @pytest.mark.parametrize(
+        "order", [[0, 1, 2], [2, 1, 0], [1, 1, 0], [0, 2, 3], [-1, 0, 1], [0.0, 2.0, 1.0], [0, 2]],
+        ids=["identity", "reversed", "repeated", "out-of-range", "negative", "floats", "short"],
+    )
+    def test_a_wrong_id_order_is_sorted_afresh(self, order):
+        space = ObjectSpace(ids=["b", "c", "a"], lambdas=[1.0, 1.0, 1.0], attrs=np.ones((3, 1)),
+                            attribute_names=["x"], id_order=np.array(order))
+        assert space.id_order().tolist() == [2, 0, 1]
+        assert [space.index_of(i) for i in ("a", "b", "c")] == [2, 0, 1]
+
     def test_digest_and_fingerprint_bytes_are_pinned(self):
         # every index header stores this fingerprint: a changed digest orphans existing index files
         from teamrank.core import team_from_ids

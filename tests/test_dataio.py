@@ -613,6 +613,26 @@ class TestAgainstRowMajorReference:
         assert space.attrs.tobytes() == ref_space.attrs.tobytes()
         assert rosters == ref_rosters
 
+    @settings(max_examples=200)
+    @given(text=object_files())
+    def test_objects_and_rosters_through_a_snapshot(self, tmp_path_factory, text):
+        path = _write_bytes(tmp_path_factory, "objects", text)
+        want_kind, want = _outcome(load_objects_and_rosters, path, OBJECT_MANIFEST)
+        # the first load parses and keeps a snapshot, the second loads it back
+        for _ in range(2):
+            got_kind, got = _outcome(load_objects_and_rosters, path, OBJECT_MANIFEST, path.parent / "snapshots")
+            assert got_kind == want_kind
+            if want_kind == "error":
+                assert got == want
+                continue
+            (space, rosters), (ref_space, ref_rosters) = got, want
+            for name in ("ids", "labels", "lambdas", "attrs"):
+                assert getattr(space, name).tobytes() == getattr(ref_space, name).tobytes()
+            assert space.digest() == ref_space.digest()
+            assert rosters == ref_rosters and list(rosters) == list(ref_rosters)
+        stored = list((path.parent / "snapshots").glob("*"))
+        assert len(stored) == (want_kind == "ok" and "\x00" not in text)
+
     @settings(max_examples=400)
     @given(text=team_files())
     def test_teams(self, tmp_path_factory, text):
