@@ -20,11 +20,13 @@ ceil(k / B) blocks per member. Each ``rtcstar`` row
 also records how many entries each member re-scored (``scan_depths``,
 min(k, n) each) and ``fallback_members``, always empty and kept for report
 compatibility. The report's top-level ``timing`` also records
-``member_workers``: the most threads that ``bf`` or an index build scored
-members on in the run, so a report says how many cores its timings had;
-the JSON report carries it and the CSV report does not.
+``member_workers``: the most threads that ``bf`` and an index build score
+any of the run's teams on (``ranking.member_workers``), so a report says
+how many cores its timings had; the JSON report carries it and the CSV
+report does not.
 
-A synthetic or CSV run with an elite target set picks each team's target by
+A CSV run reads its league through :func:`load_league`, as the CLI does. A
+synthetic or CSV run with an elite target set picks each team's target by
 :func:`target_from_elite`, the rule the CLI applies too, and both render
 recommendation lists through :func:`recommendations_payload`.
 
@@ -59,7 +61,7 @@ from .core import ObjectSpace, TargetContext, TeamContext, diff, team_from_ids, 
 from .dataio import NbParams, gen_synthetic, load_manifest, load_objects_and_rosters, load_teams
 from .errors import InvalidArgument
 from .nnindex import build_index
-from .ranking import SwapRecommendation, brute_force_rank, rtc_star_rank
+from .ranking import SwapRecommendation, brute_force_rank, member_workers, rtc_star_rank
 from .weighting import TargetSelection, compute_weights, select_target
 
 __all__ = [
@@ -229,7 +231,7 @@ def _median_time(fn, warmup: int, repeats: int, min_sample_s: float = 0.02) -> f
 
 
 def _load_dataset(config: ExperimentConfig):
-    """Return (space, teams, targets-or-None, weights)."""
+    """Return (space, teams, elite-targets-or-None, weights)."""
     ds = config.dataset
     kind = ds.get("kind", "synthetic")
     if kind == "synthetic":
@@ -252,19 +254,38 @@ def _load_dataset(config: ExperimentConfig):
         return space, teams, None, weights
 
     if kind == "csv":
-        players_manifest = load_manifest(ds["players_manifest"])
-        teams_manifest = load_manifest(ds["teams_manifest"])
-        space, rosters = load_objects_and_rosters(ds["players"], players_manifest)
-        targets, wins = load_teams(ds["teams"], teams_manifest)
-        stats = np.stack([t.aggregate for t in targets])
-        weights = compute_weights(stats, wins).weights
-        wanted = config.team_ids or tuple(rosters)
-        teams = [team_from_ids(space, rosters[tid], team_id=tid) for tid in wanted]
-        order = np.argsort(-wins.values, kind="stable")
-        elite = [targets[i] for i in order[: config.elite_count]]
-        return space, teams, (targets, elite), weights
+        files = (ds["players"], ds["players_manifest"], ds["teams"], ds["teams_manifest"])
+        league = load_league(*files, config.elite_count)
+        teams = [league.team(tid) for tid in config.team_ids or league.rosters]
+        return league.space, teams, league.elite, league.weights
 
     raise InvalidArgument(f"unknown dataset kind {kind!r}")
+
+
+@dataclass(frozen=True)
+class League:
+    """A league's object space, rosters by team id, Kendall weights and elite teams, most wins first."""
+
+    space: ObjectSpace
+    rosters: dict[str, list[str]]
+    weights: np.ndarray
+    elite: list[TargetContext]
+    objects: str
+
+    def team(self, team_id: str) -> TeamContext:
+        if team_id not in self.rosters:
+            raise InvalidArgument(f"team {team_id!r} has no roster rows in {self.objects}")
+        return team_from_ids(self.space, self.rosters[team_id], team_id=team_id)
+
+
+def load_league(objects, objects_manifest, teams, teams_manifest, elite_count: int, snapshot_dir=None) -> League:
+    """Read a league's CSV files and manifests; ``snapshot_dir`` as in ``load_objects_and_rosters``."""
+    objects_manifest, teams_manifest = load_manifest(objects_manifest), load_manifest(teams_manifest)
+    space, rosters = load_objects_and_rosters(objects, objects_manifest, snapshot_dir)
+    targets, wins = load_teams(teams, teams_manifest)
+    weights = compute_weights(np.stack([t.aggregate for t in targets]), wins).weights
+    elite = [targets[i] for i in np.argsort(-wins.values, kind="stable")[:elite_count]]
+    return League(space, rosters, weights, elite, str(objects))
 
 
 def target_from_elite(
@@ -303,7 +324,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         synthetic_elite = _synthetic_elite(space, config)
 
     rows: list[TeamRow] = []
-    member_workers = 1
+    workers = 1
     own_dir = None
     if config.index_dir is None:
         own_dir = tempfile.TemporaryDirectory(prefix="teamrank-index-")
@@ -313,7 +334,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     try:
         for team in teams:
             if loaded is not None:
-                _, target = target_from_elite(team, loaded[1], weights)
+                _, target = target_from_elite(team, loaded, weights)
             elif config.target_mode == "dominant":
                 target = TargetContext(
                     team_id=f"{team.team_id}-target",
@@ -331,10 +352,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             row_timing: dict = {}
             results: dict[str, list[SwapRecommendation]] = {}
 
+            workers = max(workers, member_workers(team, space))
             if "bf" in config.methods:
-                bf_stats: dict = {}
-                results["bf"] = brute_force_rank(team, target, space, weights, config.top_k, stats_out=bf_stats)
-                member_workers = max(member_workers, bf_stats["member_workers"])
+                results["bf"] = brute_force_rank(team, target, space, weights, config.top_k)
                 row_io["bf"] = {
                     "blocks_read": bf_reads * team.size,
                     "blocks_written": 0,
@@ -352,7 +372,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                 }
 
             if "rtcstar" in config.methods:
-                build_stats: dict = {}
                 # each build rewrites the same bytes, so the builds are timed like bf's queries
                 build_s = _median_time(
                     lambda: build_index(
@@ -362,11 +381,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                     config.timing_repeats,
                     config.timing_min_sample_s,
                 )
-                index = build_index(
-                    space, team, target, weights, config.block_size, index_dir,
-                    run_length=config.top_k, stats_out=build_stats,
-                )
-                member_workers = max(member_workers, build_stats["member_workers"])
+                index = build_index(space, team, target, weights, config.block_size, index_dir, run_length=config.top_k)
                 with index:
                     stats = {}
                     index.reset_query_io()
@@ -429,7 +444,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             "build_s": sum(r.timing[method]["build_s"] for r in method_rows),
             "query_s": sum(r.timing[method]["query_s"] for r in method_rows),
         }
-    totals_timing["member_workers"] = member_workers
+    totals_timing["member_workers"] = workers
 
     return ExperimentReport(
         config=config.to_dict(),

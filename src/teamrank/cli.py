@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bench as bench_mod
-from .core import diff, team_from_ids, truncated_distance, truncating_vector
+from .core import diff, truncated_distance, truncating_vector
 from .dataio import (
     NbParams,
     chi_square_gof,
@@ -26,11 +26,10 @@ from .dataio import (
     load_column,
     load_manifest,
     load_objects,
-    load_objects_and_rosters,
     load_teams,
     write_objects_csv,
 )
-from .errors import InvalidArgument, OldIndex, TeamRankError
+from .errors import OldIndex, TeamRankError
 from .nnindex import NnIndex, build_index, fingerprint, index_path
 from .ranking import brute_force_rank, rtc_star_rank
 from .weighting import compute_weights
@@ -87,17 +86,11 @@ def _render_pretty(payload: dict, indent: int = 0) -> str:
     return "\n".join(lines)
 
 
-def _load_real(args):
-    objects_manifest = load_manifest(args.manifest)
-    teams_manifest = load_manifest(args.teams_manifest)
+def _load_real(args) -> bench_mod.League:
     # a command with an index directory keeps its parse of the objects file there too
-    space, rosters = load_objects_and_rosters(args.objects, objects_manifest, getattr(args, "index_dir", None))
-    targets, wins = load_teams(args.teams, teams_manifest)
-    stats = np.stack([t.aggregate for t in targets])
-    weights = compute_weights(stats, wins).weights
-    order = np.argsort(-wins.values, kind="stable")
-    elite = [targets[i] for i in order[: args.elite_count]]
-    return space, rosters, targets, weights, elite
+    return bench_mod.load_league(
+        args.objects, args.manifest, args.teams, args.teams_manifest, args.elite_count, getattr(args, "index_dir", None)
+    )
 
 
 def _cmd_ingest(args) -> dict:
@@ -125,19 +118,12 @@ def _cmd_weights(args) -> dict:
     }
 
 
-def _query_team(args, space, rosters, team_id: str):
-    if team_id not in rosters:
-        raise InvalidArgument(f"team {team_id!r} has no roster rows in {args.objects}")
-    return team_from_ids(space, rosters[team_id], team_id=team_id)
-
-
 def _cmd_target(args) -> dict:
-    space, rosters, _targets, weights, elite = _load_real(args)
-    team_ids = [args.team] if args.team else sorted(rosters)
+    league = _load_real(args)
+    team_ids = [args.team] if args.team else sorted(league.rosters)
     selections = []
     for team_id in team_ids:
-        team = _query_team(args, space, rosters, team_id)
-        sel, _ = bench_mod.target_from_elite(team, elite, weights)
+        sel, _ = bench_mod.target_from_elite(league.team(team_id), league.elite, league.weights)
         selections.append({"team": sel.team_id, "target": sel.target_id, "distance": sel.distance})
     return {
         "config": _config_echo(args),
@@ -146,15 +132,16 @@ def _cmd_target(args) -> dict:
     }
 
 
-def _resolve_team_target(args, space, rosters, weights, elite):
-    team = _query_team(args, space, rosters, args.team)
-    _, target = bench_mod.target_from_elite(team, elite, weights)
+def _resolve_team_target(args, league: bench_mod.League):
+    team = league.team(args.team)
+    _, target = bench_mod.target_from_elite(team, league.elite, league.weights)
     return team, target
 
 
 def _cmd_index_build(args) -> dict:
-    space, rosters, _targets, weights, elite = _load_real(args)
-    team, target = _resolve_team_target(args, space, rosters, weights, elite)
+    league = _load_real(args)
+    space, weights = league.space, league.weights
+    team, target = _resolve_team_target(args, league)
     index = build_index(space, team, target, weights, args.block_size, args.index_dir, run_length=args.top_k)
     with index:
         payload = {
@@ -169,8 +156,9 @@ def _cmd_index_build(args) -> dict:
 
 
 def _cmd_rank(args) -> dict:
-    space, rosters, _targets, weights, elite = _load_real(args)
-    team, target = _resolve_team_target(args, space, rosters, weights, elite)
+    league = _load_real(args)
+    space, weights = league.space, league.weights
+    team, target = _resolve_team_target(args, league)
     gap = diff(target, team)
     before = truncated_distance(gap, truncating_vector(gap), weights)
 

@@ -28,8 +28,8 @@ On-disk layout, one file per index named ``<fingerprint>.idx``:
         key              f64  exact post-exchange distance
         ordinal          u64  row position in the space
 
-A run is picked and ordered by the exhaustive method's own top-k kernel
-(``ranking._member_top``): the L smallest keys in ``np.lexsort((ids,
+A run is the exhaustive method's own per-member pass at k = L
+(``ranking.member_tops``): the L smallest keys in ``np.lexsort((ids,
 keys))`` order, with each key's own bits, so a run of length L is the first
 L entries of the full sorted run. L is whole blocks, or all n entries; only
 a run of all n entries can end inside a block, and its final block is padded
@@ -37,15 +37,16 @@ with (+inf, 0xFF..F) sentinels so every block is the same size. The run
 length is not part of the fingerprint: a query for min(k, n) > L entries
 raises ``ShortIndex`` (a ``StaleIndex``), never a short list, and the caller
 rebuilds with a longer run. Rebuilding from the same configuration is
-byte-identical, on any number of threads: runs are computed one member per
-thread (``ranking._map_members``) and written in member order. A build
-writes a temporary file in the target directory and renames it into place,
-so an interrupted build leaves no ``.idx`` file behind. A file whose header
-or size does not match, or a short read, raises ``StaleIndex``; a file of
-an earlier version (version 4 held all n entries per run, version 3 the
-paper's masked rate key) raises its subclass ``OldIndex``. Build writes and
-query reads are tallied in separate counters; counter updates are
-lock-protected so concurrent readers never lose increments.
+byte-identical, on any number of threads: ``member_tops`` computes runs
+one member per thread and yields them in member order. A build writes a
+temporary file in the target directory and renames it into place, so an
+interrupted build leaves no ``.idx`` file behind. A file whose header or
+size does not match, a short read, or a read entry whose ordinal is not a
+row of the space raises ``StaleIndex``; a file of an earlier version
+(version 4 held all n entries per run, version 3 the paper's masked rate
+key) raises its subclass ``OldIndex``. Build writes and query reads are
+tallied in separate counters; counter updates are lock-protected so
+concurrent readers never lose increments.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ObjectSpace, TargetContext, TeamContext, diff, weight_vector
+from .core import ObjectSpace, TargetContext, TeamContext, weight_vector
 from .errors import (
     EmptySpace,
     InvalidArgument,
@@ -69,7 +70,7 @@ from .errors import (
     ShortIndex,
     StaleIndex,
 )
-from .ranking import _PASS_ARRAYS, _exchange_distance_rows, _map_members, _member_top
+from .ranking import member_tops
 
 __all__ = [
     "IoStats",
@@ -200,6 +201,12 @@ class NnIndex:
     def reset_query_io(self) -> None:
         self.query_io.reset()
 
+    def check(self, space: ObjectSpace, team: TeamContext, target: TargetContext, w) -> None:
+        """Raise ``StaleIndex`` unless this index was built for this configuration."""
+        expected = fingerprint(space, team, target, w, self.block_size)
+        if expected != self.fingerprint:
+            raise StaleIndex(f"index fingerprint {self.fingerprint} does not match configuration {expected}")
+
     def query_min_raw(self, member_index: int, k: int) -> tuple[np.ndarray, np.ndarray]:
         """k smallest entries of a member's run as (ordinals, keys) arrays.
 
@@ -207,7 +214,7 @@ class NnIndex:
         k <= n, charged to ``query_io`` as that many block reads and one
         query; asking for more than n entries returns all n. A run too short
         for min(k, n) entries raises ``ShortIndex`` before any read; a short
-        read raises ``StaleIndex``.
+        read, or an ordinal that is not a row below n, raises ``StaleIndex``.
         """
         if k < 1:
             raise InvalidArgument(f"k must be >= 1, got {k}")
@@ -233,6 +240,9 @@ class NnIndex:
         self.query_io.add_read(blocks)
         self.query_io.add_query(1)
         entries = np.frombuffer(raw, dtype=RECORD_DTYPE, count=count)
+        # checked before the cast, which would turn 2**64 - 2 into -2
+        if entries["ordinal"].max() >= self.n:
+            raise StaleIndex(f"{index_path(self.directory, self.fingerprint)}: member {member_index} names a row >= n")
         return entries["ordinal"].astype(np.intp), entries["key"].copy()
 
     @classmethod
@@ -280,23 +290,16 @@ def build_index(
     directory,
     *,
     run_length: int | None = None,
-    stats_out: dict | None = None,
 ) -> NnIndex:
     """Write one sorted run per team member into one file and open it.
 
-    Keys are the exact post-exchange distances of the ranking layer's own
-    kernel, so index keys and the distances the exhaustive method computes
-    agree bit for bit. Each run holds a member's ``run_length`` best
-    entries, picked and ordered by (key, object id) with the exhaustive
-    method's own top-k kernel (``ranking._member_top``); ``run_length``
-    defaults to ``block_size``, is rounded up to whole blocks and is capped
-    at n. Runs are computed one member per thread
-    (``ranking._map_members``, as many at once as ``brute_force_rank``
-    runs) and written in member order by the calling thread, so the file
-    holds the same bytes on any number of threads. The file appears under
-    its final name only once every run is written; build writes land in the
-    build counter only. ``stats_out``, when given, receives
-    ``member_workers``: the threads the runs were built on.
+    Each run is the member's ``run_length`` best entries, keys and order
+    included, from the exhaustive method's own pass (``ranking.member_tops``,
+    on as many threads as ``brute_force_rank``), written in member order,
+    so the file holds the same bytes on any number of threads.
+    ``run_length`` defaults to ``block_size``, is rounded up to whole blocks
+    and is capped at n. The file appears under its final name only once
+    every run is written; build writes land in the build counter only.
     """
     if len(space) < 1:
         raise EmptySpace("cannot index an empty object space")
@@ -309,33 +312,28 @@ def build_index(
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
 
-    gap = diff(target, team)
     n = len(space)
     m = team.size
     blocks = -(-min(run_length, n) // block_size)
     length = min(blocks * block_size, n)
     header = HEADER.pack(MAGIC, VERSION, space.dimension, m, n, length, block_size, bytes.fromhex(fp))
 
-    def member_run(record) -> np.ndarray:
-        keys = _exchange_distance_rows(gap + record.attrs, record.lam, space.attrs, space.lambdas, w)
-        top = _member_top(keys, space.ids, length)
-        run = np.empty(blocks * block_size, dtype=RECORD_DTYPE)
-        run["key"][:length] = keys[top]
-        run["ordinal"][:length] = top
-        # only a run of all n entries can end inside a block
-        run["key"][length:] = np.inf
-        run["ordinal"][length:] = PAD_ORDINAL
-        return run
+    run = np.empty(blocks * block_size, dtype=RECORD_DTYPE)
+    # only a run of all n entries can end inside a block
+    run["key"][length:] = np.inf
+    run["ordinal"][length:] = PAD_ORDINAL
 
     # the temporary name does not end in .idx, so no reader mistakes it for an index
     fd, tmp = tempfile.mkstemp(prefix=f".{fp}.", suffix=".tmp", dir=directory)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(header)
-            for run in _map_members(member_run, team.members, n, space.dimension, _PASS_ARRAYS, stats_out):
+            for rows, keys in member_tops(space, team, target, w, length):
+                run["key"][:length] = keys
+                run["ordinal"][:length] = rows
                 fh.write(run.data)
                 # dropped before the next member is submitted
-                del run
+                del rows, keys
         os.replace(tmp, index_path(directory, fp))
     except BaseException:
         os.unlink(tmp)

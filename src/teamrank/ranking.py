@@ -2,20 +2,21 @@
 
 Both methods rank (swap-out member, swap-in candidate) pairs by the exact
 post-exchange distance to the target, with ties broken by ascending
-(swap-out id, swap-in id). The exhaustive method scores every pair and keeps
-each member's best ``top_k`` with one top-k kernel (``_member_top``). The
-index build keeps each member's run with the same kernel, so a run is that
-member's best entries in (exact distance, candidate id) order; the index
-method reads the first ``top_k`` of them and re-scores them with the same
-distance kernel. The merged result is identical to the exhaustive baseline,
-and a run shorter than ``top_k`` raises ``ShortIndex`` instead of answering.
+(swap-out id, swap-in id). This module owns the one per-member pass both
+share: exact distances over candidate rows, then the best k of them in
+(distance, id) order (``_member_best``). The exhaustive method merges every
+member's pass over the whole space (``member_tops``); the index build
+writes the same passes, at its run length, as the members' runs; the index
+method re-scores the rows it reads from a run with the same pass and
+refuses a run whose stored keys or order differ from it. The merged result
+is identical to the exhaustive baseline, and a run shorter than ``top_k``
+raises ``ShortIndex`` instead of answering.
 
-Both methods work member by member. The exhaustive method's per-member
-passes, and the index build's, which hold the same arrays, run on one thread
-per member once the space is larger than one kernel block
-(``_map_members``), up to the usable cores and up to as many passes as fit in
-the bytes of the space's attribute matrix; entries are merged in member order
-by the calling thread, so the result is byte-identical on any number of
+``member_tops`` runs the members' passes on one thread each once the space
+is larger than one kernel block (``_map_members``), up to the usable cores
+and up to as many passes as fit in the bytes of the space's attribute
+matrix (``member_workers``); results are yielded in member order, so the
+exhaustive result and the index file are byte-identical on any number of
 threads. The index method reads only ``top_k`` rows per member and stays on
 the calling thread.
 
@@ -42,7 +43,8 @@ import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from functools import partial
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -59,9 +61,6 @@ from .core import (
 )
 from .errors import DimensionMismatch, EmptySpace, InvalidArgument, NotAMember, StaleIndex
 
-if TYPE_CHECKING:  # pragma: no cover
-    from .nnindex import NnIndex
-
 __all__ = [
     "VirtualObject",
     "NormalizedCandidate",
@@ -71,6 +70,8 @@ __all__ = [
     "normalized_candidate",
     "odis",
     "odis_keys",
+    "member_tops",
+    "member_workers",
     "brute_force_rank",
     "rtc_star_rank",
     "verify_corollary",
@@ -143,7 +144,7 @@ def normalized_candidate(record: ObjectRecord) -> NormalizedCandidate:
     return NormalizedCandidate(object_id=record.id, rates=record.attrs / record.lam)
 
 
-# rows per block of the two row kernels: one (block, d) float64 temporary stays
+# rows per block of the distance kernel: one (block, d) float64 temporary stays
 # in L2 (about 360 KB at d = 11) instead of streaming n x d arrays through memory
 _CHUNK_ROWS = 4096
 
@@ -153,28 +154,13 @@ def odis_keys(values: np.ndarray, tv2: np.ndarray, rates: np.ndarray, w: np.ndar
 
     ``values`` and ``tv2`` are one virtual object's vectors, or one row per
     rate row (each row keyed against its own member's virtual object).
-    Rows are processed in blocks of ``_CHUNK_ROWS`` through one reused
-    temporary. Each row's arithmetic is the whole-array expression
-    ``sqrt(sum((w * max(values - rate, 0) * tv2) ** 2))``, operation for
-    operation, so the keys are bit-identical to it for any block size.
+    Each row's key is ``sqrt(sum((w * max(values - rate, 0) * tv2) ** 2))``.
     """
     rates = np.atleast_2d(rates)
-    n, d = rates.shape
-    if d != values.shape[-1]:
-        raise DimensionMismatch(f"rates have {d} dims, virtual object has {values.shape[-1]}")
-    values, tv2 = np.broadcast_to(values, (n, d)), np.broadcast_to(tv2, (n, d))
-    out = np.empty(n)
-    buf = np.empty((min(n, _CHUNK_ROWS), d))
-    for start in range(0, n, _CHUNK_ROWS):
-        stop = min(start + _CHUNK_ROWS, n)
-        terms = buf[: stop - start]
-        np.subtract(values[start:stop], rates[start:stop], out=terms)
-        np.maximum(terms, 0.0, out=terms)
-        np.multiply(w, terms, out=terms)
-        np.multiply(terms, tv2[start:stop], out=terms)
-        np.multiply(terms, terms, out=terms)
-        np.add.reduce(terms, axis=1, out=out[start:stop])
-    return np.sqrt(out, out=out)
+    if rates.shape[1] != values.shape[-1]:
+        raise DimensionMismatch(f"rates have {rates.shape[1]} dims, virtual object has {values.shape[-1]}")
+    terms = w * np.maximum(values - rates, 0.0) * tv2
+    return np.sqrt(np.add.reduce(terms * terms, axis=1))
 
 
 def odis(v: VirtualObject, cand: NormalizedCandidate, w) -> float:
@@ -239,16 +225,22 @@ def _member_top(dist: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
     return candidates[order[:k]]
 
 
-def _member_workers(members: int, n: int, d: int, pass_arrays: int) -> int:
+# a member pass, of bf or of an index build, holds its distances and their
+# partition copy; the kernel block, the selection mask, the candidates and
+# the chosen entries round that up to three arrays
+_PASS_ARRAYS = 3
+
+
+def _member_workers(members: int, n: int, d: int) -> int:
     """Threads the per-member passes over an ``n`` x ``d`` space run on.
 
     One per member, up to the cores this process may run on, and up to as
     many passes as fit in the bytes of the space's attribute matrix: a pass
-    that holds at most ``pass_arrays`` n-length 8-byte arrays at once fits
-    ``d // pass_arrays`` times in n * d * 8 bytes. Each pass's kernel block
-    is left out of that count; it is a small share of the matrix once n is
-    well above ``_CHUNK_ROWS``. At ``n <= _CHUNK_ROWS`` a member's pass is
-    one kernel block, cheaper than starting a thread pool, so it stays on
+    holds at most ``_PASS_ARRAYS`` n-length 8-byte arrays at once, so
+    ``d // _PASS_ARRAYS`` of them fit in n * d * 8 bytes. Each pass's kernel
+    block is left out of that count; it is a small share of the matrix once
+    n is well above ``_CHUNK_ROWS``. At ``n <= _CHUNK_ROWS`` a member's pass
+    is one kernel block, cheaper than starting a thread pool, so it stays on
     the calling thread.
     """
     if n <= _CHUNK_ROWS:
@@ -257,12 +249,15 @@ def _member_workers(members: int, n: int, d: int, pass_arrays: int) -> int:
         cores = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         cores = os.cpu_count() or 1
-    return max(1, min(members, cores, d // pass_arrays))
+    return max(1, min(members, cores, d // _PASS_ARRAYS))
 
 
-def _map_members(
-    fn: Callable, members: Sequence, n: int, d: int, pass_arrays: int, stats_out: dict | None = None
-) -> Iterator:
+def member_workers(team: TeamContext, space: ObjectSpace) -> int:
+    """Threads :func:`member_tops` scores ``team``'s members over ``space`` on."""
+    return _member_workers(team.size, len(space), space.dimension)
+
+
+def _map_members(fn: Callable, members: Sequence, n: int, d: int) -> Iterator:
     """Yield ``fn(member)`` for each member, in member order.
 
     The passes run on :func:`_member_workers` threads; the numpy calls they
@@ -270,12 +265,9 @@ def _map_members(
     only when the caller asks for the result after member ``i``'s, so a
     caller that drops each result before asking for the next holds at most
     ``workers`` of them at once. A pass's exception reaches the caller
-    unchanged. ``stats_out``, when given, receives the thread count as
-    ``member_workers``.
+    unchanged.
     """
-    workers = _member_workers(len(members), n, d, pass_arrays)
-    if stats_out is not None:
-        stats_out["member_workers"] = workers
+    workers = _member_workers(len(members), n, d)
     if workers == 1:
         yield from map(fn, members)
         return
@@ -288,34 +280,33 @@ def _map_members(
             yield pending.popleft().result()
 
 
-# a member pass, of bf or of an index build, holds its distances and their
-# partition copy; the kernel block, the selection mask, the candidates and
-# the chosen entries round that up to three arrays
-_PASS_ARRAYS = 3
-
-
-def _member_entries(
+def _member_best(
     space: ObjectSpace,
     gap: np.ndarray,
     record: ObjectRecord,
     w: np.ndarray,
-    top_k: int,
+    k: int,
     rows: np.ndarray | None = None,
-) -> list[tuple[float, str, int]]:
-    """One member's best ``top_k`` swaps as (distance, swap-in id, row) entries.
+) -> tuple[np.ndarray, np.ndarray]:
+    """One member's best ``k`` swaps as (rows, distances) arrays.
 
-    The shared per-member kernel: exact post-exchange distances over the
-    candidate ``rows`` (every row of the space when None), smallest first
-    with ties by ascending id.
+    The per-member pass: exact post-exchange distances over the candidate
+    ``rows`` (every row of the space when None), the smallest min(k, rows)
+    of them first, with ties by ascending id.
     """
     if rows is None:
         attrs, lambdas, ids = space.attrs, space.lambdas, space.ids
     else:
         attrs, lambdas, ids = space.attrs[rows], space.lambdas[rows], space.ids[rows]
     dist = _exchange_distance_rows(gap + record.attrs, record.lam, attrs, lambdas, w)
-    chosen = _member_top(dist, ids, top_k)
-    chosen_rows = chosen if rows is None else rows[chosen]
-    return list(zip(dist[chosen].tolist(), ids[chosen].tolist(), chosen_rows.tolist()))
+    chosen = _member_top(dist, ids, k)
+    return (chosen if rows is None else rows[chosen]), dist[chosen]
+
+
+def member_tops(space: ObjectSpace, team: TeamContext, target: TargetContext, w: np.ndarray, k: int) -> Iterator:
+    """Each member's :func:`_member_best` over the whole space, in member order, on :func:`member_workers` threads."""
+    best = partial(_member_best, space, diff(target, team), w=w, k=k)
+    return _map_members(best, team.members, len(space), space.dimension)
 
 
 def _merge_and_rank(
@@ -323,26 +314,27 @@ def _merge_and_rank(
     target: TargetContext,
     space: ObjectSpace,
     w: np.ndarray,
-    per_member: list[list[tuple[float, str, int]]],
+    per_member: list[tuple[np.ndarray, np.ndarray]],
     top_k: int,
 ) -> list[SwapRecommendation]:
-    """Pool the members' entries, keep the best ``top_k`` and key only those.
+    """Pool the members' (rows, distances), keep the best ``top_k`` and key only those.
 
     Each kept row's ``odis`` is taken against its own member's virtual object.
     """
     # (swap-out id, swap-in id) is unique, so the row never decides the order
     pool = sorted(
         (dist, record.id, in_id, row)
-        for record, entries in zip(team.members, per_member)
-        for dist, in_id, row in entries
+        for record, (rows, dists) in zip(team.members, per_member)
+        for dist, in_id, row in zip(dists.tolist(), space.ids[rows].tolist(), rows.tolist())
     )
     top = pool[:top_k]
     virtual = {out_id: virtual_object(team, target, team.member(out_id)) for out_id in {t[1] for t in top}}
     objects = [virtual[out_id] for _, out_id, _, _ in top]
+    rows = np.array([row for *_, row in top], dtype=np.intp)
     keys = odis_keys(
         np.array([v.values for v in objects]),
         np.array([v.tv2 for v in objects]),
-        space.rates()[[row for *_, row in top]],
+        space.attrs[rows] / space.lambdas[rows][:, None],
         w,
     )
     return [
@@ -357,33 +349,17 @@ def brute_force_rank(
     space: ObjectSpace,
     w,
     top_k: int,
-    *,
-    stats_out: dict | None = None,
 ) -> list[SwapRecommendation]:
-    """Score every (member, candidate) pair and keep the best ``top_k``.
-
-    ``stats_out``, when given, receives ``member_workers``: the threads the
-    member passes ran on.
-    """
+    """Score every (member, candidate) pair and keep the best ``top_k``."""
     if top_k < 1:
         raise InvalidArgument(f"top_k must be >= 1, got {top_k}")
     if len(space) < 1:
         raise EmptySpace("ranking needs a non-empty object space")
     w = weight_vector(w)
-    gap = diff(target, team)
-    if w.size != gap.size or space.dimension != gap.size:
+    d = diff(target, team).size
+    if w.size != d or space.dimension != d:
         raise DimensionMismatch("team, target, space and weights must share a dimension")
-
-    per_member = list(
-        _map_members(
-            lambda record: _member_entries(space, gap, record, w, top_k),
-            team.members,
-            len(space),
-            space.dimension,
-            _PASS_ARRAYS,
-            stats_out,
-        )
-    )
+    per_member = list(member_tops(space, team, target, w, top_k))
     return _merge_and_rank(team, target, space, w, per_member, top_k)
 
 
@@ -392,21 +368,20 @@ def rtc_star_rank(
     target: TargetContext,
     space: ObjectSpace,
     w,
-    index: "NnIndex",
+    index,
     top_k: int,
     *,
     stats_out: dict | None = None,
 ) -> list[SwapRecommendation]:
     """Index-backed ranking, guaranteed equal to :func:`brute_force_rank`.
 
-    Each member's run holds that member's best entries by (exact distance,
-    candidate id), picked by the exhaustive method's own top-k kernel, so its
-    first ``top_k`` entries, one read of ceil(top_k / block_size) blocks, are
-    that member's best swaps. They are re-scored by the shared kernel, so
-    reported distances come from the kernel and the keys only decide which
-    rows are read. An index whose runs hold fewer than min(top_k, n) entries
-    raises ``ShortIndex`` (a ``StaleIndex``); build it with
-    ``run_length >= top_k``.
+    ``index`` is an open ``nnindex.NnIndex`` built for this configuration.
+    Each member's run is the exhaustive method's own pass, so its first
+    ``top_k`` entries, one read of ceil(top_k / block_size) blocks, are that
+    member's best swaps. Re-scored by the same pass, they must come back in
+    the stored order with the stored key bits, or ``StaleIndex`` is raised.
+    An index whose runs hold fewer than min(top_k, n) entries raises
+    ``ShortIndex`` (a ``StaleIndex``); build it with ``run_length >= top_k``.
 
     ``stats_out``, when given, receives per-member block reads
     (``per_member_reads``) and entries re-scored per member
@@ -418,22 +393,18 @@ def rtc_star_rank(
     if len(space) < 1:
         raise EmptySpace("ranking needs a non-empty object space")
     w = weight_vector(w)
-
-    from .nnindex import fingerprint
-
-    expected = fingerprint(space, team, target, w, index.block_size)
-    if expected != index.fingerprint:
-        raise StaleIndex(
-            f"index fingerprint {index.fingerprint} does not match configuration {expected}"
-        )
+    index.check(space, team, target, w)
 
     gap = diff(target, team)
     per_member = []
     per_member_reads = []
     for member_index, record in enumerate(team.members):
         before = index.query_io.blocks_read
-        rows, _ = index.query_min_raw(member_index, top_k)
-        per_member.append(_member_entries(space, gap, record, w, top_k, rows))
+        rows, keys = index.query_min_raw(member_index, top_k)
+        best_rows, dist = _member_best(space, gap, record, w, top_k, rows)
+        if best_rows.tobytes() != rows.tobytes() or dist.tobytes() != keys.tobytes():
+            raise StaleIndex(f"index {index.fingerprint}: member {member_index}'s entries do not match their rows")
+        per_member.append((best_rows, dist))
         per_member_reads.append(index.query_io.blocks_read - before)
 
     if stats_out is not None:

@@ -218,6 +218,24 @@ class TestSubcommands:
         payload = json.loads(out)
         assert payload["rows"][0]["methods_agree"] is True
 
+    @pytest.mark.parametrize("team_ids", [["BBB"], ["BBB", "NOPE"]])
+    def test_bench_on_the_league_files_looks_teams_up_as_rank_does(self, league, capsys, tmp_path, team_ids):
+        # a team with no roster rows is a data error in bench, as in rank --team
+        config = tmp_path / "bench.json"
+        config.write_text(json.dumps({
+            "dataset": {"kind": "csv", **{key: league[key] for key in
+                                          ("players", "players_manifest", "teams", "teams_manifest")}},
+            "block_size": 3, "top_k": 2, "team_ids": team_ids,
+            "elite_count": 2, "timing_repeats": 1, "timing_warmup": 0,
+        }))
+        code, out, err = run(["bench", "--config", str(config)], capsys)
+        rank_code, _, rank_err = run(["rank", "--method", "bf", *real_flags(league), "--team", team_ids[-1]], capsys)
+        assert (code, rank_code) == ((0, 0) if team_ids == ["BBB"] else (2, 2))
+        if code == 0:
+            assert [row["team_id"] for row in json.loads(out)["rows"]] == ["BBB"]
+        else:
+            assert out == "" and err == rank_err == f"error: team 'NOPE' has no roster rows in {league['players']}\n"
+
     def test_repeated_invocations_are_byte_identical(self, league, capsys, tmp_path):
         outputs = []
         for name in ("first.json", "second.json"):
@@ -299,6 +317,22 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert "error" in err.lower()
+
+    @pytest.mark.parametrize("ordinal", [12, 2**64 - 2])
+    def test_index_entry_naming_no_row_is_data_error(self, league, capsys, tmp_path, ordinal):
+        idx = tmp_path / "idx"
+        flags = [*real_flags(league), "--team", "BBB", "--top-k", "2", "--block-size", "3", "--index-dir", str(idx)]
+        code, out, _ = run(["index", "build", *flags], capsys)
+        assert code == 0
+        partition = idx / json.loads(out)["files"][0]
+        raw = bytearray(partition.read_bytes())
+        # the 12-row league has no row 12; the first member's first entry names it
+        raw[HEADER.size + 8 : HEADER.size + 16] = ordinal.to_bytes(8, "little")
+        partition.write_bytes(bytes(raw))
+        code, out, err = run(["rank", "--method", "rtcstar", *flags], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
 
     @pytest.mark.parametrize("version", [3, 4])
     def test_earlier_version_index_is_rebuilt(self, league, capsys, tmp_path, version):

@@ -17,11 +17,13 @@ from teamrank.nnindex import (
     fingerprint,
     index_path,
 )
+from teamrank import ranking
 from teamrank.ranking import (
     _CHUNK_ROWS,
     _PASS_ARRAYS,
     _exchange_distance_rows,
     brute_force_rank,
+    member_workers,
     rtc_star_rank,
 )
 
@@ -107,7 +109,7 @@ class TestBuild:
                 raise RuntimeError("interrupted")
             return _exchange_distance_rows(*args)
 
-        monkeypatch.setattr(nnindex, "_exchange_distance_rows", fail_on_second_member)
+        monkeypatch.setattr(ranking, "_exchange_distance_rows", fail_on_second_member)
         for directory in (fresh, rebuilt):
             with pytest.raises(RuntimeError):
                 build_index(space, team, target, w, 4, directory)
@@ -159,11 +161,10 @@ class TestThreadedBuild:
     def test_index_file_bytes_are_pinned(self, tmp_path, monkeypatch, m, cores):
         pretend_cores(monkeypatch, cores)
         space, team, target, w = make_setup(seed=30 + m, n=self.N, d=self.D, m=m)
-        stats = {}
-        with build_index(space, team, target, w, 10, tmp_path, run_length=self.N, stats_out=stats) as index:
+        with build_index(space, team, target, w, 10, tmp_path, run_length=self.N) as index:
             raw = index_path(tmp_path, index.fingerprint).read_bytes()
         assert hashlib.sha256(raw).hexdigest() == self.PINNED[m]
-        assert stats["member_workers"] == min(m, cores)
+        assert member_workers(team, space) == min(m, cores)
 
     def test_interrupted_build_leaves_no_index_and_keeps_the_old_one(self, tmp_path, monkeypatch):
         pretend_cores(monkeypatch, 2)
@@ -184,13 +185,12 @@ class TestThreadedBuild:
                 raise error
             return _exchange_distance_rows(*args)
 
-        monkeypatch.setattr(nnindex, "_exchange_distance_rows", fail_on_third_member)
+        monkeypatch.setattr(ranking, "_exchange_distance_rows", fail_on_third_member)
         for directory in (fresh, rebuilt):
-            stats = {}
             with pytest.raises(RuntimeError) as caught:
-                build_index(space, team, target, w, 4, directory, stats_out=stats)
+                build_index(space, team, target, w, 4, directory)
             assert caught.value is error
-            assert stats["member_workers"] == 2
+            assert member_workers(team, space) == 2
             calls.clear()
         assert list(fresh.iterdir()) == []
         assert list(rebuilt.iterdir()) == [path]
@@ -232,7 +232,7 @@ class TestRunOrder:
             keys[[10, 60, 110, 210, 260]] = np.nan
             return keys
 
-        monkeypatch.setattr(nnindex, "_exchange_distance_rows", signed_keys)
+        monkeypatch.setattr(ranking, "_exchange_distance_rows", signed_keys)
         with build_index(space, team, target, w, b, tmp_path, run_length=run_length) as index:
             assert index.run_length == kept
             assert index.data_blocks == -(-kept // b)
@@ -389,6 +389,18 @@ class TestOpenAndFingerprint:
         assert fingerprint(space, team, other_target, w, 5) != base
 
 
+    def test_check_refuses_another_configuration(self, tmp_path):
+        space, team, target, w = make_setup(seed=20)
+        # same aggregate under another id: every key re-scores alike, only the fingerprint differs
+        renamed = TargetContext(team_id="U", aggregate=target.aggregate)
+        with build_index(space, team, target, w, 5, tmp_path) as index:
+            index.check(space, team, target, w)
+            for args in ((space, team, renamed, w), (space, team, target, np.asarray(w) * 2.0)):
+                with pytest.raises(StaleIndex, match="does not match configuration"):
+                    index.check(*args)
+            with pytest.raises(StaleIndex, match="does not match configuration"):
+                rtc_star_rank(team, renamed, space, w, index, 3)
+
 class TestDamagedPartitions:
     def build_closed(self, tmp_path, n=60):
         space, team, target, w = make_setup(seed=21, n=n, m=2)
@@ -467,6 +479,48 @@ class TestDamagedPartitions:
         path.write_bytes(old_header + path.read_bytes()[HEADER.size :])
         with pytest.raises(StaleIndex, match="version"):
             NnIndex.open(tmp_path, fp, space)
+
+    @pytest.mark.parametrize("damage", ["another row", "n", "2**64 - 2", "key one ulp up"])
+    def test_a_corrupt_entry_is_stale(self, tmp_path, damage):
+        # member 1's second entry names a worse row, no row, or a row the
+        # unchecked cast to intp would turn into -2; or its key is off by one ulp
+        space, team, target, w = make_setup(seed=21, n=60, m=2)
+        k = 5
+        with build_index(space, team, target, w, 4, tmp_path, run_length=k) as index:
+            fp, run = index.fingerprint, index.run_length
+            assert rtc_star_rank(team, target, space, w, index, k) == brute_force_rank(team, target, space, w, k)
+            ordinals, stored = index.query_min_raw(1, k)
+        path = index_path(tmp_path, fp)
+        raw = bytearray(path.read_bytes())
+        at = HEADER.size + (run + 1) * 16
+        if damage == "key one ulp up":
+            raw[at : at + 8] = struct.pack("<d", np.nextafter(stored[1], np.inf))
+        else:
+            keys = exact_keys(space, team, target, w, team.members[1])
+            worse = int(np.argmax(keys))
+            assert worse not in ordinals and keys[worse] != stored[1]
+            value = {"another row": worse, "n": len(space), "2**64 - 2": 2**64 - 2}[damage]
+            raw[at + 8 : at + 16] = value.to_bytes(8, "little")
+        path.write_bytes(bytes(raw))
+        with NnIndex.open(tmp_path, fp, space) as index:
+            with pytest.raises(StaleIndex):
+                rtc_star_rank(team, target, space, w, index, k)
+
+    def test_tied_entries_out_of_id_order_are_stale(self, tmp_path):
+        # member 0's first two entries both have key 0; swapped, every key still matches
+        space, team, target, w = tie_heavy_setup()
+        with build_index(space, team, target, w, 13, tmp_path, run_length=13) as index:
+            fp = index.fingerprint
+            _, stored = index.query_min_raw(0, 2)
+        assert stored.tolist() == [0.0, 0.0]
+        path = index_path(tmp_path, fp)
+        raw = bytearray(path.read_bytes())
+        first, second = HEADER.size, HEADER.size + 16
+        raw[first:second], raw[second : second + 16] = raw[second : second + 16], raw[first:second]
+        path.write_bytes(bytes(raw))
+        with NnIndex.open(tmp_path, fp, space) as index:
+            with pytest.raises(StaleIndex):
+                rtc_star_rank(team, target, space, w, index, 13)
 
     @pytest.mark.parametrize("length", [0, 5, 61])
     def test_run_length_that_does_not_fit_the_blocks_is_stale(self, tmp_path, length):

@@ -29,11 +29,12 @@ from teamrank.ranking import (
     NormalizedCandidate,
     _exchange_distance_rows,
     _map_members,
-    _member_entries,
+    _member_best,
     _member_top,
     _member_workers,
     _merge_and_rank,
     brute_force_rank,
+    member_workers,
     normalized_candidate,
     odis,
     odis_keys,
@@ -196,13 +197,15 @@ class TestRowKernels:
         target = TargetContext(team_id="T", aggregate=team.aggregate * 1.1)
         w = np.ones(d)
         space.rates(), space.digest()  # cached per space, not per call
+        if stats_out is not None:
+            stats_out["member_workers"] = member_workers(team, space)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             if method == "bf":
-                brute_force_rank(team, target, space, w, 10, stats_out=stats_out)
+                brute_force_rank(team, target, space, w, 10)
             else:
-                build_index(space, team, target, w, 10, tmp_path, stats_out=stats_out).close()
+                build_index(space, team, target, w, 10, tmp_path).close()
             return tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -278,29 +281,29 @@ class TestMemberThreads:
 
     def test_worker_count(self, monkeypatch):
         pretend_cores(monkeypatch, 3)
-        assert _member_workers(5, _CHUNK_ROWS, 11, 1) == 1
-        assert _member_workers(5, _CHUNK_ROWS + 1, 11, 1) == 3
-        assert _member_workers(2, _CHUNK_ROWS + 1, 11, 1) == 2
+        assert _member_workers(5, _CHUNK_ROWS, 11) == 1
+        assert _member_workers(5, _CHUNK_ROWS + 1, 11) == 3
+        assert _member_workers(2, _CHUNK_ROWS + 1, 11) == 2
         pretend_cores(monkeypatch, 1)
-        assert _member_workers(5, self.N, 11, 1) == 1
+        assert _member_workers(5, self.N, 11) == 1
 
     def test_worker_count_is_capped_by_the_attribute_matrix(self, monkeypatch):
         pretend_cores(monkeypatch, 64)
-        # d // pass_arrays passes fit in the bytes of one n x d matrix; a bf
+        # d // _PASS_ARRAYS passes fit in the bytes of one n x d matrix; a bf
         # pass and an index build's pass hold the same arrays
         assert _PASS_ARRAYS == 3
-        assert _member_workers(7, self.N, 11, _PASS_ARRAYS) == 3
-        assert _member_workers(7, self.N, 12, _PASS_ARRAYS) == 4
-        assert _member_workers(7, self.N, 20, _PASS_ARRAYS) == 6
+        assert _member_workers(7, self.N, 11) == 3
+        assert _member_workers(7, self.N, 12) == 4
+        assert _member_workers(7, self.N, 20) == 6
         # a pass larger than the matrix still runs, on the calling thread
-        assert _member_workers(7, self.N, 2, _PASS_ARRAYS) == 1
+        assert _member_workers(7, self.N, 2) == 1
 
     def test_cpu_count_without_affinity(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert _member_workers(7, self.N, 11, 1) == 3
+        assert _member_workers(7, self.N, 11) == 3
         monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert _member_workers(7, self.N, 11, 1) == 1
+        assert _member_workers(7, self.N, 11) == 1
 
     def test_members_run_concurrently_in_a_bounded_window(self, monkeypatch):
         pretend_cores(monkeypatch, 2)
@@ -318,7 +321,7 @@ class TestMemberThreads:
             return member
 
         got = []
-        for result in _map_members(fn, list(range(7)), self.N, 11, 1):
+        for result in _map_members(fn, list(range(7)), self.N, 11):
             # a result the caller holds still counts against the window
             with lock:
                 got.append(result)
@@ -336,7 +339,7 @@ class TestMemberThreads:
             return member
 
         with pytest.raises(RuntimeError) as caught:
-            list(_map_members(fn, list(range(5)), self.N, 11, 1))
+            list(_map_members(fn, list(range(5)), self.N, 11))
         assert caught.value is error
 
     @pytest.mark.parametrize("cores", [1, 2, 4])
@@ -357,12 +360,11 @@ class TestMemberThreads:
         w = rng.uniform(0.2, 2.0, d)
         k = 25
         gap = diff(target, team)
-        serial = [_member_entries(space, gap, record, w, k) for record in team.members]
-        stats = {}
-        assert brute_force_rank(team, target, space, w, k, stats_out=stats) == _merge_and_rank(
+        serial = [_member_best(space, gap, record, w, k) for record in team.members]
+        assert brute_force_rank(team, target, space, w, k) == _merge_and_rank(
             team, target, space, w, serial, k
         )
-        assert stats["member_workers"] == min(m, cores)
+        assert member_workers(team, space) == min(m, cores)
 
 
 class TestRtcStar:
