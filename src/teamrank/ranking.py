@@ -7,8 +7,9 @@ share: exact distances over candidate rows, then the best k of them in
 (distance, id) order (``_member_best``). The exhaustive method merges every
 member's pass over the whole space (``member_tops``); the index build
 writes the same passes, at its run length, as the members' runs; the index
-method re-scores the rows it reads from a run with the same pass and
-refuses a run whose stored keys or order differ from it. The merged result
+method re-scores the rows it reads from every run in one call of the same
+kernel, selects each member's with the same top-k, and refuses a run whose
+stored keys or order differ from it. The merged result
 is identical to the exhaustive baseline, and a run shorter than ``top_k``
 raises ``ShortIndex`` instead of answering.
 
@@ -144,9 +145,10 @@ def normalized_candidate(record: ObjectRecord) -> NormalizedCandidate:
     return NormalizedCandidate(object_id=record.id, rates=record.attrs / record.lam)
 
 
-# rows per block of the distance kernel: one (block, d) float64 temporary stays
-# in L2 (about 360 KB at d = 11) instead of streaming n x d arrays through memory
-_CHUNK_ROWS = 4096
+# rows per block of the distance kernel: its one (d, block) float64 buffer
+# stays in L2 (about 720 KB at d = 11) instead of streaming n x d arrays
+# through memory
+_CHUNK_ROWS = 8192
 
 
 def odis_keys(values: np.ndarray, tv2: np.ndarray, rates: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -177,34 +179,78 @@ def odis(v: VirtualObject, cand: NormalizedCandidate, w) -> float:
 
 def _exchange_distance_rows(
     base: np.ndarray,
-    lambda_r: float,
+    lambda_r: float | np.ndarray,
     attr_rows: np.ndarray,
     lambda_rows: np.ndarray,
     w: np.ndarray,
 ) -> np.ndarray:
-    """Exact post-exchange distances for one member against candidate rows.
+    """Exact post-exchange distances of candidate rows against a member.
 
-    ``base`` is gap + member attributes; each row's contribution is rescaled
-    by lambda_r over its own lambda, and the mask comes from the
-    post-exchange gap sign. Rows are processed in blocks of ``_CHUNK_ROWS``
-    through one reused temporary; each row's arithmetic is the whole-array
-    expression ``sqrt(sum((w * max(base - (lambda_r / lambda) * attrs, 0)) ** 2))``,
-    operation for operation, so the distances are bit-identical to it.
+    ``base`` is gap + member attributes and ``lambda_r`` the member's
+    exchange parameter: one member's, or one per candidate row (``base`` of
+    shape (rows, d), ``lambda_r`` of length rows). Each row's contribution
+    is rescaled by lambda_r over its own lambda, and the mask comes from the
+    post-exchange gap sign. Each row's arithmetic is the whole-array
+    expression ``sqrt(np.add.reduce((w * max(base - (lambda_r / lambda) * attrs, 0)) ** 2, axis=1))``,
+    operation for operation and with the dimensions summed in
+    ``np.add.reduce``'s own order (:func:`_sum_dimensions`), so the
+    distances are bit-identical to it.
+
+    Rows are processed in blocks of ``_CHUNK_ROWS``. Each block is copied,
+    transposed, into one reused (d, block) buffer, so every operation after
+    the copy streams over contiguous rows of it.
     """
     n, d = attr_rows.shape
+    base = np.broadcast_to(base, (n, d))
+    lambda_r = np.broadcast_to(lambda_r, n)
+    w = w[:, None]
     out = np.empty(n)
-    buf, ratio_buf = np.empty((min(n, _CHUNK_ROWS), d)), np.empty(min(n, _CHUNK_ROWS))
+    buf, ratio_buf = np.empty((d, min(n, _CHUNK_ROWS))), np.empty(min(n, _CHUNK_ROWS))
     for start in range(0, n, _CHUNK_ROWS):
         stop = min(start + _CHUNK_ROWS, n)
-        terms, ratio = buf[: stop - start], ratio_buf[: stop - start]
-        np.divide(lambda_r, lambda_rows[start:stop], out=ratio)
-        np.multiply(ratio[:, None], attr_rows[start:stop], out=terms)
-        np.subtract(base, terms, out=terms)
+        terms, ratio = buf[:, : stop - start], ratio_buf[: stop - start]
+        np.divide(lambda_r[start:stop], lambda_rows[start:stop], out=ratio)
+        np.copyto(terms, attr_rows[start:stop].T)
+        np.multiply(ratio, terms, out=terms)
+        np.subtract(base[start:stop].T, terms, out=terms)
         np.maximum(terms, 0.0, out=terms)
         np.multiply(w, terms, out=terms)
         np.multiply(terms, terms, out=terms)
-        np.add.reduce(terms, axis=1, out=out[start:stop])
+        _sum_dimensions(terms, 0, d)
+        out[start:stop] = terms[0]
     return np.sqrt(out, out=out)
+
+
+def _sum_dimensions(terms: np.ndarray, first: int, count: int) -> None:
+    """Sum rows ``first`` .. ``first + count - 1`` of ``terms`` into row ``first``.
+
+    The order is numpy's pairwise summation, the one ``np.add.reduce`` uses
+    along a contiguous axis: fewer than 8 terms are added in sequence; up
+    to 128 go into eight accumulators over strides of 8, folded as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), before the rest is
+    added in sequence; more than 128 are split at half, rounded down to a
+    multiple of 8, and each half summed so.
+    """
+    last = first + count
+    if count < 8:
+        for row in range(first + 1, last):
+            terms[first] += terms[row]
+    elif count <= 128:
+        full = last - count % 8
+        acc = terms[first : first + 8]
+        for row in range(first + 8, full, 8):
+            acc += terms[row : row + 8]
+        np.add(acc[0::2], acc[1::2], out=acc[0::2])
+        np.add(acc[0::4], acc[2::4], out=acc[0::4])
+        acc[0] += acc[4]
+        for row in range(full, last):
+            terms[first] += terms[row]
+    else:
+        half = count // 2
+        half -= half % 8
+        _sum_dimensions(terms, first, half)
+        _sum_dimensions(terms, first + half, count - half)
+        terms[first] += terms[first + half]
 
 
 def _member_top(dist: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
@@ -281,26 +327,17 @@ def _map_members(fn: Callable, members: Sequence, n: int, d: int) -> Iterator:
 
 
 def _member_best(
-    space: ObjectSpace,
-    gap: np.ndarray,
-    record: ObjectRecord,
-    w: np.ndarray,
-    k: int,
-    rows: np.ndarray | None = None,
+    space: ObjectSpace, gap: np.ndarray, record: ObjectRecord, w: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """One member's best ``k`` swaps as (rows, distances) arrays.
 
-    The per-member pass: exact post-exchange distances over the candidate
-    ``rows`` (every row of the space when None), the smallest min(k, rows)
-    of them first, with ties by ascending id.
+    The per-member pass: exact post-exchange distances over every row of
+    the space, the smallest min(k, n) of them first, with ties by
+    ascending id.
     """
-    if rows is None:
-        attrs, lambdas, ids = space.attrs, space.lambdas, space.ids
-    else:
-        attrs, lambdas, ids = space.attrs[rows], space.lambdas[rows], space.ids[rows]
-    dist = _exchange_distance_rows(gap + record.attrs, record.lam, attrs, lambdas, w)
-    chosen = _member_top(dist, ids, k)
-    return (chosen if rows is None else rows[chosen]), dist[chosen]
+    dist = _exchange_distance_rows(gap + record.attrs, record.lam, space.attrs, space.lambdas, w)
+    chosen = _member_top(dist, space.ids, k)
+    return chosen, dist[chosen]
 
 
 def member_tops(space: ObjectSpace, team: TeamContext, target: TargetContext, w: np.ndarray, k: int) -> Iterator:
@@ -378,8 +415,10 @@ def rtc_star_rank(
     ``index`` is an open ``nnindex.NnIndex`` built for this configuration.
     Each member's run is the exhaustive method's own pass, so its first
     ``top_k`` entries, one read of ceil(top_k / block_size) blocks, are that
-    member's best swaps. Re-scored by the same pass, they must come back in
-    the stored order with the stored key bits, or ``StaleIndex`` is raised.
+    member's best swaps. All runs are read first and re-scored in one kernel
+    call, each row against its own member; each run, re-selected by the
+    same top-k, must come back in the stored order with the stored key
+    bits, or ``StaleIndex`` is raised.
     An index whose runs hold fewer than min(top_k, n) entries raises
     ``ShortIndex`` (a ``StaleIndex``); build it with ``run_length >= top_k``.
 
@@ -395,17 +434,28 @@ def rtc_star_rank(
     w = weight_vector(w)
     index.check(space, team, target, w)
 
-    gap = diff(target, team)
-    per_member = []
-    per_member_reads = []
-    for member_index, record in enumerate(team.members):
+    runs, per_member_reads = [], []
+    for member_index in range(team.size):
         before = index.query_io.blocks_read
-        rows, keys = index.query_min_raw(member_index, top_k)
-        best_rows, dist = _member_best(space, gap, record, w, top_k, rows)
-        if best_rows.tobytes() != rows.tobytes() or dist.tobytes() != keys.tobytes():
-            raise StaleIndex(f"index {index.fingerprint}: member {member_index}'s entries do not match their rows")
-        per_member.append((best_rows, dist))
+        runs.append(index.query_min_raw(member_index, top_k))
         per_member_reads.append(index.query_io.blocks_read - before)
+
+    # every run re-scored in one kernel call, each row against its own member
+    owner = np.repeat(np.arange(team.size), [rows.size for rows, _ in runs])
+    run_rows = np.concatenate([rows for rows, _ in runs])
+    bases = diff(target, team) + np.array([record.attrs for record in team.members])
+    lambdas = np.array([record.lam for record in team.members])
+    scored = _exchange_distance_rows(
+        bases[owner], lambdas[owner], space.attrs[run_rows], space.lambdas[run_rows], w
+    )
+    per_member = []
+    for member_index, (rows, keys) in enumerate(runs):
+        dist = scored[owner == member_index]
+        chosen = _member_top(dist, space.ids[rows], top_k)
+        best_rows, best = rows[chosen], dist[chosen]
+        if best_rows.tobytes() != rows.tobytes() or best.tobytes() != keys.tobytes():
+            raise StaleIndex(f"index {index.fingerprint}: member {member_index}'s entries do not match their rows")
+        per_member.append((best_rows, best))
 
     if stats_out is not None:
         stats_out["per_member_reads"] = per_member_reads

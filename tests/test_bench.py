@@ -142,7 +142,7 @@ class TestRunExperiment:
         # twelve dimensions fit four member passes, of bf or of a build, in the
         # attribute matrix, so the cores cap both
         params = {f"{name}{j}": value for j in range(4) for name, value in PARAMS.items()}
-        dataset = {"kind": "synthetic", "n": 5000, "params": params, "seed": 3}
+        dataset = {"kind": "synthetic", "n": 9000, "params": params, "seed": 3}
         big = run_experiment(mini_config(dataset=dataset, n_teams=1, timing_repeats=1))
         assert big.timing["member_workers"] == 3
         assert all(row.methods_agree for row in big.rows)

@@ -19,7 +19,6 @@ from teamrank.nnindex import (
 )
 from teamrank import ranking
 from teamrank.ranking import (
-    _CHUNK_ROWS,
     _PASS_ARRAYS,
     _exchange_distance_rows,
     brute_force_rank,
@@ -144,8 +143,9 @@ def tie_heavy_setup():
 
 class TestThreadedBuild:
     # more rows than one kernel block, and enough dimensions that four
-    # members' runs fit in the attribute matrix, so runs are built on a pool
-    N = 3 * _CHUNK_ROWS + 7
+    # members' runs fit in the attribute matrix, so runs are built on a pool;
+    # a literal size, so the pinned files' input does not follow the block
+    N = 3 * 4096 + 7
     D = 4 * _PASS_ARRAYS
     # computed with the one-thread build of full runs; runs written in member
     # order make the file independent of the thread count

@@ -134,7 +134,22 @@ class TestOdis:
 class TestRowKernels:
     """The row-blocked kernels against their whole-array expressions, bit for bit."""
 
-    SIZES = [1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 3 * _CHUNK_ROWS + 7]
+    # row counts around multiples of half a kernel block
+    SIZES = [1, 4095, 4096, 4097, 3 * 4096 + 7]
+    # the distance kernel's (n, d): the sizes above at typical dimension
+    # counts, then row counts around the kernel's own blocks at dimension
+    # counts around every branch of numpy's pairwise summation (sequential
+    # below 8, eight accumulators and a remainder up to 128, halves above)
+    EXCHANGE_CASES = list(
+        dict.fromkeys(
+            [(n, d) for n in SIZES for d in (1, 3, 11, 17)]
+            + [
+                (n, d)
+                for n in (1, 7, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 3 * _CHUNK_ROWS + 7)
+                for d in (1, 7, 8, 9, 15, 16, 17, 24, 128, 129, 136, 257)
+            ]
+        )
+    )
 
     @pytest.mark.parametrize("d", [1, 3, 11, 17])
     @pytest.mark.parametrize("n", SIZES)
@@ -151,20 +166,25 @@ class TestRowKernels:
             expected = np.sqrt(np.sum(terms * terms, axis=1))
             assert np.array_equal(odis_keys(values, tv2, rates, w), expected)
 
-    @pytest.mark.parametrize("d", [1, 3, 11, 17])
-    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("n, d", EXCHANGE_CASES)
     def test_exchange_distances_equal_the_whole_array_expression(self, n, d):
         rng = np.random.default_rng(n * 37 + d)
         attrs = rng.uniform(-50.0, 400.0, size=(n, d))
+        # every third row outweighs any gap, so its distance is 0: a tie
+        attrs[::3] = 1e6
         lambdas = rng.uniform(1.0, 100.0, size=n)
-        base = rng.uniform(-20.0, 300.0, size=d)
-        lambda_r = float(rng.uniform(1.0, 100.0))
         w = rng.uniform(0.1, 2.0, size=d)
-        ratio = lambda_r / lambdas
-        new_gap = base[None, :] - ratio[:, None] * attrs
-        terms = w * np.maximum(new_gap, 0.0)
-        expected = np.sqrt(np.sum(terms * terms, axis=1))
-        assert np.array_equal(_exchange_distance_rows(base, lambda_r, attrs, lambdas, w), expected)
+        # one member for every row, then one member per row
+        for base, lambda_r in (
+            (rng.uniform(-20.0, 300.0, size=d), float(rng.uniform(1.0, 100.0))),
+            (rng.uniform(-20.0, 300.0, size=(n, d)), rng.uniform(1.0, 100.0, size=n)),
+        ):
+            ratio = lambda_r / lambdas
+            terms = w * np.maximum(base - ratio[:, None] * attrs, 0.0)
+            expected = np.sqrt(np.add.reduce(terms * terms, axis=1))
+            got = _exchange_distance_rows(base, lambda_r, attrs, lambdas, w)
+            assert got.tobytes() == expected.tobytes()
+            assert np.count_nonzero(got == 0.0) >= -(-n // 3)
 
     # the tracemalloc bound of the two memory tests: one n x d float64 matrix
     MEMORY_N, MEMORY_D = 200_000, 11
@@ -172,7 +192,8 @@ class TestRowKernels:
     @pytest.mark.parametrize("method", ["bf", "build"])
     def test_peak_memory_stays_below_one_attribute_matrix(self, method, tmp_path):
         # numpy reports its buffers to tracemalloc; a kernel that makes one
-        # n x d temporary already reaches the bound
+        # n x d temporary already reaches the bound, while the kernel's own
+        # (d, block) buffer and ratio vector stay far below it
         assert self.traced_peak(method, tmp_path) < self.MEMORY_N * self.MEMORY_D * 8
 
     @pytest.mark.parametrize("method, workers", [("bf", 3), ("build", 3)])
