@@ -297,6 +297,11 @@ def target_from_elite(
     return selection, next(t for t in candidates if t.team_id == selection.target_id)
 
 
+def dominant_target(team: TeamContext, margin: float) -> TargetContext:
+    """The ``dominant`` mode's target: ``team``'s own aggregate scaled up by ``margin``."""
+    return TargetContext(team_id=f"{team.team_id}-target", aggregate=team.aggregate * (1.0 + margin))
+
+
 def _synthetic_elite(space: ObjectSpace, config: ExperimentConfig) -> list[TargetContext]:
     rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(202,)))
     elite = []
@@ -336,10 +341,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             if loaded is not None:
                 _, target = target_from_elite(team, loaded, weights)
             elif config.target_mode == "dominant":
-                target = TargetContext(
-                    team_id=f"{team.team_id}-target",
-                    aggregate=team.aggregate * (1.0 + config.target_margin),
-                )
+                target = dominant_target(team, config.target_margin)
             elif config.target_mode == "elite":
                 _, target = target_from_elite(team, synthetic_elite, weights)
             else:

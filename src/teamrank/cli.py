@@ -10,7 +10,6 @@ output payload so results are reproducible from the payload alone.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 import tempfile
@@ -253,9 +252,7 @@ def _cmd_bench(args) -> dict | None:
     return report.to_dict()
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process: parsing leaves it unchanged."""
     parser = _Parser(prog="teamrank", description="Team-context swap ranking toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -14,7 +14,7 @@ is identical to the exhaustive baseline, and a run shorter than ``top_k``
 raises ``ShortIndex`` instead of answering.
 
 ``member_tops`` runs the members' passes on one thread each once the space
-is larger than one kernel block (``_map_members``), up to the usable cores
+has more than ``_SERIAL_ROWS`` rows (``_map_members``), up to the usable cores
 and up to as many passes as fit in the bytes of the space's attribute
 matrix (``member_workers``); results are yielded in member order, so the
 exhaustive result and the index file are byte-identical on any number of
@@ -272,9 +272,14 @@ def _member_top(dist: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
 
 
 # a member pass, of bf or of an index build, holds its distances and their
-# partition copy; the kernel block, the selection mask, the candidates and
-# the chosen entries round that up to three arrays
+# partition copy; the selection mask, the candidates and the chosen entries
+# round that up to three arrays
 _PASS_ARRAYS = 3
+
+# spaces of at most this many rows score their members on the calling
+# thread: there a five-member bf call at d = 11 on two cores is about 1 ms
+# faster serial than on a pool
+_SERIAL_ROWS = 8192
 
 
 def _member_workers(members: int, n: int, d: int) -> int:
@@ -284,12 +289,13 @@ def _member_workers(members: int, n: int, d: int) -> int:
     many passes as fit in the bytes of the space's attribute matrix: a pass
     holds at most ``_PASS_ARRAYS`` n-length 8-byte arrays at once, so
     ``d // _PASS_ARRAYS`` of them fit in n * d * 8 bytes. Each pass's kernel
-    block is left out of that count; it is a small share of the matrix once
-    n is well above ``_CHUNK_ROWS``. At ``n <= _CHUNK_ROWS`` a member's pass
-    is one kernel block, cheaper than starting a thread pool, so it stays on
-    the calling thread.
+    buffers, (d + 1) * min(n, ``_CHUNK_ROWS``) float64s, are left out of
+    that count: 9 % of the matrix at 1e5 rows, but about its size just
+    above ``_SERIAL_ROWS``, where three passes at d = 11 add 2.4 MB. At
+    ``n <= _SERIAL_ROWS`` the passes stay on the calling thread, where they
+    are faster than on a pool.
     """
-    if n <= _CHUNK_ROWS:
+    if n <= _SERIAL_ROWS:
         return 1
     try:
         cores = len(os.sched_getaffinity(0))

@@ -18,8 +18,8 @@ import numpy as np
 import pytest
 
 from conftest import random_instance
-from teamrank.bench import ExperimentConfig, _load_dataset, _median_time, run_experiment
-from teamrank.core import TargetContext, diff, post_exchange_diff, truncated_distance, truncating_vector
+from teamrank.bench import ExperimentConfig, _load_dataset, _median_time, dominant_target, run_experiment
+from teamrank.core import diff, post_exchange_diff, truncated_distance, truncating_vector
 from teamrank.dataio import NbParams, gen_synthetic, chi_square_gof, nb_mean, nb_variance
 from teamrank.nnindex import build_index
 from teamrank.ranking import (
@@ -154,10 +154,12 @@ def scaling_runs():
 def interleaved_query_medians(directory, rounds=15):
     """Median warm ``rtc_star_rank`` time per scaling size, timed round-robin.
 
-    Each round takes one timed sample of every size in turn. A shared
-    machine's speed drifts over seconds, longer than one size's samples
-    last, so sizes timed one after another can differ by 2x for that
-    alone; round-robin samples share the drift.
+    The queries are ``scaling_runs``'s: the same configurations, loaded by
+    ``run_experiment``'s ``_load_dataset`` and aimed at its dominant target
+    (``dominant_target``). Each round takes one timed sample of every size
+    in turn. A shared machine's speed drifts over seconds, longer than one
+    size's samples last, so sizes timed one after another can differ by 2x
+    for that alone; round-robin samples share the drift.
     """
     samples = {n: [] for n in SCALING_SIZES}
     with ExitStack() as indexes:
@@ -165,7 +167,7 @@ def interleaved_query_medians(directory, rounds=15):
         for n in SCALING_SIZES:
             config = scaling_config(n)
             space, (team,), _, w = _load_dataset(config)
-            target = TargetContext(team_id="T", aggregate=team.aggregate * (1.0 + config.target_margin))
+            target = dominant_target(team, config.target_margin)
             index = indexes.enter_context(
                 build_index(space, team, target, w, config.block_size, directory, run_length=config.top_k)
             )

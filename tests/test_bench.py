@@ -136,11 +136,12 @@ class TestRunExperiment:
         assert [r["swap_out"] for r in row.recommendations] == [r["swap_in"] for r in row.recommendations]
 
     def test_member_workers_are_recorded(self, report, monkeypatch):
-        # 300 rows are one kernel block: every member pass runs on the caller's thread
+        # 300 rows are at most _SERIAL_ROWS: every member pass runs on the caller's thread
         assert report.timing["member_workers"] == 1
         pretend_cores(monkeypatch, 3)
-        # twelve dimensions fit four member passes, of bf or of a build, in the
-        # attribute matrix, so the cores cap both
+        # 9000 rows are more than _SERIAL_ROWS, and twelve dimensions fit four
+        # member passes, of bf or of a build, in the attribute matrix, so the
+        # cores cap both
         params = {f"{name}{j}": value for j in range(4) for name, value in PARAMS.items()}
         dataset = {"kind": "synthetic", "n": 9000, "params": params, "seed": 3}
         big = run_experiment(mini_config(dataset=dataset, n_teams=1, timing_repeats=1))

@@ -26,6 +26,7 @@ from teamrank.nnindex import build_index
 from teamrank.ranking import (
     _CHUNK_ROWS,
     _PASS_ARRAYS,
+    _SERIAL_ROWS,
     NormalizedCandidate,
     _exchange_distance_rows,
     _map_members,
@@ -297,14 +298,14 @@ class TestBruteForce:
 
 
 class TestMemberThreads:
-    # more rows than one kernel block, so the passes run on a pool
+    # more rows than stay on the calling thread, so the passes run on a pool
     N = 3 * _CHUNK_ROWS + 7
 
     def test_worker_count(self, monkeypatch):
         pretend_cores(monkeypatch, 3)
-        assert _member_workers(5, _CHUNK_ROWS, 11) == 1
-        assert _member_workers(5, _CHUNK_ROWS + 1, 11) == 3
-        assert _member_workers(2, _CHUNK_ROWS + 1, 11) == 2
+        assert _member_workers(5, _SERIAL_ROWS, 11) == 1
+        assert _member_workers(5, _SERIAL_ROWS + 1, 11) == 3
+        assert _member_workers(2, _SERIAL_ROWS + 1, 11) == 2
         pretend_cores(monkeypatch, 1)
         assert _member_workers(5, self.N, 11) == 1
 
