@@ -4,12 +4,15 @@ A run takes a dataset (synthetic league or CSV pair), forms query teams,
 selects a target per team, ranks swap pairs with both methods, and records
 distances, exact block I/O, and wall-clock timings. Query timing is the
 median of ``timing_repeats`` runs after ``timing_warmup`` warm-up runs,
-with sub-millisecond calls batched inside each timed sample (timeit-style,
-floor configurable via ``timing_min_sample_s``) so the per-call medians are
-stable; ``rtcstar``'s index build time is timed the same way, over builds
-that each rewrite the same file, so ``build_s`` and ``bf``'s ``query_s``
-are medians alike. I/O numbers come from a dedicated accounting pass whose
-counters are snapshotted before the timing runs start. ``bf`` runs in
+with sub-millisecond calls batched inside each timed sample until it
+lasts 20 ms (timeit-style) so the per-call medians are stable;
+``rtcstar``'s index build time is timed the same way, over builds that
+each rewrite the same file, so ``build_s`` and ``bf``'s ``query_s`` are
+medians alike. Each run builds its indexes in a temporary directory of its
+own. A config with no ``dataset``, or whose ``methods`` name neither
+``bf`` nor ``rtcstar``, raises :class:`InvalidArgument` before any work.
+I/O numbers come from a dedicated accounting pass whose counters are
+snapshotted before the timing runs start. ``bf`` runs in
 memory; the report charges it the ceil(n / B) block reads of a full scan per
 member, worked out here rather than counted, so its ``query_s`` times the
 scoring kernel alone. ``rtcstar`` builds each team's index with runs of k
@@ -74,6 +77,7 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
+METHODS = ("bf", "rtcstar")
 TARGET_RULE = "weighted-truncated-distance-argmin"
 
 
@@ -84,7 +88,7 @@ class ExperimentConfig:
     dataset: dict
     block_size: int = 100
     top_k: int = 10
-    methods: tuple[str, ...] = ("bf", "rtcstar")
+    methods: tuple[str, ...] = METHODS
     seed: int = 0
     team_size: int = 5
     n_teams: int = 1
@@ -95,8 +99,6 @@ class ExperimentConfig:
     weights: tuple[float, ...] | None = None
     timing_repeats: int = 5
     timing_warmup: int = 1
-    timing_min_sample_s: float = 0.02
-    index_dir: str | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -114,13 +116,14 @@ class ExperimentConfig:
             "weights": list(self.weights) if self.weights is not None else None,
             "timing_repeats": self.timing_repeats,
             "timing_warmup": self.timing_warmup,
-            "timing_min_sample_s": self.timing_min_sample_s,
-            "index_dir": self.index_dir,
             "target_rule": TARGET_RULE,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        """The config in ``data``; keys it does not know, such as the echoed ``target_rule``, are ignored."""
+        if not isinstance(data, dict) or "dataset" not in data:
+            raise InvalidArgument("bench config needs a \"dataset\" entry")
         known = {f for f in cls.__dataclass_fields__}
         kwargs = {k: v for k, v in data.items() if k in known}
         for key in ("methods", "team_ids", "weights"):
@@ -208,19 +211,19 @@ def _lists_agree(a: Sequence[SwapRecommendation], b: Sequence[SwapRecommendation
     return True
 
 
-def _median_time(fn, warmup: int, repeats: int, min_sample_s: float = 0.02) -> float:
+def _median_time(fn, warmup: int, repeats: int) -> float:
     """Median per-call wall-clock over ``repeats`` samples after warm-up.
 
     Sub-millisecond callables are batched inside each timed sample until the
-    sample lasts at least ``min_sample_s``, timeit-style, so scheduler jitter
-    does not swamp the measurement; the reported value is always per call.
+    sample lasts at least 20 ms, timeit-style, so scheduler jitter does not
+    swamp the measurement; the reported value is always per call.
     """
     single = float("inf")
     for _ in range(max(1, warmup)):
         start = time.perf_counter()
         fn()
         single = min(single, time.perf_counter() - start)
-    inner = max(1, min(1000, math.ceil(min_sample_s / max(single, 1e-9))))
+    inner = max(1, min(1000, math.ceil(0.02 / max(single, 1e-9))))
     samples = []
     for _ in range(repeats):
         start = time.perf_counter()
@@ -320,6 +323,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         raise InvalidArgument(f"block_size must be >= 1, got {config.block_size}")
     if config.elite_count < 1:
         raise InvalidArgument(f"elite_count must be >= 1, got {config.elite_count}")
+    if not set(config.methods) & set(METHODS):
+        raise InvalidArgument(f"methods must name bf or rtcstar, got {list(config.methods)}")
     space, teams, loaded, weights = _load_dataset(config)
     # bf reads every block of a full scan once per member
     bf_reads = -(-len(space) // config.block_size)
@@ -330,13 +335,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
     rows: list[TeamRow] = []
     workers = 1
-    own_dir = None
-    if config.index_dir is None:
-        own_dir = tempfile.TemporaryDirectory(prefix="teamrank-index-")
-        index_dir = own_dir.name
-    else:
-        index_dir = config.index_dir
-    try:
+    with tempfile.TemporaryDirectory(prefix="teamrank-index-") as index_dir:
         for team in teams:
             if loaded is not None:
                 _, target = target_from_elite(team, loaded, weights)
@@ -369,7 +368,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                         lambda: brute_force_rank(team, target, space, weights, config.top_k),
                         config.timing_warmup,
                         config.timing_repeats,
-                        config.timing_min_sample_s,
                     ),
                 }
 
@@ -381,7 +379,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                     ).close(),
                     config.timing_warmup,
                     config.timing_repeats,
-                    config.timing_min_sample_s,
                 )
                 index = build_index(space, team, target, weights, config.block_size, index_dir, run_length=config.top_k)
                 with index:
@@ -406,7 +403,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                             lambda: rtc_star_rank(team, target, space, weights, index, config.top_k),
                             config.timing_warmup,
                             config.timing_repeats,
-                            config.timing_min_sample_s,
                         ),
                     }
 
@@ -427,9 +423,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                     timing=row_timing,
                 )
             )
-    finally:
-        if own_dir is not None:
-            own_dir.cleanup()
 
     totals_io: dict = {}
     totals_timing: dict = {}

@@ -12,19 +12,17 @@ the bytes prove that ``csv.reader`` would split every line on ',' and
 nothing else (no '"'; no control byte but tab, newline and the '\r' of
 '\r\n'; no empty line; the header's comma count on every line; no line
 over ``csv.field_size_limit()``), one ``np.loadtxt`` pass converts the
-used columns. ``loadtxt`` parses every numeric cell it takes as Python's
+used columns, and finiteness and ``lambda > 0`` are checked on whole
+arrays. ``loadtxt`` parses every numeric cell it takes as Python's
 ``float`` does, except around control bytes (it reads '5\x1c' as 5.0),
-which the scans rule out.
-Files written by ``csv.writer`` without quotes, such as
-:func:`write_objects_csv`'s, take this path. Any other file (quoted,
-``\r``-only line ends, a blank line) is split into ``csv.reader`` rows
-with the cyclic garbage collector paused; so is any file whose ``loadtxt``
-pass declines a cell or finds a value out of range, from the same bytes.
-Every row's field count is then checked once per file, and each numeric
-column is converted by one numpy call. Finiteness and ``lambda > 0`` are
-checked on whole arrays on both paths. Only when a check fails is the file
-parsed again row by row, to raise the first bad row's error with the same
-row number and message a row-major parse gives. A cell longer than
+which the scans rule out. Files written by ``csv.writer`` without quotes,
+such as :func:`write_objects_csv`'s, take this path. Any other file
+(quoted, ``\r``-only line ends, a blank line), and any file whose
+``loadtxt`` pass declines a cell or fails a check, is split from the same
+bytes into ``csv.reader`` rows, with the cyclic garbage collector paused,
+and converted row by row: each row's field count is checked, then its
+cells are parsed in column order by ``float``, so the first bad row raises
+its error and no file is converted twice. A cell longer than
 ``csv.field_size_limit()`` is a :class:`MalformedRow` for its row.
 
 Synthetic spaces draw each attribute independently from a negative binomial
@@ -40,6 +38,7 @@ column plus one for the lambda column.
 
 from __future__ import annotations
 
+import array
 import contextlib
 import csv
 import gc
@@ -70,7 +69,6 @@ __all__ = [
     "DatasetManifest",
     "NbParams",
     "GofResult",
-    "default_manifest",
     "load_manifest",
     "load_objects",
     "load_rosters",
@@ -205,10 +203,11 @@ def _csv_rows(text: str) -> list[list[str]]:
 class _CsvFile:
     """A CSV file read once: its header, then the columns the loader asks for.
 
-    A file that :func:`_plain_line_count` vouches for is parsed by one
+    A file that :func:`_plain_line_count` vouches for is converted by one
     ``np.loadtxt`` pass over its lines per :meth:`columns` call. Any other
-    file, and any file whose pass declines a cell, is parsed from the same
-    text into ``csv.reader`` rows, and every later call reads those rows.
+    file, and any file whose pass declines a cell or fails a check, is split
+    from the same text into ``csv.reader`` rows, which :func:`_parse_rows`
+    converts on this and every later call.
     """
 
     def __init__(self, path, raw: bytes | None = None):
@@ -232,21 +231,28 @@ class _CsvFile:
         self.line_count = None
 
     def columns(self, groups, texts=(), positive=None) -> tuple[list[np.ndarray], list]:
-        """:func:`_float_columns` of ``groups``, and the text cells of each column position in ``texts``."""
+        """A (rows, len(group)) float64 matrix per group of (name, position) columns, and each ``texts`` column's cells.
+
+        Every value is finite, and every value of the column named
+        ``positive`` is > 0; else the first bad row's :class:`MalformedRow`
+        is raised, as :func:`_parse_rows` words it.
+        """
         if self.line_count is not None:
             parsed = self._loadtxt(groups, texts, positive)
             if parsed is not None:
                 return parsed
             self._split_rows()
-        floats = _float_columns(self.header, self.data, groups, positive)
-        return floats, [[row[col] for row in self.data] for col in texts]
+        values = _parse_rows(self.header, self.data, [column for group in groups for column in group], positive)
+        bounds = np.cumsum([0, *map(len, groups)]).tolist()
+        return [values[:, a:b] for a, b in zip(bounds, bounds[1:])], [[row[col] for row in self.data] for col in texts]
 
     def _loadtxt(self, groups, texts, positive):
         """The same as :meth:`columns`, from one ``np.loadtxt`` pass over the data lines.
 
         None when ``loadtxt`` declines a cell (it declines some that
         ``float`` takes, such as ``1_000``), or when the row count, finiteness
-        or ``positive`` check fails; :func:`_float_columns` then words the error.
+        or ``positive`` check fails; :func:`_parse_rows` then converts the
+        file, and words the error if there is one.
         """
         fields = [(f"{g},{j}", np.float64) for g, group in enumerate(groups) for j in range(len(group))]
         fields += [(f"text {j}", object) for j in range(len(texts))]
@@ -291,22 +297,25 @@ def _parse_float(raw: str, row_no: int, column: str) -> float:
 
 
 def _parse_rows(header, data, columns, positive=None) -> np.ndarray:
-    """Row-major reference parse of ``columns``, a list of (name, position) pairs.
+    """A (rows, len(columns)) float64 matrix of ``columns``, (name, position) pairs, from ``csv.reader`` rows.
 
-    Each row's field count is checked, then its cells are parsed in column
-    order, so the first bad row's :class:`MalformedRow` is the one raised.
-    Cells of the column named ``positive`` must also be > 0.
+    This converts every file that the ``loadtxt`` pass does not, and words
+    every row error for both. Each row's field count is checked, then its
+    cells are parsed in column order, so the first bad row's
+    :class:`MalformedRow` is the one raised. Cells of the column named
+    ``positive`` must also be > 0.
     """
-    out = np.empty((len(data), len(columns)), dtype=np.float64)
+    # appending to a flat array of doubles costs about half of storing each value into a matrix
+    values = array.array("d")
     for row_no, row in enumerate(data, start=1):
         if len(row) != len(header):
             raise MalformedRow(row_no, f"expected {len(header)} fields, got {len(row)}")
-        for j, (name, col) in enumerate(columns):
+        for name, col in columns:
             value = _parse_float(row[col], row_no, name)
             if name == positive and value <= 0.0:
                 raise MalformedRow(row_no, f"exchange parameter must be > 0, got {value}")
-            out[row_no - 1, j] = value
-    return out
+            values.append(value)
+    return np.frombuffer(values, dtype=np.float64).reshape(len(data), len(columns))
 
 
 def _in_domain(matrices, groups, positive) -> bool:
@@ -315,31 +324,6 @@ def _in_domain(matrices, groups, positive) -> bool:
         np.isfinite(matrix).all() and (matrix[:, [name == positive for name, _ in group]] > 0.0).all()
         for matrix, group in zip(matrices, groups)
     )
-
-
-def _float_columns(header, data, groups, positive=None) -> list[np.ndarray]:
-    """One (rows, len(group)) float64 matrix per group of (name, position) columns.
-
-    Checks every row's field count once, converts each column with one numpy
-    call (numpy parses a string cell exactly as Python's ``float`` does),
-    then checks finiteness and ``positive`` on whole arrays. If any of that
-    fails, :func:`_parse_rows` parses all groups again row by row and raises
-    the first bad row's error, so messages and row numbers match a row-major
-    parse.
-    """
-    if set(map(len, data)) == {len(header)}:
-        out = [np.empty((len(data), len(group)), dtype=np.float64) for group in groups]
-        try:
-            for matrix, group in zip(out, groups):
-                for j, (_, col) in enumerate(group):
-                    matrix[:, j] = np.array([row[col] for row in data], dtype=np.float64)
-        except ValueError:
-            pass
-        else:
-            if _in_domain(out, groups, positive):
-                return out
-    values = _parse_rows(header, data, [column for group in groups for column in group], positive)
-    return np.split(values, np.cumsum([len(group) for group in groups[:-1]]), axis=1)
 
 
 def _objects_from(table: _CsvFile, manifest: DatasetManifest, team: int | None = None):
@@ -483,16 +467,6 @@ def write_objects_csv(space: ObjectSpace, path) -> None:
                     *[repr(float(v)) for v in space.attrs[i]],
                 ]
             )
-
-
-def default_manifest(space: ObjectSpace) -> DatasetManifest:
-    """Manifest matching the :func:`write_objects_csv` layout."""
-    return DatasetManifest(
-        attributes=space.attribute_names,
-        id_column="id",
-        lambda_column="lambda",
-        label_column="label",
-    )
 
 
 @dataclass(frozen=True)

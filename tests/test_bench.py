@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
@@ -124,6 +125,32 @@ class TestRunExperiment:
         for elite_count in (0, -1, -2):
             with pytest.raises(InvalidArgument):
                 run_experiment(mini_config(target_mode="elite", elite_count=elite_count))
+
+    @pytest.mark.parametrize("methods", [(), ("nope",)])
+    def test_config_without_a_known_method_rejected_before_loading(self, methods, monkeypatch):
+        from teamrank import bench
+        from teamrank.errors import InvalidArgument
+
+        monkeypatch.setattr(bench, "_load_dataset", lambda config: pytest.fail("the dataset was loaded"))
+        with pytest.raises(InvalidArgument, match="methods must name bf or rtcstar"):
+            run_experiment(mini_config(methods=methods))
+
+    @pytest.mark.parametrize("data", [{"methods": ["bf"]}, ["bf"]])
+    def test_config_without_a_dataset_rejected(self, data):
+        from teamrank.errors import InvalidArgument
+
+        with pytest.raises(InvalidArgument, match="dataset"):
+            ExperimentConfig.from_dict(data)
+
+    @pytest.mark.parametrize("name", ["BENCH_dominant.json", "BENCH_elite.json"])
+    def test_committed_report_configs_still_load(self, name):
+        # they echo index_dir and timing_min_sample_s, which configs no longer have
+        for report in json.loads((Path(__file__).parents[1] / name).read_text()):
+            echoed = report["config"]
+            dropped = {key: echoed[key] for key in ("index_dir", "timing_min_sample_s")}
+            assert dropped == {"index_dir": None, "timing_min_sample_s": 0.02}
+            kept = {key: value for key, value in echoed.items() if key not in dropped}
+            assert ExperimentConfig.from_dict(echoed).to_dict() == kept
 
     def test_space_equal_to_team_keeps_distance(self):
         # sole record, sole member: the identity swap is the only pair

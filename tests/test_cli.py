@@ -218,6 +218,19 @@ class TestSubcommands:
         payload = json.loads(out)
         assert payload["rows"][0]["methods_agree"] is True
 
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"block_size": 10}, 'bench config needs a "dataset" entry'),
+            ({"dataset": {"kind": "synthetic"}, "methods": []}, "methods must name bf or rtcstar, got []"),
+        ],
+    )
+    def test_bad_bench_config_exits_2(self, capsys, tmp_path, config, message):
+        path = tmp_path / "bench.json"
+        path.write_text(json.dumps(config))
+        code, out, err = run(["bench", "--config", str(path)], capsys)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("team_ids", [["BBB"], ["BBB", "NOPE"]])
     def test_bench_on_the_league_files_looks_teams_up_as_rank_does(self, league, capsys, tmp_path, team_ids):
         # a team with no roster rows is a data error in bench, as in rank --team

@@ -216,18 +216,27 @@ MALFORMED_OBJECTS = [
 ]
 
 
+def plain_and_quoted(tmp_path, header, rows):
+    """A file of ``header`` and ``rows``, and a twin with the header's first name quoted, which ``csv.reader`` reads."""
+    first, rest = header.split(",", 1)
+    return [
+        write(tmp_path, f"{kind}.csv", "\n".join([line, *rows]) + "\n")
+        for kind, line in (("plain", header), ("quoted", f'"{first}",{rest}'))
+    ]
+
+
 class TestLoaderErrorParity:
     @pytest.mark.parametrize(
         "rows, row, message", [case[1:] for case in MALFORMED_OBJECTS], ids=[case[0] for case in MALFORMED_OBJECTS]
     )
     def test_objects_error_names_the_first_bad_row(self, tmp_path, rows, row, message):
-        path = write(tmp_path, "objects.csv", "\n".join([HEADER, *rows]) + "\n")
-        for load in (load_objects, load_objects_and_rosters):
-            with pytest.raises(MalformedRow) as excinfo:
-                load(path, OBJECT_MANIFEST)
-            assert type(excinfo.value) is MalformedRow
-            assert excinfo.value.row == row
-            assert str(excinfo.value) == message
+        for path in plain_and_quoted(tmp_path, HEADER, rows):
+            for load in (load_objects, load_objects_and_rosters):
+                with pytest.raises(MalformedRow) as excinfo:
+                    load(path, OBJECT_MANIFEST)
+                assert type(excinfo.value) is MalformedRow
+                assert excinfo.value.row == row
+                assert str(excinfo.value) == message
 
     @pytest.mark.parametrize(
         "rows, row, message",
@@ -239,10 +248,10 @@ class TestLoaderErrorParity:
         ],
     )
     def test_teams_error_names_the_first_bad_row(self, tmp_path, rows, row, message):
-        path = write(tmp_path, "teams.csv", "\n".join(["Team,W,FG,AST", *rows]) + "\n")
-        with pytest.raises(MalformedRow) as excinfo:
-            load_teams(path, TEAM_MANIFEST)
-        assert (excinfo.value.row, str(excinfo.value)) == (row, message)
+        for path in plain_and_quoted(tmp_path, "Team,W,FG,AST", rows):
+            with pytest.raises(MalformedRow) as excinfo:
+                load_teams(path, TEAM_MANIFEST)
+            assert (excinfo.value.row, str(excinfo.value)) == (row, message)
 
     def test_rosters_short_row(self, tmp_path):
         path = write(tmp_path, "objects.csv", "\n".join([HEADER, *GOOD, "p3,Three"]) + "\n")
@@ -352,7 +361,6 @@ class TestParsePath:
             raise AssertionError("csv.reader rows were built")
 
         monkeypatch.setattr(dataio, "_csv_rows", refuse)
-        monkeypatch.setattr(dataio, "_float_columns", refuse)
         for space in (load_objects(path, OBJECT_MANIFEST), load_objects_and_rosters(path, OBJECT_MANIFEST)[0]):
             assert space.ids.tolist() == ref_space.ids.tolist()
             assert space.labels.tolist() == ref_space.labels.tolist()
