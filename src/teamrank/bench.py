@@ -9,8 +9,10 @@ lasts 20 ms (timeit-style) so the per-call medians are stable;
 ``rtcstar``'s index build time is timed the same way, over builds that
 each rewrite the same file, so ``build_s`` and ``bf``'s ``query_s`` are
 medians alike. Each run builds its indexes in a temporary directory of its
-own. A config with no ``dataset``, or whose ``methods`` name neither
-``bf`` nor ``rtcstar``, raises :class:`InvalidArgument` before any work.
+own. A config with no ``dataset``, with no ``methods`` or one that is
+neither ``bf`` nor ``rtcstar``, or with a ``target_mode`` other than
+``dominant`` and ``elite``, raises :class:`InvalidArgument` before any
+work.
 I/O numbers come from a dedicated accounting pass whose counters are
 snapshotted before the timing runs start. ``bf`` runs in
 memory; the report charges it the ceil(n / B) block reads of a full scan per
@@ -56,7 +58,7 @@ import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -78,6 +80,7 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 METHODS = ("bf", "rtcstar")
+TARGET_MODES = ("dominant", "elite")
 TARGET_RULE = "weighted-truncated-distance-argmin"
 
 
@@ -270,7 +273,7 @@ class League:
     """A league's object space, rosters by team id, Kendall weights and elite teams, most wins first."""
 
     space: ObjectSpace
-    rosters: dict[str, list[str]]
+    rosters: Mapping[str, list[str]]
     weights: np.ndarray
     elite: list[TargetContext]
     objects: str
@@ -323,8 +326,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         raise InvalidArgument(f"block_size must be >= 1, got {config.block_size}")
     if config.elite_count < 1:
         raise InvalidArgument(f"elite_count must be >= 1, got {config.elite_count}")
-    if not set(config.methods) & set(METHODS):
+    if not config.methods or not set(config.methods) <= set(METHODS):
         raise InvalidArgument(f"methods must name bf or rtcstar, got {list(config.methods)}")
+    if config.target_mode not in TARGET_MODES:
+        raise InvalidArgument(f"unknown target mode {config.target_mode!r}")
     space, teams, loaded, weights = _load_dataset(config)
     # bf reads every block of a full scan once per member
     bf_reads = -(-len(space) // config.block_size)
@@ -341,10 +346,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                 _, target = target_from_elite(team, loaded, weights)
             elif config.target_mode == "dominant":
                 target = dominant_target(team, config.target_margin)
-            elif config.target_mode == "elite":
-                _, target = target_from_elite(team, synthetic_elite, weights)
             else:
-                raise InvalidArgument(f"unknown target mode {config.target_mode!r}")
+                _, target = target_from_elite(team, synthetic_elite, weights)
 
             gap = diff(target, team)
             distance_before = truncated_distance(gap, truncating_vector(gap), weights)

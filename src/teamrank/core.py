@@ -101,8 +101,19 @@ class ObjectRecord:
         return self.attrs.size
 
 
+# rows per piece of the attribute matrix that ObjectSpace.digest hashes: at
+# 1.07e6 x 11, pieces of 8192 rows (a 720 KB buffer) raised the peak RSS of
+# a set-up by about 0.6 MB, while 1024 rows (88 KB) did not and hash as fast
+_DIGEST_ROWS = 1024
+
+
 class ObjectSpace:
     """A fixed collection of uniformly dimensioned records, array-backed.
+
+    ``attrs`` is an (n, d) float64 array in Fortran order: each dimension
+    is one contiguous column, so the distance kernel reads a block of rows
+    dimension by dimension where it lies. Input in another layout is
+    copied into this one.
 
     Treated as immutable after construction. The constructor sorts the row
     positions by id once (``id_order``) and proves the ids unique with one
@@ -120,7 +131,7 @@ class ObjectSpace:
     def __init__(self, ids, lambdas, attrs, attribute_names, labels=None, *, id_order=None, digest=None):
         self.ids = np.asarray(ids, dtype=np.str_)
         self.lambdas = np.asarray(lambdas, dtype=np.float64)
-        self.attrs = np.ascontiguousarray(attrs, dtype=np.float64)
+        self.attrs = np.asfortranarray(attrs, dtype=np.float64)
         self.attribute_names = tuple(str(a) for a in attribute_names)
         self.labels = self.ids if labels is None else np.asarray(labels, dtype=np.str_)
 
@@ -229,24 +240,38 @@ class ObjectSpace:
         return self._id_order
 
     def digest(self) -> str:
-        """Order-insensitive content hash: identical record sets hash alike."""
+        """Order-insensitive content hash: identical record sets hash alike.
+
+        The attribute rows are hashed in id order, row-major, as one byte
+        string; they reach sha256 in pieces of at most ``_DIGEST_ROWS`` rows,
+        each copied into one reused buffer, so no n x d copy is made.
+        """
         if self._digest is None:
             import hashlib
 
             order = self.id_order()
-            if (order == np.arange(len(order))).all():
-                # rows already in id order are hashed where they are, not copied
-                order = slice(None)
+            n = len(order)
+            identity = bool((order == np.arange(n)).all())
+            # rows already in id order are read where they are, not gathered
+            rows = slice(None) if identity else order
             h = hashlib.sha256()
             h.update(b"teamrank-space-v1\x00")
             h.update(str(self.dimension).encode())
             h.update(("\x00".join(self.attribute_names)).encode())
             h.update(b"\x00ids\x00")
-            h.update("\x00".join(self.ids[order].tolist()).encode())
+            h.update("\x00".join(self.ids[rows].tolist()).encode())
             h.update(b"\x00lambdas\x00")
-            h.update(np.ascontiguousarray(self.lambdas[order]))
+            h.update(np.ascontiguousarray(self.lambdas[rows]))
             h.update(b"\x00attrs\x00")
-            h.update(np.ascontiguousarray(self.attrs[order]))
+            buf = np.empty((min(n, _DIGEST_ROWS), self.dimension))
+            for start in range(0, n, _DIGEST_ROWS):
+                stop = min(start + _DIGEST_ROWS, n)
+                chunk = buf[: stop - start]
+                if identity:
+                    np.copyto(chunk, self.attrs[start:stop])
+                else:
+                    np.take(self.attrs, order[start:stop], axis=0, out=chunk)
+                h.update(chunk)
             self._digest = h.hexdigest()
         return self._digest
 

@@ -268,7 +268,8 @@ class _CsvFile:
             )
         except ValueError:
             return None
-        out = [np.column_stack([table[f"{g},{j}"] for j in range(len(group))]) for g, group in enumerate(groups)]
+        # each stacked (columns, rows) matrix transposed is the space's Fortran-ordered layout, with no further copy
+        out = [np.stack([table[f"{g},{j}"] for j in range(len(group))]).T for g, group in enumerate(groups)]
         if len(table) != self.line_count - 1 or not _in_domain(out, groups, positive):
             return None
         return out, [table[f"text {j}"].tolist() for j in range(len(texts))]
@@ -362,10 +363,34 @@ def _group_rows(teams) -> tuple[list[str], np.ndarray, np.ndarray]:
     return list(code_of), offsets, np.argsort(codes, kind="stable")
 
 
-def _rosters(teams, offsets, members, ids) -> dict[str, list[str]]:
-    """Each team's ids, in file order, from a :func:`_group_rows` grouping and an array of ids."""
-    bounds = offsets.tolist()
-    return {team: ids[members[a:b]].tolist() for team, a, b in zip(teams, bounds, bounds[1:])}
+class _Rosters(Mapping):
+    """Each team's ids, in file order, from a :func:`_group_rows` grouping and an array of ids.
+
+    A read-only mapping that builds a team's id list when it is first
+    asked for and keeps it; it iterates in the grouping's team order and
+    compares equal to a dict of the same lists.
+    """
+
+    def __init__(self, teams, offsets, members, ids):
+        bounds = offsets.tolist()
+        self._rows = {team: (a, b) for team, a, b in zip(teams, bounds, bounds[1:])}
+        self._members, self._ids = members, ids
+        self._built: dict[str, list[str]] = {}
+
+    def __getitem__(self, team) -> list[str]:
+        if team not in self._built:
+            a, b = self._rows[team]
+            self._built[team] = self._ids[self._members[a:b]].tolist()
+        return self._built[team]
+
+    def __contains__(self, team) -> bool:
+        return team in self._rows
+
+    def __iter__(self):
+        return iter(self._rows)
+
+    def __len__(self) -> int:
+        return len(self._rows)
 
 
 def _require_lambda(manifest: DatasetManifest) -> None:
@@ -384,18 +409,18 @@ def load_objects(path, manifest: DatasetManifest) -> ObjectSpace:
     return _objects_from(_CsvFile(path), manifest)[0]
 
 
-def load_rosters(path, manifest: DatasetManifest) -> dict[str, list[str]]:
-    """Map each team id to its member object ids, in file order."""
+def load_rosters(path, manifest: DatasetManifest) -> Mapping[str, list[str]]:
+    """Map each team id to its member object ids, in file order; a team's list is built when first read."""
     _require_team(manifest)
     table = _CsvFile(path)
     pos = _column_indices(table.header, [manifest.id_column, manifest.team_column], path)
     _, (teams, ids) = table.columns([], [pos[manifest.team_column], pos[manifest.id_column]])
-    return _rosters(*_group_rows(teams), np.array(ids, dtype=object))
+    return _Rosters(*_group_rows(teams), np.array(ids, dtype=object))
 
 
 def load_objects_and_rosters(
     path, manifest: DatasetManifest, snapshot_dir=None
-) -> tuple[ObjectSpace, dict[str, list[str]]]:
+) -> tuple[ObjectSpace, Mapping[str, list[str]]]:
     """:func:`load_objects` and :func:`load_rosters` of one file, read once.
 
     Raises what the two calls in that order would raise. With a
@@ -414,7 +439,7 @@ def load_objects_and_rosters(
         stored = load_snapshot(snapshot_dir, key, manifest.attributes)
         if stored is not None:
             space, (teams, offsets, members) = stored
-            return space, _rosters(teams.tolist(), offsets, members, space.ids)
+            return space, _Rosters(teams.tolist(), offsets, members, space.ids)
     table = _CsvFile(path, raw)
     # the team column is parsed with the objects when the header has it; when
     # it does not, the checks below raise only after any error in the objects
@@ -424,7 +449,7 @@ def load_objects_and_rosters(
     _column_indices(table.header, [manifest.team_column], path)
     if snapshot_dir is not None and b"\x00" not in raw:
         save_snapshot(snapshot_dir, key, space, *groups)
-    return space, _rosters(*groups, np.array(ids, dtype=object))
+    return space, _Rosters(*groups, np.array(ids, dtype=object))
 
 
 def load_teams(path, manifest: DatasetManifest) -> tuple[list[TargetContext], RankedSeries]:
@@ -549,7 +574,8 @@ def gen_synthetic(
 
     root = np.random.SeedSequence(seed)
     children = root.spawn(len(plist) + 1)
-    attrs = np.empty((count, len(plist)), dtype=np.float64)
+    # Fortran order, the space's own layout: each drawn column is written contiguously
+    attrs = np.empty((len(plist), count), dtype=np.float64).T
     for j, pj in enumerate(plist):
         attrs[:, j] = sample_negative_binomial(pj, count, np.random.default_rng(children[j]))
     lam_rng = np.random.default_rng(children[-1])

@@ -196,9 +196,12 @@ def _exchange_distance_rows(
     ``np.add.reduce``'s own order (:func:`_sum_dimensions`), so the
     distances are bit-identical to it.
 
-    Rows are processed in blocks of ``_CHUNK_ROWS``. Each block is copied,
-    transposed, into one reused (d, block) buffer, so every operation after
-    the copy streams over contiguous rows of it.
+    Rows are processed in blocks of ``_CHUNK_ROWS``. A block's first
+    operation reads ``attr_rows[start:stop].T`` where it lies and writes
+    into one reused (d, block) buffer, so every later operation streams
+    over contiguous rows of it. Any strides work; a Fortran-ordered
+    ``attr_rows``, such as ``ObjectSpace.attrs``, gives that first read
+    contiguous columns too.
     """
     n, d = attr_rows.shape
     base = np.broadcast_to(base, (n, d))
@@ -210,8 +213,7 @@ def _exchange_distance_rows(
         stop = min(start + _CHUNK_ROWS, n)
         terms, ratio = buf[:, : stop - start], ratio_buf[: stop - start]
         np.divide(lambda_r[start:stop], lambda_rows[start:stop], out=ratio)
-        np.copyto(terms, attr_rows[start:stop].T)
-        np.multiply(ratio, terms, out=terms)
+        np.multiply(ratio, attr_rows[start:stop].T, out=terms)
         np.subtract(base[start:stop].T, terms, out=terms)
         np.maximum(terms, 0.0, out=terms)
         np.multiply(w, terms, out=terms)

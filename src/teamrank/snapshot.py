@@ -13,7 +13,7 @@ On-disk layout, one file per key, little endian:
 
     header (96 bytes):
         magic          8s   b"TRSPACE1"
-        version        u16  1
+        version        u16  2
         (padding)      6x
         record_count   u64  n
         dimension      u32  d
@@ -26,7 +26,7 @@ On-disk layout, one file per key, little endian:
         digest         32s  the raw bytes of ``ObjectSpace.digest()``
 
     body, in this order:
-        attrs          n * d  f8
+        attrs          d * n  f8   dimension by dimension: ``ObjectSpace.attrs.T``
         lambdas        n      f8
         id_order       n      i8   ``ObjectSpace.id_order()``
         members        n      i8   row positions grouped by team, file order within a team
@@ -36,13 +36,17 @@ On-disk layout, one file per key, little endian:
         teams          t      <U{team_chars}  team names in order of first appearance
 
 The id order and the digest are pure functions of the arrays; storing them
-spares a hit the sort and the hash. A snapshot is written to a temporary
-file in the same directory, whose name does not end in ``.space``, and
-renamed into place. :func:`load_snapshot` returns None for a snapshot that
-is missing or that it cannot use (another magic, version, key or
-dimension, a size that does not match the header, a CRC that does not
-match, or arrays that do not make a valid space), and the caller parses the
-file and writes the snapshot again.
+spares a hit the sort and the hash. The attributes are stored as the
+(d, n) transpose of the space's Fortran-ordered matrix, so a hit's
+``attrs`` is a view of the file's bytes in that layout, not a copy.
+Version 1 stored them (n, d); its key differs, so a version-1 file is
+never read. A snapshot is written to a temporary file in the same
+directory, whose name does not end in ``.space``, and renamed into place.
+:func:`load_snapshot` returns None for a snapshot that is missing or that
+it cannot use (another magic, version, key or dimension, a size that does
+not match the header, a CRC that does not match, or arrays that do not
+make a valid space), and the caller parses the file and writes the
+snapshot again.
 """
 
 from __future__ import annotations
@@ -62,7 +66,7 @@ from .errors import TeamRankError
 __all__ = ["snapshot_key", "snapshot_path", "load_snapshot", "save_snapshot"]
 
 MAGIC = b"TRSPACE1"
-VERSION = 1
+VERSION = 2
 HEADER = struct.Struct("<8sH6xQIIIIII16s32s")
 CRC_END = 48  # the CRC covers the key, the digest and the body
 
@@ -84,7 +88,7 @@ def snapshot_path(directory, key: str) -> Path:
 def _body(n, d, t, id_chars, label_chars, team_chars) -> list[tuple[np.dtype, tuple]]:
     """(dtype, shape) of each body array, in file order."""
     return [
-        (np.dtype("<f8"), (n, d)),
+        (np.dtype("<f8"), (d, n)),
         (np.dtype("<f8"), (n,)),
         (np.dtype("<i8"), (n,)),
         (np.dtype("<i8"), (n,)),
@@ -126,7 +130,7 @@ def load_snapshot(directory, key: str, attribute_names):
         return None
     try:
         space = ObjectSpace(
-            ids, lambdas, attrs, attribute_names, labels, id_order=id_order, digest=digest.hex()
+            ids, lambdas, attrs.T, attribute_names, labels, id_order=id_order, digest=digest.hex()
         )
     except TeamRankError:
         return None
@@ -138,7 +142,7 @@ def save_snapshot(directory, key: str, space: ObjectSpace, teams, offsets, membe
     teams = np.asarray(teams, dtype=np.str_)
     widths = [a.dtype.itemsize // 4 for a in (space.ids, space.labels, teams)]
     layout = _body(len(space), space.dimension, len(teams), *widths)
-    arrays = [space.attrs, space.lambdas, space.id_order(), members, offsets, space.ids, space.labels, teams]
+    arrays = [space.attrs.T, space.lambdas, space.id_order(), members, offsets, space.ids, space.labels, teams]
     arrays = [np.ascontiguousarray(a, dtype=dtype) for a, (dtype, _) in zip(arrays, layout)]
     header = bytearray(HEADER.pack(
         MAGIC, VERSION, len(space), space.dimension, len(teams), *widths,

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -135,6 +136,29 @@ class TestRunExperiment:
         with pytest.raises(InvalidArgument, match="methods must name bf or rtcstar"):
             run_experiment(mini_config(methods=methods))
 
+    @pytest.mark.parametrize("methods", [("bf", "rtc-star"), ("BF", "rtcstar"), ("bf", "rtcstar", "")])
+    def test_an_unknown_method_beside_known_ones_rejected_before_loading(self, methods, monkeypatch):
+        from teamrank import bench
+        from teamrank.errors import InvalidArgument
+
+        monkeypatch.setattr(bench, "_load_dataset", lambda config: pytest.fail("the dataset was loaded"))
+        with pytest.raises(InvalidArgument, match=re.escape(f"methods must name bf or rtcstar, got {list(methods)}")):
+            run_experiment(mini_config(methods=methods))
+
+    @pytest.mark.parametrize("dataset", ["synthetic", "csv"])
+    @pytest.mark.parametrize("target_mode", ["Elite", "nearest", ""])
+    def test_unknown_target_mode_rejected_before_loading(self, dataset, target_mode, monkeypatch):
+        from teamrank import bench
+        from teamrank.errors import InvalidArgument
+
+        monkeypatch.setattr(bench, "_load_dataset", lambda config: pytest.fail("the dataset was loaded"))
+        config = mini_config(target_mode=target_mode)
+        if dataset == "csv":
+            # a csv league takes its targets from its elite teams, yet the mode is still checked
+            config = mini_config(target_mode=target_mode, dataset={"kind": "csv"})
+        with pytest.raises(InvalidArgument, match=f"unknown target mode {target_mode!r}"):
+            run_experiment(config)
+
     @pytest.mark.parametrize("data", [{"methods": ["bf"]}, ["bf"]])
     def test_config_without_a_dataset_rejected(self, data):
         from teamrank.errors import InvalidArgument
@@ -144,13 +168,13 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("name", ["BENCH_dominant.json", "BENCH_elite.json"])
     def test_committed_report_configs_still_load(self, name):
-        # they echo index_dir and timing_min_sample_s, which configs no longer have
+        # each echoed config loads back to itself, and so does the same config as
+        # reports echoed it while configs had index_dir and timing_min_sample_s
         for report in json.loads((Path(__file__).parents[1] / name).read_text()):
             echoed = report["config"]
-            dropped = {key: echoed[key] for key in ("index_dir", "timing_min_sample_s")}
-            assert dropped == {"index_dir": None, "timing_min_sample_s": 0.02}
-            kept = {key: value for key, value in echoed.items() if key not in dropped}
-            assert ExperimentConfig.from_dict(echoed).to_dict() == kept
+            assert ExperimentConfig.from_dict(echoed).to_dict() == echoed
+            older = {**echoed, "index_dir": None, "timing_min_sample_s": 0.02}
+            assert ExperimentConfig.from_dict(older).to_dict() == echoed
 
     def test_space_equal_to_team_keeps_distance(self):
         # sole record, sole member: the identity swap is the only pair

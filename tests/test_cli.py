@@ -1,12 +1,14 @@
 import csv
 import json
 import re
+import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from teamrank import dataio
+from teamrank import dataio, snapshot
 from teamrank.bench import ExperimentConfig, run_experiment
 from teamrank.cli import cli_main
 from teamrank.nnindex import HEADER
@@ -36,7 +38,8 @@ def write_league(tmp_path, per_team=4):
                 )
                 pid += 1
 
-    rows = list(csv.DictReader(open(players)))
+    with open(players, newline="") as fh:
+        rows = list(csv.DictReader(fh))
     teams = tmp_path / "teams.csv"
     with open(teams, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -226,6 +229,23 @@ class TestSubcommands:
         ],
     )
     def test_bad_bench_config_exits_2(self, capsys, tmp_path, config, message):
+        path = tmp_path / "bench.json"
+        path.write_text(json.dumps(config))
+        code, out, err = run(["bench", "--config", str(path)], capsys)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"dataset": {"kind": "synthetic"}, "methods": ["bf", "rtc-star"]},
+             "methods must name bf or rtcstar, got ['bf', 'rtc-star']"),
+            ({"dataset": {"kind": "synthetic"}, "target_mode": "nearest"}, "unknown target mode 'nearest'"),
+        ],
+    )
+    def test_unknown_method_or_target_mode_exits_2_before_loading(self, capsys, tmp_path, monkeypatch, config, message):
+        from teamrank import bench
+
+        monkeypatch.setattr(bench, "_load_dataset", lambda config: pytest.fail("the dataset was loaded"))
         path = tmp_path / "bench.json"
         path.write_text(json.dumps(config))
         code, out, err = run(["bench", "--config", str(path)], capsys)
@@ -556,7 +576,7 @@ class TestSpaceSnapshot:
             lambda raw: b"",
             lambda raw: bytes(len(raw)),
             lambda raw: np.random.default_rng(3).integers(0, 256, len(raw), dtype=np.uint8).tobytes(),
-            lambda raw: raw[:8] + (2).to_bytes(2, "little") + raw[10:],
+            lambda raw: raw[:8] + (snapshot.VERSION + 1).to_bytes(2, "little") + raw[10:],
             lambda raw: raw[:40] + bytes([raw[40] ^ 0xFF]) + raw[41:],
             lambda raw: raw[:50] + bytes([raw[50] ^ 1]) + raw[51:],
             lambda raw: raw[:70] + bytes([raw[70] ^ 1]) + raw[71:],
@@ -580,6 +600,26 @@ class TestSpaceSnapshot:
         assert again_rosters == rosters
         dataio.load_objects_and_rosters(league["players"], manifest, idx)
         assert len(parses) == 2
+
+    def test_row_major_version_1_snapshot_is_rewritten(self, league, tmp_path, parses):
+        # version 1 stored the attributes n x d; a file that is otherwise valid
+        # under the current key, with the same body size, differs only there
+        idx = tmp_path / "idx"
+        manifest = dataio.load_manifest(league["players_manifest"])
+        space, rosters = dataio.load_objects_and_rosters(league["players"], manifest, idx)
+        (path,) = snapshots(idx)
+        good = path.read_bytes()
+        attrs_end = snapshot.HEADER.size + space.attrs.nbytes
+        header = bytearray(good[: snapshot.HEADER.size])
+        struct.pack_into("<H", header, 8, 1)
+        body = np.ascontiguousarray(space.attrs).tobytes() + good[attrs_end:]
+        assert body != good[snapshot.HEADER.size :]
+        struct.pack_into("<I", header, snapshot.CRC_END - 4, zlib.crc32(body, zlib.crc32(header[snapshot.CRC_END :])))
+        path.write_bytes(bytes(header) + body)
+        again, again_rosters = dataio.load_objects_and_rosters(league["players"], manifest, idx)
+        assert len(parses) == 2
+        assert path.read_bytes() == good
+        assert again.attrs.tobytes() == space.attrs.tobytes() and again_rosters == rosters
 
     def test_snapshot_under_another_key_is_not_served(self, league, tmp_path, parses):
         idx = tmp_path / "idx"

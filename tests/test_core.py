@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from teamrank.core import (
+    _DIGEST_ROWS,
     ObjectRecord,
     ObjectSpace,
     TargetContext,
@@ -298,3 +299,51 @@ class TestObjectSpace:
         target = TargetContext(team_id="BBB", aggregate=[6.0, 9.0])
         assert space.digest() == "2ab99333887900ee1a3b9c371575c9e2a0b57d76ce2b9ae4e89e2836f678059d"
         assert fingerprint(space, team, target, np.array([1.0, 0.5]), 2) == "16c9eebc3b5ce563077b4cadc55a941f"
+
+
+def whole_matrix_digest(space):
+    """The content digest hashed in one piece, from a row-major copy of the rows in id order."""
+    import hashlib
+
+    order = space.id_order()
+    h = hashlib.sha256()
+    h.update(b"teamrank-space-v1\x00")
+    h.update(str(space.dimension).encode())
+    h.update(("\x00".join(space.attribute_names)).encode())
+    h.update(b"\x00ids\x00")
+    h.update("\x00".join(space.ids[order].tolist()).encode())
+    h.update(b"\x00lambdas\x00")
+    h.update(np.ascontiguousarray(space.lambdas[order]))
+    h.update(b"\x00attrs\x00")
+    h.update(np.ascontiguousarray(space.attrs[order]))
+    return h.hexdigest()
+
+
+class TestLayout:
+    """``ObjectSpace.attrs`` is Fortran-ordered whatever it is built from, with the same values."""
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_constructor_stores_fortran_order(self, order):
+        given_attrs = np.asarray(np.arange(12.0).reshape(4, 3), order=order)
+        space = ObjectSpace(ids=list("abcd"), lambdas=np.ones(4), attrs=given_attrs, attribute_names=list("xyz"))
+        assert space.attrs.flags.f_contiguous
+        assert space.attrs.tobytes() == given_attrs.tobytes()
+        assert space.record(1).attrs.tolist() == [3.0, 4.0, 5.0]
+
+    def test_from_records_stores_fortran_order(self):
+        records = [rec(f"r{i}", [i, 2.0 * i, -i], lam=1.0 + i) for i in range(5)]
+        space = ObjectSpace.from_records(records, ["x", "y", "z"])
+        assert space.attrs.flags.f_contiguous
+        assert space.attrs.tobytes() == np.stack([r.attrs for r in records]).tobytes()
+
+    # below one piece of the streamed digest, and across several pieces with a short last one
+    @pytest.mark.parametrize("n", [1, 7, _DIGEST_ROWS, 8 * _DIGEST_ROWS + 5])
+    @pytest.mark.parametrize("shuffled", [False, True], ids=["identity", "shuffled"])
+    def test_digest_equals_the_whole_matrix_hash(self, n, shuffled):
+        rng = np.random.default_rng(n)
+        ids = np.char.mod("o%06d", np.arange(n))
+        rows = rng.permutation(n) if shuffled else np.arange(n)
+        attrs = rng.uniform(-5.0, 500.0, size=(n, 3))
+        space = ObjectSpace(ids=ids[rows], lambdas=rng.uniform(1.0, 9.0, size=n), attrs=attrs, attribute_names=list("xyz"))
+        assert (space.id_order().tolist() == list(range(n))) == (not shuffled or n == 1)
+        assert space.digest() == whole_matrix_digest(space)

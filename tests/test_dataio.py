@@ -1,6 +1,7 @@
 import csv
 import gc
 import math
+from collections.abc import Mapping, MutableMapping
 
 import numpy as np
 import pytest
@@ -385,6 +386,20 @@ class TestParsePath:
         assert quoted[0].digest() == plain[0].digest()
         assert quoted[1] == plain[1]
 
+    @pytest.mark.parametrize("source", ["loadtxt", "rows", "snapshot"])
+    def test_every_load_stores_fortran_ordered_attrs(self, tmp_path, row_parses, source):
+        path = write_league(tmp_path / "objects.csv", quoted_label=source == "rows")
+        ref_space, _ = _reference_objects(path, OBJECT_MANIFEST)
+        snapshot_dir = tmp_path / "snapshots" if source == "snapshot" else None
+        if snapshot_dir is not None:
+            load_objects_and_rosters(path, OBJECT_MANIFEST, snapshot_dir)
+        space = load_objects_and_rosters(path, OBJECT_MANIFEST, snapshot_dir)[0]
+        assert len(row_parses) == (source == "rows")
+        assert space.attrs.flags.f_contiguous
+        # a snapshot hit's matrix is a view of the file's bytes, not a copy
+        assert space.attrs.flags.writeable == (source != "snapshot")
+        assert space.attrs.tobytes() == ref_space.attrs.tobytes()
+
     def test_a_cell_loadtxt_declines_is_parsed_from_rows_as_float_does(self, tmp_path, row_parses):
         space = load_objects(write_league(tmp_path / "objects.csv", cell="1_0"), OBJECT_MANIFEST)
         assert len(row_parses) == 1
@@ -399,6 +414,25 @@ class TestLoadObjectsAndRosters:
         assert space.digest() == alone.digest()
         assert list(space.labels) == list(alone.labels)
         assert rosters == load_rosters(path, OBJECT_MANIFEST) == {"AAA": ["p1", "p3"], "BBB": ["p2"]}
+
+    @pytest.mark.parametrize("source", ["parse", "snapshot"])
+    def test_rosters_are_a_read_only_mapping_built_per_team(self, tmp_path, source):
+        path = write(tmp_path, "objects.csv", "\n".join([HEADER, "p3,Three,BBB,300,9,1", *GOOD]) + "\n")
+        snapshot_dir = tmp_path / "snapshots" if source == "snapshot" else None
+        if snapshot_dir is not None:
+            load_objects_and_rosters(path, OBJECT_MANIFEST, snapshot_dir)
+        _, rosters = load_objects_and_rosters(path, OBJECT_MANIFEST, snapshot_dir)
+        assert isinstance(rosters, Mapping) and not isinstance(rosters, MutableMapping)
+        assert rosters._built == {}
+        assert "BBB" in rosters and "CCC" not in rosters and 3 not in rosters
+        assert rosters._built == {}
+        assert rosters["BBB"] == ["p3", "p2"] and rosters["BBB"] is rosters["BBB"]
+        assert list(rosters._built) == ["BBB"]
+        assert len(rosters) == 2 and list(rosters) == ["BBB", "AAA"]
+        assert rosters == {"AAA": ["p1"], "BBB": ["p3", "p2"]} == rosters
+        assert rosters != {"AAA": ["p1"]} and rosters != {"AAA": ["p1"], "BBB": ["p2", "p3"]}
+        with pytest.raises(KeyError):
+            rosters["CCC"]
 
     def test_object_errors_come_before_roster_errors(self, tmp_path):
         path = write(tmp_path, "objects.csv", "id,name,MP,FG,AST\np1,One,oops,5,6\n")
@@ -762,6 +796,16 @@ class TestGenSynthetic:
         assert np.array_equal(a.attrs, b.attrs)
         assert np.array_equal(a.lambdas, b.lambdas)
         assert list(a.ids) == list(b.ids)
+
+    def test_attrs_are_fortran_ordered_columns_drawn_in_order(self):
+        params = [NbParams(1.44, 0.008), NbParams(0.93, 0.0092), NbParams(1.7, 0.045)]
+        space = gen_synthetic(params, count=1000, seed=11)
+        children = np.random.SeedSequence(11).spawn(len(params) + 1)
+        drawn = np.column_stack(
+            [sample_negative_binomial(p, 1000, np.random.default_rng(child)) for p, child in zip(params, children)]
+        )
+        assert space.attrs.flags.f_contiguous
+        assert space.attrs.tobytes() == drawn.tobytes()
 
     def test_different_seed_differs(self):
         params = {"FG": NbParams(1.44, 0.008)}

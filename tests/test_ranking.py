@@ -187,6 +187,31 @@ class TestRowKernels:
             assert got.tobytes() == expected.tobytes()
             assert np.count_nonzero(got == 0.0) >= -(-n // 3)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.one_of(st.integers(1, 40), st.integers(_CHUNK_ROWS - 3, 2 * _CHUNK_ROWS + 3)),
+        d=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+        per_row=st.booleans(),
+    )
+    def test_exchange_distances_are_bit_identical_on_any_layout(self, n, d, seed, per_row):
+        # the space's Fortran-ordered matrix, a row-major copy, and a strided gather of it
+        rng = np.random.default_rng(seed)
+        attrs = rng.uniform(-50.0, 400.0, size=(n, d))
+        attrs[::5] = 1e6
+        lambdas = rng.uniform(1.0, 100.0, size=n)
+        w = rng.uniform(0.1, 2.0, size=d)
+        if per_row:
+            base, lambda_r = rng.uniform(-20.0, 300.0, size=(n, d)), rng.uniform(1.0, 100.0, size=n)
+        else:
+            base, lambda_r = rng.uniform(-20.0, 300.0, size=d), float(rng.uniform(1.0, 100.0))
+        fortran = np.asfortranarray(attrs)
+        wide = np.asfortranarray(np.repeat(attrs, 2, axis=1))[:, ::2]
+        assert fortran.flags.f_contiguous and np.array_equal(wide, attrs)
+        want = _exchange_distance_rows(base, lambda_r, attrs, lambdas, w).tobytes()
+        for rows in (fortran, wide):
+            assert _exchange_distance_rows(base, lambda_r, rows, lambdas, w).tobytes() == want
+
     # the tracemalloc bound of the two memory tests: one n x d float64 matrix
     MEMORY_N, MEMORY_D = 200_000, 11
 
