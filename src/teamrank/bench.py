@@ -56,7 +56,7 @@ import math
 import statistics
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -104,35 +104,17 @@ class ExperimentConfig:
     timing_warmup: int = 1
 
     def to_dict(self) -> dict:
-        return {
-            "dataset": self.dataset,
-            "block_size": self.block_size,
-            "top_k": self.top_k,
-            "methods": list(self.methods),
-            "seed": self.seed,
-            "team_size": self.team_size,
-            "n_teams": self.n_teams,
-            "team_ids": list(self.team_ids) if self.team_ids is not None else None,
-            "target_mode": self.target_mode,
-            "target_margin": self.target_margin,
-            "elite_count": self.elite_count,
-            "weights": list(self.weights) if self.weights is not None else None,
-            "timing_repeats": self.timing_repeats,
-            "timing_warmup": self.timing_warmup,
-            "target_rule": TARGET_RULE,
-        }
+        """Every field in declaration order, tuples as lists, then the echoed ``target_rule``."""
+        fields = {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
+        return {**fields, "target_rule": TARGET_RULE}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        """The config in ``data``; keys it does not know, such as the echoed ``target_rule``, are ignored."""
+        """The config in ``data``, lists as tuples; keys it does not know, such as the echoed ``target_rule``, are ignored."""
         if not isinstance(data, dict) or "dataset" not in data:
             raise InvalidArgument("bench config needs a \"dataset\" entry")
-        known = {f for f in cls.__dataclass_fields__}
-        kwargs = {k: v for k, v in data.items() if k in known}
-        for key in ("methods", "team_ids", "weights"):
-            if kwargs.get(key) is not None:
-                kwargs[key] = tuple(kwargs[key])
-        return cls(**kwargs)
+        known = cls.__dataclass_fields__
+        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in data.items() if k in known})
 
 
 @dataclass
@@ -146,22 +128,6 @@ class TeamRow:
     io: dict
     timing: dict
 
-    def to_dict(self) -> dict:
-        return {
-            "team_id": self.team_id,
-            "target_id": self.target_id,
-            "distance_before": self.distance_before,
-            "distance_after": self.distance_after,
-            "methods_agree": self.methods_agree,
-            "recommendations": self.recommendations,
-            "io": self.io,
-            "timing": self.timing,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TeamRow":
-        return cls(**data)
-
 
 @dataclass
 class ExperimentReport:
@@ -172,23 +138,12 @@ class ExperimentReport:
     schema_version: int = SCHEMA_VERSION
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "config": self.config,
-            "rows": [r.to_dict() for r in self.rows],
-            "io": self.io,
-            "timing": self.timing,
-        }
+        """Every field, rows included, with ``schema_version`` first."""
+        return {"schema_version": self.schema_version, **asdict(self)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentReport":
-        return cls(
-            schema_version=data["schema_version"],
-            config=data["config"],
-            rows=[TeamRow.from_dict(r) for r in data["rows"]],
-            io=data["io"],
-            timing=data["timing"],
-        )
+        return cls(**{**data, "rows": [TeamRow(**r) for r in data["rows"]]})
 
 
 def recommendations_payload(recs: Sequence[SwapRecommendation]) -> list[dict]:
@@ -386,7 +341,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                 index = build_index(space, team, target, weights, config.block_size, index_dir, run_length=config.top_k)
                 with index:
                     stats = {}
-                    index.reset_query_io()
                     results["rtcstar"] = rtc_star_rank(
                         team, target, space, weights, index, config.top_k, stats_out=stats
                     )

@@ -27,7 +27,7 @@ id order so aggregates are bit-reproducible regardless of input order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -280,23 +280,20 @@ class ObjectSpace:
 class TeamContext:
     """A team: its member records plus the aggregated team vector.
 
-    The aggregate is validated to be exactly the ascending-id member sum.
-    Use :func:`team_from_records` or :func:`team_from_ids` instead of
-    constructing directly.
+    The aggregate is not passed in: it is derived from the members, as
+    :func:`aggregate_team`'s ascending-id sum. Use :func:`team_from_records`
+    or :func:`team_from_ids` instead of constructing directly.
     """
 
     members: tuple[ObjectRecord, ...]
-    aggregate: np.ndarray
     team_id: str = ""
+    aggregate: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if not self.members:
             raise EmptyTeam("a team context needs at least one member")
         object.__setattr__(self, "members", tuple(self.members))
-        object.__setattr__(self, "aggregate", attribute_vector(self.aggregate, name="team aggregate"))
-        expected = aggregate_team(self.members)
-        if not np.array_equal(self.aggregate, expected):
-            raise InvalidArgument("team aggregate does not equal the member attribute sum")
+        object.__setattr__(self, "aggregate", attribute_vector(aggregate_team(self.members), name="team aggregate"))
 
     @property
     def member_ids(self) -> tuple[str, ...]:
@@ -346,7 +343,7 @@ def aggregate_team(members: Iterable[ObjectRecord]) -> np.ndarray:
 
 def team_from_records(records: Iterable[ObjectRecord], team_id: str = "") -> TeamContext:
     recs = tuple(sorted(records, key=lambda r: r.id))
-    return TeamContext(members=recs, aggregate=aggregate_team(recs), team_id=team_id)
+    return TeamContext(members=recs, team_id=team_id)
 
 
 def team_from_ids(space: ObjectSpace, member_ids: Iterable[str], team_id: str = "") -> TeamContext:

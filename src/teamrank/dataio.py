@@ -46,7 +46,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 from scipy import stats as sstats
@@ -541,49 +541,43 @@ def _numbered_ids(prefix: str, count: int, width: int) -> np.ndarray:
 
 
 def gen_synthetic(
-    params,
+    params: Mapping[str, NbParams],
     count: int,
     seed: int,
     *,
     lambda_range: tuple[float, float] = (500.0, 3000.0),
-    attribute_names: Sequence[str] | None = None,
-    id_prefix: str = "o",
 ) -> ObjectSpace:
     """Generate a synthetic object space with independent per-dimension draws.
 
-    ``params`` is either a mapping of attribute name to :class:`NbParams`
-    (iteration order fixes the dimension order) or a plain sequence of
-    :class:`NbParams`, in which case names default to a0, a1, ...
+    ``params`` maps each attribute name to its :class:`NbParams`; iteration
+    order fixes the dimension order, and column j is drawn from the j-th
+    child of ``seed``'s stream whatever its name. Ids are ``o`` followed by
+    the row number, zero-padded to at least seven digits.
     """
     if count < 1:
         raise InvalidArgument(f"count must be >= 1, got {count}")
     lo, hi = float(lambda_range[0]), float(lambda_range[1])
     if not (0.0 < lo <= hi):
         raise InvalidParams(f"lambda range must satisfy 0 < lo <= hi, got ({lo}, {hi})")
-
-    if isinstance(params, Mapping):
-        names = tuple(str(k) for k in params.keys())
-        plist = [p if isinstance(p, NbParams) else NbParams(**p) for p in params.values()]
-    else:
-        plist = [p if isinstance(p, NbParams) else NbParams(**p) for p in params]
-        names = tuple(attribute_names) if attribute_names else tuple(f"a{j}" for j in range(len(plist)))
-    if len(names) != len(plist):
-        raise InvalidParams(f"{len(names)} attribute names for {len(plist)} parameter pairs")
-    if not plist:
+    if not params:
         raise InvalidParams("need at least one parameter pair")
 
     root = np.random.SeedSequence(seed)
-    children = root.spawn(len(plist) + 1)
+    children = root.spawn(len(params) + 1)
     # Fortran order, the space's own layout: each drawn column is written contiguously
-    attrs = np.empty((len(plist), count), dtype=np.float64).T
-    for j, pj in enumerate(plist):
+    attrs = np.empty((len(params), count), dtype=np.float64).T
+    for j, pj in enumerate(params.values()):
         attrs[:, j] = sample_negative_binomial(pj, count, np.random.default_rng(children[j]))
     lam_rng = np.random.default_rng(children[-1])
     lambdas = lam_rng.uniform(lo, hi, size=count)
 
-    ids = _numbered_ids(id_prefix, count, width=max(7, len(str(count - 1))))
+    ids = _numbered_ids("o", count, width=max(7, len(str(count - 1))))
     # zero-padded numbers of one width ascend in row order
-    return ObjectSpace(ids=ids, lambdas=lambdas, attrs=attrs, attribute_names=names, id_order=np.arange(count))
+    return ObjectSpace(ids=ids, lambdas=lambdas, attrs=attrs, attribute_names=params, id_order=np.arange(count))
+
+
+# the smallest expected count of a chi-square bin, the textbook rule of thumb
+MIN_EXPECTED = 5.0
 
 
 @dataclass(frozen=True)
@@ -605,8 +599,8 @@ def chi_square_statistic(observed, expected) -> float:
     return float(np.sum((obs - exp) ** 2 / exp))
 
 
-def _nb_bins(params: NbParams, n_samples: int, min_expected: float) -> tuple[np.ndarray, np.ndarray]:
-    """Greedy integer-range bins with expected count >= min_expected each.
+def _nb_bins(params: NbParams, n_samples: int) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy integer-range bins with expected count >= ``MIN_EXPECTED`` each.
 
     Returns (upper_bounds, expected); the final bin is open-ended and its
     expected count covers the entire remaining tail mass. An undersized tail
@@ -620,7 +614,7 @@ def _nb_bins(params: NbParams, n_samples: int, min_expected: float) -> tuple[np.
     acc = 0.0
     for k in range(hi + 1):
         acc += n_samples * pmf[k]
-        if acc >= min_expected:
+        if acc >= MIN_EXPECTED:
             uppers.append(float(k))
             expected.append(acc)
             acc = 0.0
@@ -628,7 +622,7 @@ def _nb_bins(params: NbParams, n_samples: int, min_expected: float) -> tuple[np.
         raise DegenerateBinning("all probability mass fell into a single undersized bin")
     # acc now holds mass between the last closed bin and hi; sf covers it too.
     tail = n_samples * float(sstats.nbinom.sf(uppers[-1], params.r, params.p))
-    if tail >= min_expected:
+    if tail >= MIN_EXPECTED:
         uppers.append(np.inf)
         expected.append(tail)
     else:
@@ -641,12 +635,13 @@ def _nb_bins(params: NbParams, n_samples: int, min_expected: float) -> tuple[np.
     return np.asarray(uppers), np.asarray(expected)
 
 
-def chi_square_gof(samples, r: float, p: float, alpha: float = 0.05, *, min_expected: float = 5.0) -> GofResult:
+def chi_square_gof(samples, r: float, p: float, alpha: float = 0.05) -> GofResult:
     """Test whether integer count samples are compatible with NB(r, p).
 
-    Parameters are taken as given, not fitted, so the degrees of freedom are
-    the bin count minus one. Accepts exactly when the statistic does not
-    exceed the chi-square quantile at 1 - alpha.
+    Samples are binned so that every bin expects at least ``MIN_EXPECTED``
+    of them. Parameters are taken as given, not fitted, so the degrees of
+    freedom are the bin count minus one. Accepts exactly when the statistic
+    does not exceed the chi-square quantile at 1 - alpha.
     """
     data = np.asarray(samples, dtype=np.float64)
     if data.ndim != 1 or data.size < 50:
@@ -655,7 +650,7 @@ def chi_square_gof(samples, r: float, p: float, alpha: float = 0.05, *, min_expe
         raise InvalidArgument(f"alpha must lie strictly inside (0, 1), got {alpha}")
     params = NbParams(r=float(r), p=float(p))
 
-    uppers, expected = _nb_bins(params, data.size, min_expected)
+    uppers, expected = _nb_bins(params, data.size)
     bin_index = np.searchsorted(uppers, data, side="left")
     observed = np.bincount(bin_index, minlength=uppers.size).astype(np.float64)
     statistic = chi_square_statistic(observed, expected)

@@ -170,7 +170,14 @@ def fingerprint(space: ObjectSpace, team: TeamContext, target: TargetContext, w,
 
 
 class NnIndex:
-    """Handle over one built index file plus its I/O counters."""
+    """Handle over one built index file plus its I/O counters.
+
+    Made only by :meth:`open`, which :func:`build_index` also ends with, so
+    a file just written passes the same header and size checks as any
+    other. ``query_io`` counts reads and ``build_io`` writes; every reader
+    of the handle shares them, and ``read_blocks(k)`` is the count that
+    one read of k entries adds.
+    """
 
     def __init__(self, fh, directory, fp: str, block_size: int, n: int, m: int, d: int, run_length: int):
         self.directory = Path(directory)
@@ -189,6 +196,10 @@ class NnIndex:
         """Blocks per member run."""
         return -(-self.run_length // self.block_size)
 
+    def read_blocks(self, k: int) -> int:
+        """Blocks one ``query_min_raw(member, k)`` reads and is charged: ceil(min(k, n) / B)."""
+        return -(-min(k, self.n) // self.block_size)
+
     def close(self) -> None:
         self._file.close()
 
@@ -197,9 +208,6 @@ class NnIndex:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    def reset_query_io(self) -> None:
-        self.query_io.reset()
 
     def check(self, space: ObjectSpace, team: TeamContext, target: TargetContext, w) -> None:
         """Raise ``StaleIndex`` unless this index was built for this configuration."""
@@ -226,7 +234,7 @@ class NnIndex:
                 f"{index_path(self.directory, self.fingerprint)}: runs hold {self.run_length} "
                 f"entries, a query for {k} needs {count}"
             )
-        blocks = -(-count // self.block_size)
+        blocks = self.read_blocks(k)
         block_bytes = self.block_size * RECORD_DTYPE.itemsize
         size = blocks * block_bytes
         offset = HEADER.size + member_index * self.data_blocks * block_bytes
@@ -339,7 +347,6 @@ def build_index(
         os.unlink(tmp)
         raise
 
-    fh = open(index_path(directory, fp), "rb")
-    index = NnIndex(fh, directory, fp, block_size=block_size, n=n, m=m, d=space.dimension, run_length=length)
+    index = NnIndex.open(directory, fp, space)
     index.build_io.add_write(m * blocks)
     return index

@@ -431,7 +431,9 @@ def rtc_star_rank(
     ``ShortIndex`` (a ``StaleIndex``); build it with ``run_length >= top_k``.
 
     ``stats_out``, when given, receives per-member block reads
-    (``per_member_reads``) and entries re-scored per member
+    (``per_member_reads``, ``index.read_blocks(top_k)`` each: what each
+    read was charged, worked out from the index's shape, so other readers
+    of the same index cannot change it) and entries re-scored per member
     (``scan_depths``, min(top_k, n) each); ``fallback_members`` is always
     empty and kept for report compatibility.
     """
@@ -442,11 +444,7 @@ def rtc_star_rank(
     w = weight_vector(w)
     index.check(space, team, target, w)
 
-    runs, per_member_reads = [], []
-    for member_index in range(team.size):
-        before = index.query_io.blocks_read
-        runs.append(index.query_min_raw(member_index, top_k))
-        per_member_reads.append(index.query_io.blocks_read - before)
+    runs = [index.query_min_raw(member_index, top_k) for member_index in range(team.size)]
 
     # every run re-scored in one kernel call, each row against its own member
     owner = np.repeat(np.arange(team.size), [rows.size for rows, _ in runs])
@@ -466,7 +464,7 @@ def rtc_star_rank(
         per_member.append((best_rows, best))
 
     if stats_out is not None:
-        stats_out["per_member_reads"] = per_member_reads
+        stats_out["per_member_reads"] = [index.read_blocks(top_k)] * team.size
         stats_out["scan_depths"] = [min(top_k, len(space))] * team.size
         stats_out["fallback_members"] = []
     return _merge_and_rank(team, target, space, w, per_member, top_k)

@@ -251,6 +251,13 @@ class TestEmitAndParse:
         assert raw["rows"][0]["recommendations"] == []
         assert parse_report(path) == report
 
+    @pytest.mark.parametrize("name", ["BENCH_dominant.json", "BENCH_elite.json"])
+    def test_committed_reports_round_trip_key_order_included(self, name):
+        # dict equality ignores key order, so the rendered JSON is compared
+        for raw in json.loads((Path(__file__).parents[1] / name).read_text()):
+            assert json.dumps(ExperimentReport.from_dict(raw).to_dict(), indent=2) == json.dumps(raw, indent=2)
+            assert list(ExperimentConfig.from_dict(raw["config"]).to_dict().items()) == list(raw["config"].items())
+
     def test_unknown_format_rejected(self, report, tmp_path):
         from teamrank.errors import InvalidArgument
 

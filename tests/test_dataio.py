@@ -798,11 +798,11 @@ class TestGenSynthetic:
         assert list(a.ids) == list(b.ids)
 
     def test_attrs_are_fortran_ordered_columns_drawn_in_order(self):
-        params = [NbParams(1.44, 0.008), NbParams(0.93, 0.0092), NbParams(1.7, 0.045)]
+        params = {"a0": NbParams(1.44, 0.008), "a1": NbParams(0.93, 0.0092), "a2": NbParams(1.7, 0.045)}
         space = gen_synthetic(params, count=1000, seed=11)
         children = np.random.SeedSequence(11).spawn(len(params) + 1)
         drawn = np.column_stack(
-            [sample_negative_binomial(p, 1000, np.random.default_rng(child)) for p, child in zip(params, children)]
+            [sample_negative_binomial(p, 1000, np.random.default_rng(child)) for p, child in zip(params.values(), children)]
         )
         assert space.attrs.flags.f_contiguous
         assert space.attrs.tobytes() == drawn.tobytes()
@@ -814,7 +814,7 @@ class TestGenSynthetic:
         assert not np.array_equal(a.attrs, b.attrs)
 
     def test_single_record(self):
-        space = gen_synthetic([NbParams(1.0, 0.1)], count=1, seed=0)
+        space = gen_synthetic({"a0": NbParams(1.0, 0.1)}, count=1, seed=0)
         assert len(space) == 1
         assert np.isfinite(space.attrs).all()
         assert space.attrs[0, 0] >= 0.0
@@ -832,7 +832,7 @@ class TestGenSynthetic:
         assert np.array_equal(got, want)
 
     def test_lambda_range_respected(self):
-        space = gen_synthetic([NbParams(1.0, 0.1)], count=300, seed=1, lambda_range=(2.0, 3.0))
+        space = gen_synthetic({"a0": NbParams(1.0, 0.1)}, count=300, seed=1, lambda_range=(2.0, 3.0))
         assert space.lambdas.min() >= 2.0
         assert space.lambdas.max() <= 3.0
 
@@ -849,9 +849,9 @@ class TestGenSynthetic:
         with pytest.raises(InvalidParams):
             NbParams(1.0, 1.0)
         with pytest.raises(InvalidArgument):
-            gen_synthetic([NbParams(1.0, 0.5)], count=0, seed=1)
+            gen_synthetic({"a0": NbParams(1.0, 0.5)}, count=0, seed=1)
         with pytest.raises(InvalidParams):
-            gen_synthetic([NbParams(1.0, 0.5)], count=3, seed=1, lambda_range=(0.0, 5.0))
+            gen_synthetic({"a0": NbParams(1.0, 0.5)}, count=3, seed=1, lambda_range=(0.0, 5.0))
 
 
 class TestChiSquare:

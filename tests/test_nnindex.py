@@ -1,5 +1,6 @@
 import hashlib
 import struct
+import sys
 import threading
 
 import numpy as np
@@ -323,7 +324,7 @@ class TestQueryMin:
         with build_index(space, team, target, w, 5, tmp_path) as index:
             query_min(index, space, 0, 1)
             assert index.query_io.blocks_read == 1
-            index.reset_query_io()
+            index.query_io.reset()
             assert index.query_io.blocks_read == 0
             assert index.build_io.blocks_written > 0
 
@@ -335,7 +336,7 @@ class TestQueryMin:
                 for member in range(2)
                 for k in (1, 7, 31, 64)
             }
-            index.reset_query_io()
+            index.query_io.reset()
             failures = []
 
             def worker(worker_id):
@@ -353,6 +354,35 @@ class TestQueryMin:
                 t.join()
             assert failures == []
             assert index.query_io.queries_served == 4 * 50
+
+    def test_reads_reported_by_a_ranking_ignore_other_readers_of_its_index(self, tmp_path):
+        # the index's counters are shared, so a second thread's reads must not
+        # reach the per-member reads that one rtc_star_rank call reports
+        space, team, target, w = make_setup(seed=15, n=2000, m=4)
+        k, b = 10, 5
+        with build_index(space, team, target, w, b, tmp_path, run_length=k) as index:
+            stop = threading.Event()
+
+            def reader():
+                while not stop.is_set():
+                    index.query_min_raw(0, k)
+
+            thread = threading.Thread(target=reader)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            thread.start()
+            try:
+                reported = []
+                for _ in range(500):
+                    stats = {}
+                    rtc_star_rank(team, target, space, w, index, k, stats_out=stats)
+                    reported.append(stats["per_member_reads"])
+            finally:
+                stop.set()
+                thread.join(timeout=10)
+                sys.setswitchinterval(interval)
+            assert not thread.is_alive()
+        assert [reads for reads in reported if reads != [-(-k // b)] * 4] == []
 
 
 class TestOpenAndFingerprint:
