@@ -24,11 +24,18 @@ it is charged every index block it fetches: one positioned read of
 ceil(k / B) blocks per member. Each ``rtcstar`` row
 also records how many entries each member re-scored (``scan_depths``,
 min(k, n) each) and ``fallback_members``, always empty and kept for report
-compatibility. The report's top-level ``timing`` also records
-``member_workers``: the most threads that ``bf`` and an index build score
-any of the run's teams on (``ranking.member_workers``), so a report says
-how many cores its timings had; the JSON report carries it and the CSV
-report does not.
+compatibility, and ``rows_scored``: the rows each member's run was
+chosen from, n below ``nnindex._PRUNE_ROWS`` rows and the rows the
+best-first pass over the space's leaves scored at or above it, a count
+that depends only on the configuration. The report's top-level ``timing``
+also records ``member_workers``: the most threads that ``bf`` and an index
+build score any of the run's teams on (``ranking.member_workers``), so a
+report says how many cores its timings had, and ``leaf_build_s``: the
+one-off seconds of building the space's leaf partition, timed before any
+team, or null when ``rtcstar``'s builds do not use it. The JSON report
+carries both and the CSV report does not. Reports written before these
+fields existed lack them, and ``parse_report`` reads them back as they
+are.
 
 A CSV run reads its league through :func:`load_league`, as the CLI does. A
 synthetic or CSV run with an elite target set picks each team's target by
@@ -65,6 +72,7 @@ import numpy as np
 from .core import ObjectSpace, TargetContext, TeamContext, diff, team_from_ids, truncated_distance, truncating_vector
 from .dataio import NbParams, gen_synthetic, load_manifest, load_objects_and_rosters, load_teams
 from .errors import InvalidArgument
+from . import nnindex
 from .nnindex import build_index
 from .ranking import SwapRecommendation, brute_force_rank, member_workers, rtc_star_rank
 from .weighting import TargetSelection, compute_weights, select_target
@@ -293,6 +301,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     if loaded is None and config.target_mode == "elite":
         synthetic_elite = _synthetic_elite(space, config)
 
+    # the leaves are built once per space, before any team's build is timed
+    leaf_build_s = None
+    if "rtcstar" in config.methods and len(space) >= nnindex._PRUNE_ROWS:
+        start = time.perf_counter()
+        space.leaves()
+        leaf_build_s = time.perf_counter() - start
+
     rows: list[TeamRow] = []
     workers = 1
     with tempfile.TemporaryDirectory(prefix="teamrank-index-") as index_dir:
@@ -353,6 +368,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                         "per_member_reads": stats["per_member_reads"],
                         "scan_depths": stats["scan_depths"],
                         "fallback_members": stats["fallback_members"],
+                        "rows_scored": list(index.rows_scored),
                     }
                     row_timing["rtcstar"] = {
                         "build_s": build_s,
@@ -397,6 +413,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             "query_s": sum(r.timing[method]["query_s"] for r in method_rows),
         }
     totals_timing["member_workers"] = workers
+    totals_timing["leaf_build_s"] = leaf_build_s
 
     return ExperimentReport(
         config=config.to_dict(),

@@ -13,6 +13,48 @@ stored keys or order differ from it. The merged result
 is identical to the exhaustive baseline, and a run shorter than ``top_k``
 raises ``ShortIndex`` instead of answering.
 
+An index build over a space of at least ``nnindex._PRUNE_ROWS`` rows takes
+each member's run from a best-first pass over the space's leaf partition
+(``ObjectSpace.leaves``) instead: :func:`pruned_tops`, whose per-member
+pass :func:`_member_best_pruned` scores, with the same kernel and the
+same top-k, only the leaves whose bound can reach the member's best k.
+``bf`` keeps the full pass and stays the oracle. The pruned pass returns
+the full pass's rows and distance bits, so the index file is
+byte-identical, and that rests on how a leaf's bound is computed: it is
+the kernel itself, ``_exchange_distance_rows``, on one row, the leaf's
+upper rate corner c, with an exchange parameter of 1. For a row p of the
+leaf and a dimension i, the kernel computes
+
+    row:    fl(base_i - fl(fl(lambda_r / lambda_p) * a_pi))
+    bound:  fl(base_i - fl(fl(lambda_r / 1) * c_i))
+
+and lambda_r / 1 is exact. c_i is at least q = fl(a_pi / lambda_p), the
+rate as numpy divides it, raised three ulps toward +inf, and that covers
+the two roundings between q and the row's product. The ratio
+fl(lambda_r / lambda_p) is off by at most a relative 2^-53 as long as
+lambda_r / lambda_p lies in the normal range of float64; the pass checks
+that for each member against the space's smallest and largest lambda
+(``_NORMAL_RATIOS``), and a member outside it takes the full pass. q is
+off by at most a relative 2^-53 too, or, when subnormal, by half the
+smallest subnormal. So fl(lambda_r / lambda_p) * a_pi exceeds
+lambda_r * q by at most about 2^-52 relative, whether a_pi is positive,
+zero or negative, while three ulps toward +inf add at least 3 * 2^-53
+relative (an ulp toward zero of a negative q at a power of two is half as
+wide, and three of them still suffice; a q of -inf is raised to 2 ulps
+above -max). So lambda_r * c_i >= fl(lambda_r / lambda_p) * a_pi exactly,
+and as rounding is monotone, overflow and underflow included, the bound's
+product is at least the row's. Every later step is monotone in it, under
+IEEE rounding: the subtraction from the same base_i (non-increasing),
+max(., 0), the product with w_i > 0, the square of a non-negative value,
+the same pairwise sum of non-negative terms, and sqrt. So a leaf's computed bound never exceeds
+a row's computed distance, bit for bit, unless that distance is NaN,
+which sorts last anyway. A leaf whose bound is strictly above a member's
+k-th distance can hold no row that the (distance, id) order puts among
+the first k, and the pass stops at the first such leaf in bound order; a
+leaf at exactly the k-th distance is still read, because its ids may break
+a tie. No second kernel is involved, and a corner that overflows to +inf
+only lowers the bound.
+
 ``member_tops`` runs the members' passes on one thread each once the space
 has more than ``_SERIAL_ROWS`` rows (``_map_members``), up to the usable cores
 and up to as many passes as fit in the bytes of the space's attribute
@@ -72,6 +114,7 @@ __all__ = [
     "odis",
     "odis_keys",
     "member_tops",
+    "pruned_tops",
     "member_workers",
     "brute_force_rank",
     "rtc_star_rank",
@@ -279,9 +322,10 @@ def _member_top(dist: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
 _PASS_ARRAYS = 3
 
 # spaces of at most this many rows score their members on the calling
-# thread: there a five-member bf call at d = 11 on two cores is about 1 ms
-# faster serial than on a pool
-_SERIAL_ROWS = 8192
+# thread: on two cores a five-member bf call at d = 11 read 2.22 ms serial
+# against 2.94 ms on a pool at 9000 rows and 4.17 against 4.70 ms at 16384;
+# the pool first won at 32768 rows (7.58 against 8.49 ms)
+_SERIAL_ROWS = 32768
 
 
 def _member_workers(members: int, n: int, d: int) -> int:
@@ -292,8 +336,8 @@ def _member_workers(members: int, n: int, d: int) -> int:
     holds at most ``_PASS_ARRAYS`` n-length 8-byte arrays at once, so
     ``d // _PASS_ARRAYS`` of them fit in n * d * 8 bytes. Each pass's kernel
     buffers, (d + 1) * min(n, ``_CHUNK_ROWS``) float64s, are left out of
-    that count: 9 % of the matrix at 1e5 rows, but about its size just
-    above ``_SERIAL_ROWS``, where three passes at d = 11 add 2.4 MB. At
+    that count: 9 % of the matrix at 1e5 rows, but 83 % of it just above
+    ``_SERIAL_ROWS``, where three passes at d = 11 add 2.4 MB. At
     ``n <= _SERIAL_ROWS`` the passes stay on the calling thread, where they
     are faster than on a pool.
     """
@@ -351,6 +395,68 @@ def _member_best(
 def member_tops(space: ObjectSpace, team: TeamContext, target: TargetContext, w: np.ndarray, k: int) -> Iterator:
     """Each member's :func:`_member_best` over the whole space, in member order, on :func:`member_workers` threads."""
     best = partial(_member_best, space, diff(target, team), w=w, k=k)
+    return _map_members(best, team.members, len(space), space.dimension)
+
+
+# the exactness argument needs every lambda_r / lambda_p in the normal range
+# of float64, with a margin for rounding; a member outside it takes the full pass
+_NORMAL_RATIOS = (2.0**-1021, 2.0**1023)
+
+
+def _member_best_pruned(
+    space: ObjectSpace, gap: np.ndarray, record: ObjectRecord, w: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """:func:`_member_best`'s (rows, distances), read best-first from the space's leaves, and the rows scored.
+
+    Each leaf's bound is the distance kernel on its corner row with an
+    exchange parameter of 1, which no row of the leaf beats (see the module
+    docstring). Leaves are read in ascending (bound, leaf) order, in batches
+    of whole leaves that start at n / 256 rows and grow 4x up to the
+    kernel's block of ``_CHUNK_ROWS`` rows; each batch is gathered, scored
+    by the kernel and merged into the best k by :func:`_member_top`. The
+    pass stops before the first leaf whose bound is strictly above the k-th
+    distance once k rows are held, so a leaf at that distance is still read
+    and its ids break the tie. A member for whom some lambda_r / lambda_p
+    could leave the normal range of float64 (``_NORMAL_RATIOS``) takes
+    :func:`_member_best`'s full pass instead and scores all n rows.
+    """
+    leaves = space.leaves()
+    low, high = leaves.lambda_range
+    if not (_NORMAL_RATIOS[0] <= record.lam / high and record.lam / low < _NORMAL_RATIOS[1]):
+        return (*_member_best(space, gap, record, w, k), len(space))
+    base = gap + record.attrs
+    bounds = _exchange_distance_rows(base, record.lam, leaves.corners, np.ones(len(leaves)), w)
+    # a NaN bound (inf - inf at the float64 limit) proves nothing: 0 is above no k-th distance
+    bounds[np.isnan(bounds)] = 0.0
+    order = np.argsort(bounds, kind="stable")
+    bounds = bounds[order]
+    sizes = np.diff(leaves.starts)[order]
+    ends = np.cumsum(sizes)
+    want = min(k, len(space))
+    best_rows, best = np.empty(0, dtype=leaves.rows.dtype), np.empty(0)
+    read, batch = 0, min(max(1, len(space) // 256), _CHUNK_ROWS)
+    while read < len(order):
+        stop = min(len(order), int(np.searchsorted(ends, ends[read] - sizes[read] + batch)) + 1)
+        if best.size == want:
+            stop = min(stop, int(np.searchsorted(bounds, best[-1], side="right")))
+            if stop <= read:
+                break
+        count = sizes[read:stop]
+        firsts = leaves.starts[order[read:stop]] - (np.cumsum(count) - count)
+        rows = leaves.rows[np.repeat(firsts, count) + np.arange(ends[stop - 1] - ends[read] + sizes[read])]
+        dist = _exchange_distance_rows(base, record.lam, space.attrs[rows], space.lambdas[rows], w)
+        rows, dist = np.concatenate([best_rows, rows]), np.concatenate([best, dist])
+        chosen = _member_top(dist, space.ids[rows], k)
+        best_rows, best = rows[chosen], dist[chosen]
+        read, batch = stop, min(4 * batch, _CHUNK_ROWS)
+    return best_rows.astype(np.intp), best, int(ends[read - 1])
+
+
+def pruned_tops(space: ObjectSpace, team: TeamContext, target: TargetContext, w: np.ndarray, k: int) -> Iterator:
+    """Each member's :func:`_member_best_pruned` as (rows, distances, rows scored), in member order, on :func:`member_workers` threads."""
+    # built here, once, before the members' threads read it
+    space.leaves()
+    best = partial(_member_best_pruned, space, diff(target, team), w=w, k=k)
     return _map_members(best, team.members, len(space), space.dimension)
 
 

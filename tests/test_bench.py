@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from conftest import pretend_cores
+from teamrank import nnindex
 from teamrank.bench import (
     ExperimentConfig,
     ExperimentReport,
@@ -60,6 +61,9 @@ class TestRunExperiment:
             assert row.io["rtcstar"]["per_member_reads"] == [-(-k // b)] * m
             assert row.io["rtcstar"]["scan_depths"] == [k] * m
             assert row.io["rtcstar"]["fallback_members"] == []
+            # below the pruning rule every run is chosen from all n rows
+            assert row.io["rtcstar"]["rows_scored"] == [n] * m
+        assert report.timing["leaf_build_s"] is None
         assert report.io["bf"]["blocks_read"] == 2 * m * -(-n // b)
         assert report.io["rtcstar"]["blocks_read"] == 2 * m
 
@@ -104,6 +108,19 @@ class TestRunExperiment:
             assert io["blocks_read"] == m * -(-k // b)
             assert io["per_member_reads"] == [-(-k // b)] * m
             assert io["scan_depths"] == [k] * m
+
+    def test_pruned_builds_report_the_leaf_build_and_the_rows_they_scored(self, monkeypatch):
+        monkeypatch.setattr(nnindex, "_PRUNE_ROWS", 0)
+        config = mini_config(dataset={"kind": "synthetic", "n": 5000, "params": PARAMS, "seed": 3}, timing_repeats=1)
+        first, again = run_experiment(config), run_experiment(config)
+        assert first.timing["leaf_build_s"] >= 0.0
+        for row, repeat in zip(first.rows, again.rows):
+            assert row.methods_agree
+            scored = row.io["rtcstar"]["rows_scored"]
+            assert len(scored) == 4 and all(5 <= count < 5000 for count in scored)
+            assert repeat.io == row.io
+        # a run without rtcstar builds no leaves
+        assert run_experiment(mini_config(methods=("bf",), n_teams=1)).timing["leaf_build_s"] is None
 
     def test_single_method_configs(self):
         for methods in (("bf",), ("rtcstar",)):
@@ -190,11 +207,11 @@ class TestRunExperiment:
         # 300 rows are at most _SERIAL_ROWS: every member pass runs on the caller's thread
         assert report.timing["member_workers"] == 1
         pretend_cores(monkeypatch, 3)
-        # 9000 rows are more than _SERIAL_ROWS, and twelve dimensions fit four
+        # 33000 rows are more than _SERIAL_ROWS, and twelve dimensions fit four
         # member passes, of bf or of a build, in the attribute matrix, so the
         # cores cap both
         params = {f"{name}{j}": value for j in range(4) for name, value in PARAMS.items()}
-        dataset = {"kind": "synthetic", "n": 9000, "params": params, "seed": 3}
+        dataset = {"kind": "synthetic", "n": 33000, "params": params, "seed": 3}
         big = run_experiment(mini_config(dataset=dataset, n_teams=1, timing_repeats=1))
         assert big.timing["member_workers"] == 3
         assert all(row.methods_agree for row in big.rows)
@@ -257,6 +274,16 @@ class TestEmitAndParse:
         for raw in json.loads((Path(__file__).parents[1] / name).read_text()):
             assert json.dumps(ExperimentReport.from_dict(raw).to_dict(), indent=2) == json.dumps(raw, indent=2)
             assert list(ExperimentConfig.from_dict(raw["config"]).to_dict().items()) == list(raw["config"].items())
+
+    def test_reports_without_leaf_fields_round_trip(self, report, tmp_path):
+        # schema-1 reports written before rows_scored and leaf_build_s existed
+        older = report.to_dict()
+        del older["timing"]["leaf_build_s"]
+        for row in older["rows"]:
+            del row["io"]["rtcstar"]["rows_scored"]
+        path = tmp_path / "older.json"
+        path.write_text(json.dumps(older, indent=2))
+        assert json.dumps(parse_report(path).to_dict(), indent=2) == json.dumps(older, indent=2)
 
     def test_unknown_format_rejected(self, report, tmp_path):
         from teamrank.errors import InvalidArgument

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from teamrank import core
 from teamrank.core import (
     _DIGEST_ROWS,
     ObjectRecord,
@@ -14,6 +15,7 @@ from teamrank.core import (
     diff,
     post_exchange_diff,
     post_exchange_distance,
+    team_from_ids,
     team_from_records,
     truncated_distance,
     truncating_vector,
@@ -347,3 +349,83 @@ class TestLayout:
         space = ObjectSpace(ids=ids[rows], lambdas=rng.uniform(1.0, 9.0, size=n), attrs=attrs, attribute_names=list("xyz"))
         assert (space.id_order().tolist() == list(range(n))) == (not shuffled or n == 1)
         assert space.digest() == whole_matrix_digest(space)
+
+
+class TestEquality:
+    def test_records_compare_and_hash_by_value(self):
+        a, b = rec("x", [1, 2, 3]), rec("x", [1.0, 2.0, 3.0])
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        # np.array_equal: a negative zero equals zero, and hashes alike
+        assert rec("x", [-0.0, 2.0]) == rec("x", [0.0, 2.0])
+        assert hash(rec("x", [-0.0, 2.0])) == hash(rec("x", [0.0, 2.0]))
+        assert a != rec("x", [1, 2, 4]) and a != rec("y", [1, 2, 3]) and a != rec("x", [1, 2, 3], lam=2.0)
+        assert a != ObjectRecord(id="x", label="other", lam=1.0, attrs=np.array([1.0, 2.0, 3.0]))
+        assert a != rec("x", [1, 2]) and a != "x"
+
+    def test_teams_compare_and_hash_by_members_and_id(self):
+        space = ObjectSpace(
+            ids=["a", "b", "c"], lambdas=[1.0, 2.0, 3.0], attrs=[[1, 2], [3, 4], [5, 6]], attribute_names=("x", "y")
+        )
+        first, again = team_from_ids(space, ["a", "b"], team_id="T"), team_from_ids(space, ["b", "a"], team_id="T")
+        assert first == again and hash(first) == hash(again) and len({first, again}) == 1
+        assert first != team_from_ids(space, ["a", "c"], team_id="T")
+        assert first != team_from_ids(space, ["a", "b"], team_id="U")
+        assert first != first.members
+
+    def test_targets_compare_and_hash_by_value(self):
+        t = TargetContext(team_id="T", aggregate=[1, 2])
+        assert t == TargetContext(team_id="T", aggregate=[1.0, 2.0])
+        assert hash(t) == hash(TargetContext(team_id="T", aggregate=[1.0, 2.0]))
+        assert t != TargetContext(team_id="T", aggregate=[1.0, 3.0]) and t != TargetContext(team_id="U", aggregate=[1, 2])
+
+
+def leaf_space(n, d, seed=0, negative=False):
+    rng = np.random.default_rng(seed)
+    attrs = rng.negative_binomial(1.2, 0.05, size=(n, d)).astype(float)
+    if negative:
+        attrs -= attrs.mean(axis=0)
+    return ObjectSpace(
+        ids=[f"o{i:06d}" for i in rng.permutation(n)],
+        lambdas=rng.uniform(1.0, 100.0, size=n),
+        attrs=attrs,
+        attribute_names=[f"a{j}" for j in range(d)],
+    )
+
+
+class TestLeafPartition:
+    @pytest.mark.parametrize("leaf_rows", [1, 7, 128, 10_000])
+    @pytest.mark.parametrize("n, d, negative", [(1, 1, False), (300, 3, True), (5000, 11, False), (20_000, 2, False)])
+    def test_leaves_partition_the_rows_and_bound_their_rates(self, monkeypatch, leaf_rows, n, d, negative):
+        monkeypatch.setattr(core, "_LEAF_ROWS", leaf_rows)
+        space = leaf_space(n, d, seed=n + d, negative=negative)
+        leaves = space.leaves()
+        assert leaves is space.leaves()
+        assert leaves.rows.dtype == np.int32 and leaves.corners.shape == (len(leaves), d)
+        assert leaves.starts[0] == 0 and leaves.starts[-1] == n
+        sizes = np.diff(leaves.starts)
+        assert sizes.min() >= 1 and sizes.max() <= leaf_rows
+        assert sorted(leaves.rows.tolist()) == list(range(n))
+        assert leaves.lambda_range == (space.lambdas.min(), space.lambdas.max())
+        rates = space.attrs / space.lambdas[:, None]
+        for j in range(len(leaves)):
+            rows = leaves.rows[leaves.starts[j] : leaves.starts[j + 1]]
+            assert (np.diff(rows) > 0).all()
+            # the largest rate of the leaf, raised _CORNER_ULPS ulps toward +inf
+            corner = rates[rows].max(axis=0)
+            for _ in range(core._CORNER_ULPS):
+                corner = np.nextafter(corner, np.inf)
+            assert leaves.corners[j].tobytes() == corner.tobytes()
+        if leaf_rows >= n:
+            assert len(leaves) == 1
+        if leaf_rows == 1:
+            assert len(leaves) == n
+
+    def test_build_is_deterministic_and_reads_no_rate_matrix(self, monkeypatch):
+        space = leaf_space(30_000, 11, seed=4)
+        monkeypatch.setattr(ObjectSpace, "rates", lambda self: pytest.fail("the leaf build computed rates()"))
+        first = core.leaf_partition(space.attrs, space.lambdas)
+        again = core.leaf_partition(np.ascontiguousarray(space.attrs), space.lambdas.copy())
+        for name in ("rows", "starts", "corners"):
+            assert getattr(first, name).tobytes() == getattr(again, name).tobytes()
+        # 30,000 rows: 8 split bits, so at most 256 codes of up to 128-row leaves each
+        assert len(first) <= 256 + 30_000 // 128

@@ -2,11 +2,13 @@ import hashlib
 import struct
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from conftest import pretend_cores
+from teamrank import core
 from teamrank.core import ObjectSpace, TargetContext, diff, team_from_ids
 from teamrank.dataio import NbParams, gen_synthetic
 from teamrank.errors import InvalidArgument, InvalidPartition, ShortIndex, StaleIndex
@@ -143,23 +145,52 @@ def tie_heavy_setup():
 
 
 class TestThreadedBuild:
-    # more rows than one kernel block, and enough dimensions that four
-    # members' runs fit in the attribute matrix, so runs are built on a pool;
-    # a literal size, so the pinned files' input does not follow the block
-    N = 3 * 4096 + 7
+    # more rows than stay on the calling thread, and enough dimensions that
+    # four members' runs fit in the attribute matrix, so runs are built on a
+    # pool; a literal size, so the pinned files' input does not follow the
+    # thread rule
+    N = 8 * 4096 + 7
     D = 4 * _PASS_ARRAYS
-    # computed with the one-thread build of full runs; runs written in member
-    # order make the file independent of the thread count
+    # computed with the one-thread full-pass build of full runs; runs written
+    # in member order make the file independent of the thread count and of
+    # the pass
     PINNED = {
-        1: "d6d4936534a525c974c7d62541ecfd1b50cc0e224f69b811dd716ce9d5d3a195",
-        2: "c6e9ff6159640e09a207d96dcda1e4dd209e22d7bcfa741857cee0a9f33723cf",
-        5: "11520687b0ea48dbbee9eb4492c95de2f592c3ca990c03193f79c375306ec477",
-        7: "94c5748bbfb43f835a24c9b41b52435414310f9d235599121e1241c1e5ec9c1f",
+        1: "f3e6708a780f2165c1c0cc6134ff3439045f13a8eb2da06862846e74dc234f5f",
+        2: "9c0f72d51d08fd0e900ada75076935e3cac0f8a1b9e0787dc65f2b8c8e32ad7a",
+        5: "b42f8e47a60ea31452055ff90e06b913ab89fd3556c18b89e9b0a83f754e76fe",
+        7: "4ce0a6d557b5657f0bb771667a9b24abb9fd8c11ae70182c416d4ba8569a841c",
     }
 
     @pytest.mark.parametrize("cores", [1, 2, 4])
     @pytest.mark.parametrize("m", [1, 2, 5, 7])
     def test_index_file_bytes_are_pinned(self, tmp_path, monkeypatch, m, cores):
+        self.check_pinned(tmp_path, monkeypatch, m, cores)
+
+    @pytest.mark.parametrize("cores", [1, 2, 4])
+    @pytest.mark.parametrize("m", [1, 2, 5, 7])
+    def test_pruned_build_file_bytes_are_pinned(self, tmp_path, monkeypatch, m, cores):
+        # runs of all n entries: the best-first pass must read every leaf
+        monkeypatch.setattr(nnindex, "_PRUNE_ROWS", 0)
+        self.check_pinned(tmp_path, monkeypatch, m, cores)
+
+    def test_a_pruned_build_on_a_pool_builds_the_leaves_once(self, tmp_path, monkeypatch):
+        pretend_cores(monkeypatch, 2)
+        monkeypatch.setattr(nnindex, "_PRUNE_ROWS", 0)
+        calls, real = [], core.leaf_partition
+
+        def slow_partition(*args):
+            calls.append(1)
+            # long enough for a second member's thread to ask for the leaves too
+            time.sleep(0.05)
+            return real(*args)
+
+        monkeypatch.setattr(core, "leaf_partition", slow_partition)
+        space, team, target, w = make_setup(seed=3, n=self.N, d=self.D, m=4)
+        assert member_workers(team, space) == 2
+        build_index(space, team, target, w, 10, tmp_path).close()
+        assert len(calls) == 1
+
+    def check_pinned(self, tmp_path, monkeypatch, m, cores):
         pretend_cores(monkeypatch, cores)
         space, team, target, w = make_setup(seed=30 + m, n=self.N, d=self.D, m=m)
         with build_index(space, team, target, w, 10, tmp_path, run_length=self.N) as index:

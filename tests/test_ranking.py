@@ -21,8 +21,9 @@ from teamrank.core import (
     truncated_distance,
     truncating_vector,
 )
+from teamrank import core, nnindex
 from teamrank.errors import DimensionMismatch, InvalidArgument, NotAMember, StaleIndex
-from teamrank.nnindex import build_index
+from teamrank.nnindex import build_index, index_path
 from teamrank.ranking import (
     _CHUNK_ROWS,
     _PASS_ARRAYS,
@@ -31,6 +32,7 @@ from teamrank.ranking import (
     _exchange_distance_rows,
     _map_members,
     _member_best,
+    _member_best_pruned,
     _member_top,
     _member_workers,
     _merge_and_rank,
@@ -215,7 +217,7 @@ class TestRowKernels:
     # the tracemalloc bound of the two memory tests: one n x d float64 matrix
     MEMORY_N, MEMORY_D = 200_000, 11
 
-    @pytest.mark.parametrize("method", ["bf", "build"])
+    @pytest.mark.parametrize("method", ["bf", "build", "pruned-build"])
     def test_peak_memory_stays_below_one_attribute_matrix(self, method, tmp_path):
         # numpy reports its buffers to tracemalloc; a kernel that makes one
         # n x d temporary already reaches the bound, while the kernel's own
@@ -252,7 +254,10 @@ class TestRowKernels:
             if method == "bf":
                 brute_force_rank(team, target, space, w, 10)
             else:
-                build_index(space, team, target, w, 10, tmp_path).close()
+                # a pruned build also builds the space's leaves, inside the trace
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(nnindex, "_PRUNE_ROWS", 0 if method == "pruned-build" else n + 1)
+                    build_index(space, team, target, w, 10, tmp_path).close()
             return tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -324,7 +329,7 @@ class TestBruteForce:
 
 class TestMemberThreads:
     # more rows than stay on the calling thread, so the passes run on a pool
-    N = 3 * _CHUNK_ROWS + 7
+    N = 4 * _CHUNK_ROWS + 7
 
     def test_worker_count(self, monkeypatch):
         pretend_cores(monkeypatch, 3)
@@ -501,6 +506,90 @@ class TestRtcStar:
                 cand = normalized_candidate(inst.space.record(inst.space.index_of(r.swap_in_id)))
                 assert r.odis == odis(v, cand, inst.weights)
 
+    @settings(max_examples=40)
+    @given(st.integers(0, 10_000))
+    @example(278)
+    @example(2927)
+    def test_pruned_build_writes_the_full_pass_bytes_on_random_instances(self, seed):
+        import dataclasses
+        import tempfile
+
+        small = random_instance(seed, n=int(1 + seed % 6))
+        small = dataclasses.replace(small, top_k=len(small.space) + seed % 3)
+        n = int(20 + seed % 80)
+        instances = (
+            random_instance(seed, n=n),
+            random_instance(seed, n=n, negative=True),
+            random_instance(seed, n=n, ties_at_zero=True),
+            small,
+        )
+        for inst in instances:
+            rows = len(inst.space)
+            expected = brute_force_rank(inst.team, inst.target, inst.space, inst.weights, inst.top_k)
+            # leaves of one row, of the default size and of every row
+            for leaf_rows in (1, core._LEAF_ROWS, rows):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(core, "_LEAF_ROWS", leaf_rows)
+                    space = ObjectSpace(
+                        inst.space.ids, inst.space.lambdas, inst.space.attrs, inst.space.attribute_names
+                    )
+                    files, scored = {}, {}
+                    for rule in (rows + 1, 0):
+                        mp.setattr(nnindex, "_PRUNE_ROWS", rule)
+                        with tempfile.TemporaryDirectory() as tmp:
+                            with build_index(
+                                space, inst.team, inst.target, inst.weights, inst.block_size, tmp,
+                                run_length=inst.top_k,
+                            ) as index:
+                                files[rule] = index_path(tmp, index.fingerprint).read_bytes()
+                                scored[rule] = index.rows_scored
+                                got = rtc_star_rank(inst.team, inst.target, space, inst.weights, index, inst.top_k)
+                            assert got == expected
+                assert files[0] == files[rows + 1]
+                assert scored[rows + 1] == (rows,) * inst.team.size
+                assert all(1 <= count <= rows for count in scored[0])
+
+    def test_a_team_meeting_its_target_scores_every_row(self, tmp_path, monkeypatch):
+        # non-negative attributes and a zero target: every pair ties at
+        # distance 0, every leaf's bound is 0, and each pruned pass reads all
+        monkeypatch.setattr(nnindex, "_PRUNE_ROWS", 0)
+        inst = random_instance(6, n=600, m=4)
+        target = TargetContext(team_id="T", aggregate=np.zeros(inst.space.dimension))
+        expected = brute_force_rank(inst.team, target, inst.space, inst.weights, inst.top_k)
+        assert all(r.new_distance == 0.0 for r in expected)
+        with build_index(inst.space, inst.team, target, inst.weights, 5, tmp_path, run_length=inst.top_k) as index:
+            assert index.rows_scored == (600,) * 4
+            assert rtc_star_rank(inst.team, target, inst.space, inst.weights, index, inst.top_k) == expected
+
+    def test_a_member_whose_lambda_ratios_leave_the_normal_range_takes_the_full_pass(self, monkeypatch):
+        # lambda_r / lambda_p overflows to inf for row c, so its product with
+        # the attribute is inf and its distance 0, while lambda_r times its
+        # leaf's corner is 1e140: that leaf's bound, about 1e150, is above
+        # d's distance, and a pruned pass would stop before it and answer d
+        monkeypatch.setattr(core, "_LEAF_ROWS", 1)
+        space = ObjectSpace(
+            ids=["a", "b", "c", "d"],
+            lambdas=[1.0, 2.0, 1e-120, 1.0],
+            attrs=[[1e-60], [2e-60], [1e-180], [0.999e-50]],
+            attribute_names=("x",),
+        )
+        record = ObjectRecord(id="r", label="r", lam=1e200, attrs=np.array([1e150]))
+        gap, w = np.zeros(1), np.ones(1)
+        leaves = space.leaves()
+        with np.errstate(over="ignore"):
+            dist = _exchange_distance_rows(gap + record.attrs, record.lam, space.attrs, space.lambdas, w)
+            bound = _exchange_distance_rows(gap + record.attrs, record.lam, leaves.corners, np.ones(len(leaves)), w)
+            rows, best, scored = _member_best_pruned(space, gap, record, w, 1)
+            full_rows, full = _member_best(space, gap, record, w, 1)
+        leaf_of = {int(row): j for j, row in enumerate(leaves.rows)}
+        assert dist[2] == 0.0 < dist[3] < bound[leaf_of[2]]
+        assert scored == 4 and rows.tolist() == full_rows.tolist() == [2] and best.tobytes() == full.tobytes()
+        # a member whose ratios stay in range is pruned as usual, to the same answer
+        usual = ObjectRecord(id="s", label="s", lam=1.0, attrs=np.ones(1))
+        rows, best, _ = _member_best_pruned(space, gap, usual, w, 2)
+        full_rows, full = _member_best(space, gap, usual, w, 2)
+        assert rows.tolist() == full_rows.tolist() and best.tobytes() == full.tobytes()
+
     def test_improvement_guarantee_when_members_in_space(self, tmp_path):
         for seed in range(15):
             inst = random_instance(seed, n=50, m=4)
@@ -508,6 +597,52 @@ class TestRtcStar:
             before = truncated_distance(gap, truncating_vector(gap), inst.weights)
             best = brute_force_rank(inst.team, inst.target, inst.space, inst.weights, 1)[0]
             assert best.new_distance <= before + 1e-9 * max(1.0, before)
+
+
+# finite attribute and base values, with zeros, subnormals and values near
+# the float64 limit, whose products overflow
+_EDGE_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1.7976931348623157e308]),
+    st.integers(-1000, 1000).map(float),
+)
+# exchange parameters 2^-500 .. 2^500: extreme ratios, every one of them in
+# the normal range the exactness argument needs
+_EDGE_LAMBDAS = st.floats(-500.0, 500.0).map(lambda e: 2.0**e)
+
+
+class TestLeafBound:
+    @given(st.data())
+    def test_a_leaf_bound_never_exceeds_a_row_distance(self, data):
+        n, d = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 5))
+        vectors = lambda size: st.lists(_EDGE_VALUES, min_size=size, max_size=size)  # noqa: E731
+        attrs = np.array(data.draw(st.lists(vectors(d), min_size=n, max_size=n)))
+        lambdas = np.array(data.draw(st.lists(_EDGE_LAMBDAS, min_size=n, max_size=n)))
+        base = np.array(data.draw(vectors(d)))
+        lam_r = data.draw(_EDGE_LAMBDAS)
+        w = np.array(data.draw(st.lists(st.floats(1e-3, 1e3), min_size=d, max_size=d)))
+        with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore"):
+            mp.setattr(core, "_LEAF_ROWS", data.draw(st.integers(1, n)))
+            leaves = core.leaf_partition(np.asfortranarray(attrs), lambdas)
+            dist = _exchange_distance_rows(base, lam_r, attrs, lambdas, w)
+            bound = _exchange_distance_rows(base, lam_r, leaves.corners, np.ones(len(leaves)), w)
+        for j in range(len(leaves)):
+            rows = leaves.rows[leaves.starts[j] : leaves.starts[j + 1]]
+            assert not (bound[j] > dist[rows]).any(), (j, bound[j], dist[rows])
+
+    def test_the_bound_of_a_corner_one_ulp_low_can_exceed_a_row(self):
+        # the raise matters: a corner at the row's own rate, lowered one ulp,
+        # bounds above the row's distance, and the raised corner does not
+        a, lam_p = np.array([[3.0]]), np.array([7.0])
+        lam_r = 7.0
+        rate = a[0, 0] / lam_p[0]
+        base = np.array([lam_r * rate * 2])
+        w = np.ones(1)
+        dist = _exchange_distance_rows(base, lam_r, a, lam_p, w)
+        low = _exchange_distance_rows(base, lam_r, np.array([[np.nextafter(rate, 0.0)]]), np.ones(1), w)
+        raised = core.leaf_partition(a, lam_p).corners
+        bound = _exchange_distance_rows(base, lam_r, raised, np.ones(1), w)
+        assert bound[0] <= dist[0] < low[0]
 
 
 class TestVerifyCorollary:
