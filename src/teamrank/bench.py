@@ -18,24 +18,22 @@ snapshotted before the timing runs start. ``bf`` runs in
 memory; the report charges it the ceil(n / B) block reads of a full scan per
 member, worked out here rather than counted, so its ``query_s`` times the
 scoring kernel alone. ``rtcstar`` builds each team's index with runs of k
-entries (``run_length=top_k``), so its ``build_s`` is one pass of the kernel
-and top-k selection ``bf`` runs plus ceil(k / B) blocks written per member;
-it is charged every index block it fetches: one positioned read of
-ceil(k / B) blocks per member. Each ``rtcstar`` row
+entries (``run_length=top_k``), so its ``build_s`` is the best-first pass
+over the space's leaves (``nnindex.build_index``) plus ceil(k / B) blocks
+written per member; it is charged every index block it fetches: one
+positioned read of ceil(k / B) blocks per member. Each ``rtcstar`` row
 also records how many entries each member re-scored (``scan_depths``,
-min(k, n) each) and ``fallback_members``, always empty and kept for report
-compatibility, and ``rows_scored``: the rows each member's run was
-chosen from, n below ``nnindex._PRUNE_ROWS`` rows and the rows the
-best-first pass over the space's leaves scored at or above it, a count
-that depends only on the configuration. The report's top-level ``timing``
-also records ``member_workers``: the most threads that ``bf`` and an index
-build score any of the run's teams on (``ranking.member_workers``), so a
-report says how many cores its timings had, and ``leaf_build_s``: the
-one-off seconds of building the space's leaf partition, timed before any
-team, or null when ``rtcstar``'s builds do not use it. The JSON report
-carries both and the CSV report does not. Reports written before these
-fields existed lack them, and ``parse_report`` reads them back as they
-are.
+min(k, n) each), ``fallback_members``, always empty and kept for report
+compatibility, and ``rows_scored``: the rows each member's pass scored, a
+count that depends only on the configuration. The report's top-level
+``timing`` also records ``member_workers``: the most threads that ``bf``
+and an index build score any of the run's teams on
+(``ranking.member_workers``), so a report says how many cores its timings
+had, and ``leaf_build_s``: the one-off seconds of building the space's
+leaf partition, timed before any team, or null for a run without
+``rtcstar``. The JSON report carries both and the CSV report does not.
+Reports written before these fields existed lack them, and
+``parse_report`` reads them back as they are.
 
 A CSV run reads its league through :func:`load_league`, as the CLI does. A
 synthetic or CSV run with an elite target set picks each team's target by
@@ -72,7 +70,6 @@ import numpy as np
 from .core import ObjectSpace, TargetContext, TeamContext, diff, team_from_ids, truncated_distance, truncating_vector
 from .dataio import NbParams, gen_synthetic, load_manifest, load_objects_and_rosters, load_teams
 from .errors import InvalidArgument
-from . import nnindex
 from .nnindex import build_index
 from .ranking import SwapRecommendation, brute_force_rank, member_workers, rtc_star_rank
 from .weighting import TargetSelection, compute_weights, select_target
@@ -303,7 +300,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
     # the leaves are built once per space, before any team's build is timed
     leaf_build_s = None
-    if "rtcstar" in config.methods and len(space) >= nnindex._PRUNE_ROWS:
+    if "rtcstar" in config.methods:
         start = time.perf_counter()
         space.leaves()
         leaf_build_s = time.perf_counter() - start

@@ -142,7 +142,10 @@ def _cmd_index_build(args) -> dict:
     league = _load_real(args)
     space, weights = league.space, league.weights
     team, target = _resolve_team_target(args, league)
-    index = build_index(space, team, target, weights, args.block_size, args.index_dir, run_length=args.top_k)
+    # one configuration per command does not repay a leaf build (nnindex)
+    index = build_index(
+        space, team, target, weights, args.block_size, args.index_dir, run_length=args.top_k, prune=False
+    )
     with index:
         payload = {
             "config": _config_echo(args),
@@ -186,7 +189,7 @@ def _cmd_rank(args) -> dict:
                         index = None
             if index is None:
                 index = build_index(
-                    space, team, target, weights, args.block_size, index_dir, run_length=args.top_k
+                    space, team, target, weights, args.block_size, index_dir, run_length=args.top_k, prune=False
                 )
             with index:
                 recs = rtc_star_rank(team, target, space, weights, index, args.top_k)

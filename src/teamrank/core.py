@@ -261,13 +261,13 @@ class ObjectSpace:
     content digest and the leaf partition (:meth:`leaves`) are computed
     lazily and cached.
 
-    ``id_order``, ``digest`` and ``leaves``, when given, are those of an
-    earlier space over the same arrays, such as a stored snapshot's.
-    ``id_order`` is checked by the same neighbour comparison and sorted
-    afresh when it fails it; ``digest`` and ``leaves`` are taken as given.
+    ``id_order`` and ``digest``, when given, are those of an earlier space
+    over the same arrays, such as a stored snapshot's. ``id_order`` is
+    checked by the same neighbour comparison and sorted afresh when it
+    fails it; ``digest`` is taken as given.
     """
 
-    def __init__(self, ids, lambdas, attrs, attribute_names, labels=None, *, id_order=None, digest=None, leaves=None):
+    def __init__(self, ids, lambdas, attrs, attribute_names, labels=None, *, id_order=None, digest=None):
         self.ids = np.asarray(ids, dtype=np.str_)
         self.lambdas = np.asarray(lambdas, dtype=np.float64)
         self.attrs = np.asfortranarray(attrs, dtype=np.float64)
@@ -298,7 +298,7 @@ class ObjectSpace:
         self._rates: np.ndarray | None = None
         self._min_rates: np.ndarray | None = None
         self._digest: str | None = digest
-        self._leaves: Leaves | None = leaves
+        self._leaves: Leaves | None = None
 
     def _ascending(self, order: np.ndarray) -> bool:
         """Whether ``order`` lists every row position once, in strictly ascending id order."""

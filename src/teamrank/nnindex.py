@@ -30,20 +30,25 @@ On-disk layout, one file per index named ``<fingerprint>.idx``:
 
 A run is the L smallest keys in ``np.lexsort((ids, keys))`` order, with
 each key's own bits, so a run of length L is the first L entries of the
-full sorted run. Below ``_PRUNE_ROWS`` rows it is the exhaustive method's
-own per-member pass at k = L (``ranking.member_tops``), which scores every
-row. At or above it, it comes from the best-first pass over the space's
-leaf partition (``ranking.pruned_tops``), built on first use and cached
-on the ``ObjectSpace``, which scores only the leaves whose bound can reach
-the member's L best and returns the same rows and key bits (the proof is
-in the ``ranking`` docstring); ``NnIndex.rows_scored`` gives the rows each
+full sorted run. It comes from the best-first pass over the space's leaf
+partition (``ranking.pruned_tops``), built on the space's first build and
+cached on the ``ObjectSpace``, which scores only the leaves whose bound
+can reach the member's L best and returns the same rows and key bits as
+the exhaustive method's own per-member pass at k = L
+(``ranking.member_tops``; the proof is in the ``ranking`` docstring). A
+build with ``prune=False`` takes that full pass instead and builds no
+leaves. The CLI builds so: a command answers one configuration, and on a
+fresh space one build that built the leaves took 0.031 s against the full
+pass's 0.019 s at 1e5 rows, and 0.38 s against 0.19 s at 1.07e6 (2 vCPUs,
+medians of 10). Either way the file holds the same bytes;
+``NnIndex.rows_scored`` gives the rows each
 member's pass scored. L is whole blocks, or all n entries; only
 a run of all n entries can end inside a block, and its final block is padded
 with (+inf, 0xFF..F) sentinels so every block is the same size. The run
 length is not part of the fingerprint: a query for min(k, n) > L entries
 raises ``ShortIndex`` (a ``StaleIndex``), never a short list, and the caller
 rebuilds with a longer run. Rebuilding from the same configuration is
-byte-identical, on any number of threads: ``member_tops`` computes runs
+byte-identical, on any number of threads: either pass computes runs
 one member per thread and yields them in member order. A build writes a
 temporary file in the target directory and renames it into place, so an
 interrupted build leaves no ``.idx`` file behind. A file whose header or
@@ -92,14 +97,6 @@ VERSION = 5
 HEADER = struct.Struct("<8sHHIQQI16s")
 RECORD_DTYPE = np.dtype([("key", "<f8"), ("ordinal", "<u8")])
 PAD_ORDINAL = np.uint64(0xFFFFFFFFFFFFFFFF)
-
-# spaces of at least this many rows take each run from the best-first pass
-# over the space's leaves (ranking.pruned_tops) instead of the full pass; at
-# 1.07e6 rows it cut a cold answer to a third. The rule is not tuned below
-# that: with it at 0, single runs at 1e5 rows read a cold answer of
-# 0.018-0.023 s against 0.027-0.032 s, and a CSV cold command, which
-# parses and builds the leaves anew, level
-_PRUNE_ROWS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -314,17 +311,18 @@ def build_index(
     directory,
     *,
     run_length: int | None = None,
+    prune: bool = True,
 ) -> NnIndex:
     """Write one sorted run per team member into one file and open it.
 
     Each run is the member's ``run_length`` best entries, keys and order
-    included, from the exhaustive method's own pass (``ranking.member_tops``,
-    on as many threads as ``brute_force_rank``), or, for a space of at least
-    ``_PRUNE_ROWS`` rows, from the best-first pass over its leaves
-    (``ranking.pruned_tops``, on as many threads), which gives the same
-    entries. Runs are written in member order, so the file holds the same
-    bytes on any number of threads and on either pass; the handle's
-    ``rows_scored`` is each member's count of rows scored.
+    included, from the best-first pass over the space's leaves
+    (``ranking.pruned_tops``, on as many threads as ``brute_force_rank``),
+    or, with ``prune=False``, from the exhaustive method's own pass
+    (``ranking.member_tops``), which gives the same entries without
+    building the leaves. Runs are written in member order, so the
+    file holds the same bytes on any number of threads and on either pass;
+    the handle's ``rows_scored`` is each member's count of rows scored.
     ``run_length`` defaults to ``block_size``, is rounded up to whole blocks
     and is capped at n. The file appears under its final name only once
     every run is written; build writes land in the build counter only.
@@ -351,7 +349,7 @@ def build_index(
     run["key"][length:] = np.inf
     run["ordinal"][length:] = PAD_ORDINAL
 
-    if n >= _PRUNE_ROWS:
+    if prune:
         passes = pruned_tops(space, team, target, w, length)
     else:
         passes = ((rows, keys, n) for rows, keys in member_tops(space, team, target, w, length))

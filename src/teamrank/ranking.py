@@ -13,9 +13,9 @@ stored keys or order differ from it. The merged result
 is identical to the exhaustive baseline, and a run shorter than ``top_k``
 raises ``ShortIndex`` instead of answering.
 
-An index build over a space of at least ``nnindex._PRUNE_ROWS`` rows takes
-each member's run from a best-first pass over the space's leaf partition
-(``ObjectSpace.leaves``) instead: :func:`pruned_tops`, whose per-member
+An index build (``nnindex.build_index``, unless called with ``prune=False``)
+takes each member's run from a best-first pass over the space's leaf
+partition (``ObjectSpace.leaves``) instead: :func:`pruned_tops`, whose per-member
 pass :func:`_member_best_pruned` scores, with the same kernel and the
 same top-k, only the leaves whose bound can reach the member's best k.
 ``bf`` keeps the full pass and stays the oracle. The pruned pass returns

@@ -13,9 +13,8 @@ On-disk layout, one file per key, little endian:
 
     header (96 bytes):
         magic          8s   b"TRSPACE1"
-        version        u16  3
-        (padding)      2x
-        leaf_count     u32  L, leaves stored: 0 below ``nnindex._PRUNE_ROWS`` rows
+        version        u16  2
+        (padding)      6x
         record_count   u64  n
         dimension      u32  d
         team_count     u32  t
@@ -35,27 +34,19 @@ On-disk layout, one file per key, little endian:
         ids            n      <U{id_chars}
         labels         n      <U{label_chars}
         teams          t      <U{team_chars}  team names in order of first appearance
-        leaf_rows      n      i4   ``ObjectSpace.leaves()``: row positions in leaf order  } only
-        leaf_starts    L + 1  i8   leaf j's rows are leaf_rows[starts[j]:starts[j + 1]]    } when
-        corners        L * d  f8   each leaf's upper rate corner, leaf by leaf            } L > 0
 
 The id order and the digest are pure functions of the arrays; storing them
 spares a hit the sort and the hash. The attributes are stored as the
 (d, n) transpose of the space's Fortran-ordered matrix, so a hit's
 ``attrs`` is a view of the file's bytes in that layout, not a copy.
-Version 1 stored them (n, d) and version 2 stored no leaves; their keys
-differ, so neither is ever read. A space of at least
-``nnindex._PRUNE_ROWS`` rows, whose index builds read its leaf partition,
-is stored with its leaves, built at the write if need be, so a later
-process loads them instead of building them again. A hit checks that
-the leaves hold every row once, in leaves that are not empty, and the
-CRC covers the corners. A snapshot is written to a temporary file in the same
+Version 1 stored them (n, d); its key differs, so a version-1 file is
+never read. A snapshot is written to a temporary file in the same
 directory, whose name does not end in ``.space``, and renamed into place.
 :func:`load_snapshot` returns None for a snapshot that is missing or that
 it cannot use (another magic, version, key or dimension, a size that does
 not match the header, a CRC that does not match, or arrays that do not
-make a valid space and leaf partition), and the caller parses the file
-and writes the snapshot again.
+make a valid space), and the caller parses the file and writes the
+snapshot again.
 """
 
 from __future__ import annotations
@@ -69,15 +60,14 @@ from pathlib import Path
 
 import numpy as np
 
-from . import nnindex
-from .core import Leaves, ObjectSpace
+from .core import ObjectSpace
 from .errors import TeamRankError
 
 __all__ = ["snapshot_key", "snapshot_path", "load_snapshot", "save_snapshot"]
 
 MAGIC = b"TRSPACE1"
-VERSION = 3
-HEADER = struct.Struct("<8sH2xIQIIIIII16s32s")
+VERSION = 2
+HEADER = struct.Struct("<8sH6xQIIIIII16s32s")
 CRC_END = 48  # the CRC covers the key, the digest and the body
 
 
@@ -95,9 +85,9 @@ def snapshot_path(directory, key: str) -> Path:
     return Path(directory) / f"{key}.space"
 
 
-def _body(n, d, t, id_chars, label_chars, team_chars, leaves) -> list[tuple[np.dtype, tuple]]:
-    """(dtype, shape) of each body array, in file order; the leaf arrays only when ``leaves`` > 0."""
-    arrays = [
+def _body(n, d, t, id_chars, label_chars, team_chars) -> list[tuple[np.dtype, tuple]]:
+    """(dtype, shape) of each body array, in file order."""
+    return [
         (np.dtype("<f8"), (d, n)),
         (np.dtype("<f8"), (n,)),
         (np.dtype("<i8"), (n,)),
@@ -107,20 +97,6 @@ def _body(n, d, t, id_chars, label_chars, team_chars, leaves) -> list[tuple[np.d
         (np.dtype(f"<U{label_chars}"), (n,)),
         (np.dtype(f"<U{team_chars}"), (t,)),
     ]
-    if leaves:
-        arrays += [(np.dtype("<i4"), (n,)), (np.dtype("<i8"), (leaves + 1,)), (np.dtype("<f8"), (leaves, d))]
-    return arrays
-
-
-def _partition(n: int, rows: np.ndarray, starts: np.ndarray) -> bool:
-    """Whether ``rows`` and ``starts`` split n rows into non-empty leaves, each row in exactly one."""
-    if starts[0] != 0 or starts[-1] != n or (np.diff(starts) <= 0).any():
-        return False
-    if rows.min() < 0 or rows.max() >= n:
-        return False
-    seen = np.zeros(n, dtype=bool)
-    seen[rows] = True
-    return bool(seen.all())
 
 
 def load_snapshot(directory, key: str, attribute_names):
@@ -132,14 +108,12 @@ def load_snapshot(directory, key: str, attribute_names):
         return None
     if len(raw) < HEADER.size:
         return None
-    magic, version, leaf_count, n, d, t, id_chars, label_chars, team_chars, crc, stored_key, digest = (
-        HEADER.unpack_from(raw)
-    )
+    magic, version, n, d, t, id_chars, label_chars, team_chars, crc, stored_key, digest = HEADER.unpack_from(raw)
     if (magic, version, stored_key) != (MAGIC, VERSION, bytes.fromhex(key)):
         return None
     if d != len(attribute_names) or min(n, t, id_chars, label_chars, team_chars) < 1:
         return None
-    layout = _body(n, d, t, id_chars, label_chars, team_chars, leaf_count)
+    layout = _body(n, d, t, id_chars, label_chars, team_chars)
     if len(raw) != HEADER.size + sum(dtype.itemsize * int(np.prod(shape)) for dtype, shape in layout):
         return None
     if zlib.crc32(memoryview(raw)[CRC_END:]) != crc:
@@ -149,19 +123,14 @@ def load_snapshot(directory, key: str, attribute_names):
         count = int(np.prod(shape))
         arrays.append(np.frombuffer(raw, dtype=dtype, count=count, offset=offset).reshape(shape))
         offset += dtype.itemsize * count
-    attrs, lambdas, id_order, members, offsets, ids, labels, teams = arrays[:8]
+    attrs, lambdas, id_order, members, offsets, ids, labels, teams = arrays
     if offsets[0] != 0 or offsets[-1] != n or (np.diff(offsets) < 0).any():
         return None
     if members.min() < 0 or members.max() >= n:
         return None
-    leaves = None
-    if leaf_count:
-        leaves = Leaves(*arrays[8:], lambda_range=(float(lambdas.min()), float(lambdas.max())))
-        if not _partition(n, leaves.rows, leaves.starts):
-            return None
     try:
         space = ObjectSpace(
-            ids, lambdas, attrs.T, attribute_names, labels, id_order=id_order, digest=digest.hex(), leaves=leaves
+            ids, lambdas, attrs.T, attribute_names, labels, id_order=id_order, digest=digest.hex()
         )
     except TeamRankError:
         return None
@@ -172,16 +141,11 @@ def save_snapshot(directory, key: str, space: ObjectSpace, teams, offsets, membe
     """Store ``space`` and its team grouping under ``key``; a snapshot that cannot be written is skipped."""
     teams = np.asarray(teams, dtype=np.str_)
     widths = [a.dtype.itemsize // 4 for a in (space.ids, space.labels, teams)]
+    layout = _body(len(space), space.dimension, len(teams), *widths)
     arrays = [space.attrs.T, space.lambdas, space.id_order(), members, offsets, space.ids, space.labels, teams]
-    leaf_count = 0
-    if len(space) >= nnindex._PRUNE_ROWS:
-        leaves = space.leaves()
-        leaf_count = len(leaves)
-        arrays += [leaves.rows, leaves.starts, leaves.corners]
-    layout = _body(len(space), space.dimension, len(teams), *widths, leaf_count)
     arrays = [np.ascontiguousarray(a, dtype=dtype) for a, (dtype, _) in zip(arrays, layout)]
     header = bytearray(HEADER.pack(
-        MAGIC, VERSION, leaf_count, len(space), space.dimension, len(teams), *widths,
+        MAGIC, VERSION, len(space), space.dimension, len(teams), *widths,
         0, bytes.fromhex(key), bytes.fromhex(space.digest()),
     ))
     crc = zlib.crc32(header[CRC_END:])

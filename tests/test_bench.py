@@ -6,7 +6,6 @@ from pathlib import Path
 import pytest
 
 from conftest import pretend_cores
-from teamrank import nnindex
 from teamrank.bench import (
     ExperimentConfig,
     ExperimentReport,
@@ -61,9 +60,9 @@ class TestRunExperiment:
             assert row.io["rtcstar"]["per_member_reads"] == [-(-k // b)] * m
             assert row.io["rtcstar"]["scan_depths"] == [k] * m
             assert row.io["rtcstar"]["fallback_members"] == []
-            # below the pruning rule every run is chosen from all n rows
-            assert row.io["rtcstar"]["rows_scored"] == [n] * m
-        assert report.timing["leaf_build_s"] is None
+            # a pruned pass scores at least the k rows it keeps, at most all n
+            assert all(k <= count <= n for count in row.io["rtcstar"]["rows_scored"])
+        assert report.timing["leaf_build_s"] >= 0.0
         assert report.io["bf"]["blocks_read"] == 2 * m * -(-n // b)
         assert report.io["rtcstar"]["blocks_read"] == 2 * m
 
@@ -109,8 +108,7 @@ class TestRunExperiment:
             assert io["per_member_reads"] == [-(-k // b)] * m
             assert io["scan_depths"] == [k] * m
 
-    def test_pruned_builds_report_the_leaf_build_and_the_rows_they_scored(self, monkeypatch):
-        monkeypatch.setattr(nnindex, "_PRUNE_ROWS", 0)
+    def test_pruned_builds_report_the_leaf_build_and_the_rows_they_scored(self):
         config = mini_config(dataset={"kind": "synthetic", "n": 5000, "params": PARAMS, "seed": 3}, timing_repeats=1)
         first, again = run_experiment(config), run_experiment(config)
         assert first.timing["leaf_build_s"] >= 0.0

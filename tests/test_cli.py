@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from teamrank import core, dataio, nnindex, snapshot
+from teamrank import core, dataio, snapshot
 from teamrank.bench import ExperimentConfig, run_experiment
 from teamrank.cli import cli_main
 from teamrank.nnindex import HEADER
@@ -280,6 +280,18 @@ class TestSubcommands:
             # the config echo contains the output path, which differs by design
             outputs.append(raw.replace(name.encode(), b"OUT"))
         assert outputs[0] == outputs[1]
+
+    def test_commands_take_the_full_pass_and_build_no_leaves(self, league, capsys, tmp_path, monkeypatch):
+        # a command answers one configuration, so a leaf build would cost more than it saves
+        monkeypatch.setattr(core, "leaf_partition", lambda *args: pytest.fail("a command built the leaves"))
+        idx = str(tmp_path / "idx")
+        code, _, _ = run(["index", "build", *real_flags(league), "--team", "BBB", "--index-dir", idx], capsys)
+        assert code == 0
+        rank = ["rank", *real_flags(league), "--team", "BBB", "--top-k", "4"]
+        code, cold, _ = run([*rank, "--method", "rtcstar", "--index-dir", idx], capsys)
+        code_bf, bf, _ = run([*rank, "--method", "bf"], capsys)
+        assert code == code_bf == 0
+        assert json.loads(cold)["recommendations"] == json.loads(bf)["recommendations"]
 
     def test_pretty_renders_text(self, league, capsys):
         code, out, _ = run(["weights", "--teams", league["teams"],
@@ -577,15 +589,13 @@ class TestSpaceSnapshot:
             lambda raw: bytes(len(raw)),
             lambda raw: np.random.default_rng(3).integers(0, 256, len(raw), dtype=np.uint8).tobytes(),
             lambda raw: raw[:8] + (snapshot.VERSION + 1).to_bytes(2, "little") + raw[10:],
-            # a version-2 file with no leaves is laid out as a version-3 one with none, apart from its version
-            lambda raw: raw[:8] + (2).to_bytes(2, "little") + raw[10:],
             lambda raw: raw[:40] + bytes([raw[40] ^ 0xFF]) + raw[41:],
             lambda raw: raw[:50] + bytes([raw[50] ^ 1]) + raw[51:],
             lambda raw: raw[:70] + bytes([raw[70] ^ 1]) + raw[71:],
             lambda raw: raw[:-5] + bytes([raw[-5] ^ 1]) + raw[-4:],
             lambda raw: raw + b"\0",
         ],
-        ids=["truncated", "short-header", "empty", "zeros", "garbage", "other-version", "version-2", "other-width",
+        ids=["truncated", "short-header", "empty", "zeros", "garbage", "other-version", "other-width",
              "other-key", "flipped-digest-byte", "flipped-body-byte", "longer"],
     )
     def test_unusable_snapshot_is_rewritten(self, league, tmp_path, parses, damage):
@@ -602,48 +612,6 @@ class TestSpaceSnapshot:
         assert again_rosters == rosters
         dataio.load_objects_and_rosters(league["players"], manifest, idx)
         assert len(parses) == 2
-
-    def test_leaves_are_stored_at_or_above_the_rule_and_never_rebuilt_from_a_hit(
-        self, league, capsys, tmp_path, parses, monkeypatch
-    ):
-        idx = tmp_path / "idx"
-        rank = ["rank", "--method", "rtcstar", "--top-k", "4", *real_flags(league), "--index-dir", str(idx)]
-        code, below, _ = run([*rank, "--team", "AAA"], capsys)
-        assert code == 0
-        (path,) = snapshots(idx)
-        # 12 rows are below the rule: no leaves are stored
-        assert struct.unpack_from("<I", path.read_bytes(), 12) == (0,)
-        monkeypatch.setattr(nnindex, "_PRUNE_ROWS", 12)
-        for stored in idx.iterdir():
-            stored.unlink()
-        code, miss, _ = run([*rank, "--team", "AAA"], capsys)
-        assert code == 0 and miss == below and len(parses) == 2
-        (path,) = snapshots(idx)
-        (leaf_count,) = struct.unpack_from("<I", path.read_bytes(), 12)
-        assert leaf_count > 0
-        monkeypatch.setattr(core, "leaf_partition", lambda *args: pytest.fail("a hit rebuilt the leaves"))
-        for team in ("AAA", "BBB", "CCC"):
-            code, hit, _ = run([*rank, "--team", team], capsys)
-            code_bf, bf, _ = run([*rank[:2], "bf", *rank[3:], "--team", team], capsys)
-            assert code == code_bf == 0 and json.loads(hit)["recommendations"] == json.loads(bf)["recommendations"]
-        assert len(parses) == 2
-
-    def test_a_flipped_leaf_byte_fails_the_crc_and_is_parsed_again(self, league, tmp_path, parses, monkeypatch):
-        monkeypatch.setattr(nnindex, "_PRUNE_ROWS", 1)
-        idx = tmp_path / "idx"
-        manifest = dataio.load_manifest(league["players_manifest"])
-        space, _ = dataio.load_objects_and_rosters(league["players"], manifest, idx)
-        (path,) = snapshots(idx)
-        good = path.read_bytes()
-        leaves = space.leaves()
-        leaf_bytes = leaves.rows.nbytes + leaves.starts.nbytes + leaves.corners.nbytes
-        # one byte in each of the leaf rows, the starts and the corners
-        for at in (len(good) - leaf_bytes + 1, len(good) - leaves.corners.nbytes - 3, len(good) - 9):
-            path.write_bytes(good[:at] + bytes([good[at] ^ 1]) + good[at + 1 :])
-            again, _ = dataio.load_objects_and_rosters(league["players"], manifest, idx)
-            assert path.read_bytes() == good
-            assert again.leaves().corners.tobytes() == leaves.corners.tobytes()
-        assert len(parses) == 4
 
     def test_row_major_version_1_snapshot_is_rewritten(self, league, tmp_path, parses):
         # version 1 stored the attributes n x d; a file that is otherwise valid

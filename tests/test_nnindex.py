@@ -164,18 +164,20 @@ class TestThreadedBuild:
     @pytest.mark.parametrize("cores", [1, 2, 4])
     @pytest.mark.parametrize("m", [1, 2, 5, 7])
     def test_index_file_bytes_are_pinned(self, tmp_path, monkeypatch, m, cores):
-        self.check_pinned(tmp_path, monkeypatch, m, cores)
-
-    @pytest.mark.parametrize("cores", [1, 2, 4])
-    @pytest.mark.parametrize("m", [1, 2, 5, 7])
-    def test_pruned_build_file_bytes_are_pinned(self, tmp_path, monkeypatch, m, cores):
-        # runs of all n entries: the best-first pass must read every leaf
-        monkeypatch.setattr(nnindex, "_PRUNE_ROWS", 0)
-        self.check_pinned(tmp_path, monkeypatch, m, cores)
+        pretend_cores(monkeypatch, cores)
+        space, team, target, w = make_setup(seed=30 + m, n=self.N, d=self.D, m=m)
+        # the full pass, then the best-first pass over the space's leaves,
+        # which must read every leaf for runs of all n entries
+        for prune in (False, True):
+            with build_index(space, team, target, w, 10, tmp_path, run_length=self.N, prune=prune) as index:
+                raw = index_path(tmp_path, index.fingerprint).read_bytes()
+                assert index.rows_scored == (self.N,) * m
+            assert hashlib.sha256(raw).hexdigest() == self.PINNED[m]
+            assert (space._leaves is not None) == prune
+        assert member_workers(team, space) == min(m, cores)
 
     def test_a_pruned_build_on_a_pool_builds_the_leaves_once(self, tmp_path, monkeypatch):
         pretend_cores(monkeypatch, 2)
-        monkeypatch.setattr(nnindex, "_PRUNE_ROWS", 0)
         calls, real = [], core.leaf_partition
 
         def slow_partition(*args):
@@ -187,16 +189,9 @@ class TestThreadedBuild:
         monkeypatch.setattr(core, "leaf_partition", slow_partition)
         space, team, target, w = make_setup(seed=3, n=self.N, d=self.D, m=4)
         assert member_workers(team, space) == 2
-        build_index(space, team, target, w, 10, tmp_path).close()
-        assert len(calls) == 1
-
-    def check_pinned(self, tmp_path, monkeypatch, m, cores):
-        pretend_cores(monkeypatch, cores)
-        space, team, target, w = make_setup(seed=30 + m, n=self.N, d=self.D, m=m)
-        with build_index(space, team, target, w, 10, tmp_path, run_length=self.N) as index:
-            raw = index_path(tmp_path, index.fingerprint).read_bytes()
-        assert hashlib.sha256(raw).hexdigest() == self.PINNED[m]
-        assert member_workers(team, space) == min(m, cores)
+        for prune, builds in ((False, 0), (True, 1), (True, 1)):
+            build_index(space, team, target, w, 10, tmp_path, prune=prune).close()
+            assert len(calls) == builds
 
     def test_interrupted_build_leaves_no_index_and_keeps_the_old_one(self, tmp_path, monkeypatch):
         pretend_cores(monkeypatch, 2)
@@ -265,7 +260,8 @@ class TestRunOrder:
             return keys
 
         monkeypatch.setattr(ranking, "_exchange_distance_rows", signed_keys)
-        with build_index(space, team, target, w, b, tmp_path, run_length=run_length) as index:
+        # the patched kernel marks keys by row position, which only the full pass scores in row order
+        with build_index(space, team, target, w, b, tmp_path, run_length=run_length, prune=False) as index:
             assert index.run_length == kept
             assert index.data_blocks == -(-kept // b)
             raw = index_path(tmp_path, index.fingerprint).read_bytes()

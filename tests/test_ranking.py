@@ -21,7 +21,7 @@ from teamrank.core import (
     truncated_distance,
     truncating_vector,
 )
-from teamrank import core, nnindex
+from teamrank import core
 from teamrank.errors import DimensionMismatch, InvalidArgument, NotAMember, StaleIndex
 from teamrank.nnindex import build_index, index_path
 from teamrank.ranking import (
@@ -217,7 +217,7 @@ class TestRowKernels:
     # the tracemalloc bound of the two memory tests: one n x d float64 matrix
     MEMORY_N, MEMORY_D = 200_000, 11
 
-    @pytest.mark.parametrize("method", ["bf", "build", "pruned-build"])
+    @pytest.mark.parametrize("method", ["bf", "build", "full-pass-build"])
     def test_peak_memory_stays_below_one_attribute_matrix(self, method, tmp_path):
         # numpy reports its buffers to tracemalloc; a kernel that makes one
         # n x d temporary already reaches the bound, while the kernel's own
@@ -255,9 +255,7 @@ class TestRowKernels:
                 brute_force_rank(team, target, space, w, 10)
             else:
                 # a pruned build also builds the space's leaves, inside the trace
-                with pytest.MonkeyPatch.context() as mp:
-                    mp.setattr(nnindex, "_PRUNE_ROWS", 0 if method == "pruned-build" else n + 1)
-                    build_index(space, team, target, w, 10, tmp_path).close()
+                build_index(space, team, target, w, 10, tmp_path, prune=method == "build").close()
             return tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -534,25 +532,24 @@ class TestRtcStar:
                         inst.space.ids, inst.space.lambdas, inst.space.attrs, inst.space.attribute_names
                     )
                     files, scored = {}, {}
-                    for rule in (rows + 1, 0):
-                        mp.setattr(nnindex, "_PRUNE_ROWS", rule)
+                    for prune in (False, True):
                         with tempfile.TemporaryDirectory() as tmp:
                             with build_index(
                                 space, inst.team, inst.target, inst.weights, inst.block_size, tmp,
-                                run_length=inst.top_k,
+                                run_length=inst.top_k, prune=prune,
                             ) as index:
-                                files[rule] = index_path(tmp, index.fingerprint).read_bytes()
-                                scored[rule] = index.rows_scored
+                                files[prune] = index_path(tmp, index.fingerprint).read_bytes()
+                                scored[prune] = index.rows_scored
                                 got = rtc_star_rank(inst.team, inst.target, space, inst.weights, index, inst.top_k)
                             assert got == expected
-                assert files[0] == files[rows + 1]
-                assert scored[rows + 1] == (rows,) * inst.team.size
-                assert all(1 <= count <= rows for count in scored[0])
+                    assert space._leaves is not None
+                assert files[True] == files[False]
+                assert scored[False] == (rows,) * inst.team.size
+                assert all(1 <= count <= rows for count in scored[True])
 
-    def test_a_team_meeting_its_target_scores_every_row(self, tmp_path, monkeypatch):
+    def test_a_team_meeting_its_target_scores_every_row(self, tmp_path):
         # non-negative attributes and a zero target: every pair ties at
         # distance 0, every leaf's bound is 0, and each pruned pass reads all
-        monkeypatch.setattr(nnindex, "_PRUNE_ROWS", 0)
         inst = random_instance(6, n=600, m=4)
         target = TargetContext(team_id="T", aggregate=np.zeros(inst.space.dimension))
         expected = brute_force_rank(inst.team, target, inst.space, inst.weights, inst.top_k)
