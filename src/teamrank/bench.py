@@ -14,7 +14,7 @@ neither ``bf`` nor ``rtcstar``, or with a ``target_mode`` other than
 ``dominant`` and ``elite``, raises :class:`InvalidArgument` before any
 work.
 I/O numbers come from a dedicated accounting pass whose counters are
-snapshotted before the timing runs start. ``bf`` runs in
+read before the timing runs start. ``bf`` runs in
 memory; the report charges it the ceil(n / B) block reads of a full scan per
 member, worked out here rather than counted, so its ``query_s`` times the
 scoring kernel alone. ``rtcstar`` builds each team's index with runs of k
@@ -61,14 +61,14 @@ import math
 import statistics
 import tempfile
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .core import ObjectSpace, TargetContext, TeamContext, diff, team_from_ids, truncated_distance, truncating_vector
-from .dataio import NbParams, gen_synthetic, load_manifest, load_objects_and_rosters, load_teams
+from .dataio import gen_synthetic, load_manifest, load_objects_and_rosters, load_teams, nb_params_from_json
 from .errors import InvalidArgument
 from .nnindex import build_index
 from .ranking import SwapRecommendation, brute_force_rank, member_workers, rtc_star_rank
@@ -87,6 +87,10 @@ SCHEMA_VERSION = 1
 METHODS = ("bf", "rtcstar")
 TARGET_MODES = ("dominant", "elite")
 TARGET_RULE = "weighted-truncated-distance-argmin"
+
+
+# the JSON values a config field takes, by the type of its default
+_JSON_TYPES = {int: int, float: (int, float), str: str, tuple: list, type(None): (list, type(None))}
 
 
 @dataclass(frozen=True)
@@ -115,9 +119,17 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        """The config in ``data``, lists as tuples; keys it does not know, such as the echoed ``target_rule``, are ignored."""
-        if not isinstance(data, dict) or "dataset" not in data:
+        """The config in ``data``, lists as tuples; keys it does not know, such as the echoed ``target_rule``, are ignored.
+
+        ``data`` must be a JSON object with a ``dataset`` object, and each
+        other field it sets must hold the JSON type of the field's default
+        (``_JSON_TYPES``), or :class:`InvalidArgument` is raised.
+        """
+        if not isinstance(data, dict) or not isinstance(data.get("dataset"), dict):
             raise InvalidArgument("bench config needs a \"dataset\" entry")
+        for f in fields(cls)[1:]:  # every field after dataset, which has no default
+            if f.name in data and not isinstance(data[f.name], _JSON_TYPES[type(f.default)]):
+                raise InvalidArgument(f"bench config's {f.name!r} cannot be {data[f.name]!r}")
         known = cls.__dataclass_fields__
         return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in data.items() if k in known})
 
@@ -196,14 +208,22 @@ def _median_time(fn, warmup: int, repeats: int) -> float:
     return statistics.median(samples)
 
 
+# the entries each kind of dataset needs; a csv dataset's are load_league's files, in its order
+_DATASET_ENTRIES = {"synthetic": ("params", "n"), "csv": ("players", "players_manifest", "teams", "teams_manifest")}
+
+
 def _load_dataset(config: ExperimentConfig):
     """Return (space, teams, elite-targets-or-None, weights)."""
     ds = config.dataset
     kind = ds.get("kind", "synthetic")
+    if not isinstance(kind, str) or kind not in _DATASET_ENTRIES:
+        raise InvalidArgument(f"unknown dataset kind {kind!r}")
+    missing = [key for key in _DATASET_ENTRIES[kind] if key not in ds]
+    if missing:
+        raise InvalidArgument(f"a {kind} dataset needs the entries {missing}")
     if kind == "synthetic":
-        params = {name: NbParams(**p) for name, p in ds["params"].items()}
         space = gen_synthetic(
-            params,
+            nb_params_from_json(ds["params"]),
             count=int(ds["n"]),
             seed=int(ds.get("seed", config.seed)),
             lambda_range=tuple(ds.get("lambda_range", (500.0, 3000.0))),
@@ -219,13 +239,9 @@ def _load_dataset(config: ExperimentConfig):
             weights = np.ones(space.dimension)
         return space, teams, None, weights
 
-    if kind == "csv":
-        files = (ds["players"], ds["players_manifest"], ds["teams"], ds["teams_manifest"])
-        league = load_league(*files, config.elite_count)
-        teams = [league.team(tid) for tid in config.team_ids or league.rosters]
-        return league.space, teams, league.elite, league.weights
-
-    raise InvalidArgument(f"unknown dataset kind {kind!r}")
+    league = load_league(*(ds[key] for key in _DATASET_ENTRIES["csv"]), config.elite_count)
+    teams = [league.team(tid) for tid in config.team_ids or league.rosters]
+    return league.space, teams, league.elite, league.weights
 
 
 @dataclass(frozen=True)
@@ -286,7 +302,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         raise InvalidArgument(f"block_size must be >= 1, got {config.block_size}")
     if config.elite_count < 1:
         raise InvalidArgument(f"elite_count must be >= 1, got {config.elite_count}")
-    if not config.methods or not set(config.methods) <= set(METHODS):
+    if not config.methods or not all(method in METHODS for method in config.methods):
         raise InvalidArgument(f"methods must name bf or rtcstar, got {list(config.methods)}")
     if config.target_mode not in TARGET_MODES:
         raise InvalidArgument(f"unknown target mode {config.target_mode!r}")
@@ -356,12 +372,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                     results["rtcstar"] = rtc_star_rank(
                         team, target, space, weights, index, config.top_k, stats_out=stats
                     )
-                    snap = index.query_io.snapshot()
-                    build_snap = index.build_io.snapshot()
                     row_io["rtcstar"] = {
-                        "blocks_read": snap.blocks_read,
-                        "blocks_written": build_snap.blocks_written,
-                        "queries_served": snap.queries_served,
+                        "blocks_read": index.query_io.blocks_read,
+                        "blocks_written": index.build_io.blocks_written,
+                        "queries_served": index.query_io.queries_served,
                         "per_member_reads": stats["per_member_reads"],
                         "scan_depths": stats["scan_depths"],
                         "fallback_members": stats["fallback_members"],

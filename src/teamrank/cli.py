@@ -20,13 +20,13 @@ import numpy as np
 from . import bench as bench_mod
 from .core import diff, truncated_distance, truncating_vector
 from .dataio import (
-    NbParams,
     chi_square_gof,
     gen_synthetic,
     load_column,
     load_manifest,
     load_objects,
     load_teams,
+    nb_params_from_json,
     write_objects_csv,
 )
 from .errors import OldIndex, TeamRankError
@@ -208,8 +208,7 @@ def _cmd_rank(args) -> dict:
 
 def _cmd_gen(args) -> dict:
     with open(args.params, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    params = {name: NbParams(**p) for name, p in raw.items()}
+        params = nb_params_from_json(json.load(fh))
     space = gen_synthetic(
         params,
         count=args.count,
@@ -360,3 +359,7 @@ def cli_main(argv=None) -> int:
 
 def main() -> None:
     sys.exit(cli_main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

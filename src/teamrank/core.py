@@ -427,7 +427,8 @@ class TeamContext:
     """A team: its member records plus the aggregated team vector.
 
     The aggregate is not passed in: it is derived from the members, as
-    :func:`aggregate_team`'s ascending-id sum. Use :func:`team_from_records`
+    :func:`aggregate_team`'s ascending-id sum. A member id may appear once:
+    a repeated one raises ``InvalidArgument``. Use :func:`team_from_records`
     or :func:`team_from_ids` instead of constructing directly. Teams compare
     and hash by their members and team id; the aggregate follows from the
     members, so it takes no part.
@@ -441,6 +442,8 @@ class TeamContext:
         if not self.members:
             raise EmptyTeam("a team context needs at least one member")
         object.__setattr__(self, "members", tuple(self.members))
+        if len(set(self.member_ids)) != self.size:
+            raise InvalidArgument(f"team {self.team_id!r} names a member more than once")
         object.__setattr__(self, "aggregate", attribute_vector(aggregate_team(self.members), name="team aggregate"))
 
     @property
@@ -543,12 +546,12 @@ def truncated_distance(gap, tv, w) -> float:
 
 
 def post_exchange_diff(gap, swap_out: ObjectRecord, swap_in: ObjectRecord) -> np.ndarray:
-    """Gap vector after trading ``swap_out`` for a rescaled ``swap_in``."""
+    """Gap vector after trading ``swap_out`` for a rescaled ``swap_in``.
+
+    Both exchange parameters are finite and positive: ``ObjectRecord``
+    refuses any other.
+    """
     gap = np.asarray(gap, dtype=np.float64)
-    if not (np.isfinite(swap_out.lam) and swap_out.lam > 0.0):
-        raise InvalidLambda(f"swap-out {swap_out.id!r} has invalid exchange parameter")
-    if not (np.isfinite(swap_in.lam) and swap_in.lam > 0.0):
-        raise InvalidLambda(f"swap-in {swap_in.id!r} has invalid exchange parameter")
     if gap.shape != swap_out.attrs.shape or gap.shape != swap_in.attrs.shape:
         raise DimensionMismatch("gap, swap-out and swap-in must share a dimension")
     ratio = swap_out.lam / swap_in.lam

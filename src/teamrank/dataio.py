@@ -45,7 +45,7 @@ import gc
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Mapping
 
 import numpy as np
@@ -68,6 +68,7 @@ from .weighting import RankedSeries
 __all__ = [
     "DatasetManifest",
     "NbParams",
+    "nb_params_from_json",
     "GofResult",
     "load_manifest",
     "load_objects",
@@ -109,25 +110,19 @@ class DatasetManifest:
             raise InvalidArgument("manifest needs an id column name")
 
     def to_dict(self) -> dict:
-        return {
-            "attributes": list(self.attributes),
-            "id_column": self.id_column,
-            "lambda_column": self.lambda_column,
-            "label_column": self.label_column,
-            "team_column": self.team_column,
-            "wins_column": self.wins_column,
-        }
+        """Every field in declaration order, the attributes as a list."""
+        return {**asdict(self), "attributes": list(self.attributes)}
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "DatasetManifest":
-        return cls(
-            attributes=tuple(data["attributes"]),
-            id_column=data["id_column"],
-            lambda_column=data.get("lambda_column"),
-            label_column=data.get("label_column"),
-            team_column=data.get("team_column"),
-            wins_column=data.get("wins_column"),
-        )
+        """The manifest in ``data``, a JSON object; keys it does not know are ignored.
+
+        A ``data`` that is no object, or lacks an ``attributes`` list or an
+        ``id_column``, raises :class:`InvalidArgument`.
+        """
+        if not (isinstance(data, Mapping) and isinstance(data.get("attributes"), (list, tuple)) and "id_column" in data):
+            raise InvalidArgument("manifest must be a JSON object with an \"attributes\" list and an \"id_column\"")
+        return cls(**{f.name: data[f.name] for f in fields(cls) if f.name in data})
 
 
 def load_manifest(path) -> DatasetManifest:
@@ -464,7 +459,7 @@ def load_teams(path, manifest: DatasetManifest) -> tuple[list[TargetContext], Ra
         [pos[manifest.id_column]],
     )
     targets = [TargetContext(team_id=tid, aggregate=aggregate.copy()) for tid, aggregate in zip(ids, aggregates)]
-    return targets, RankedSeries(values=wins[:, 0], higher_is_better=True)
+    return targets, RankedSeries(values=wins[:, 0])
 
 
 def load_column(path, column: str) -> np.ndarray:
@@ -506,6 +501,19 @@ class NbParams:
             raise InvalidParams(f"r must be finite and > 0, got {self.r}")
         if not (math.isfinite(self.p) and 0.0 < self.p < 1.0):
             raise InvalidParams(f"p must lie strictly inside (0, 1), got {self.p}")
+
+
+def nb_params_from_json(raw) -> dict[str, NbParams]:
+    """The attribute name -> :class:`NbParams` mapping that a JSON object of ``{"r": ..., "p": ...}`` objects gives.
+
+    Any other shape raises :class:`InvalidParams`.
+    """
+    if not isinstance(raw, dict) or not all(
+        isinstance(p, dict) and p.keys() == {"r", "p"} and all(isinstance(v, (int, float)) for v in p.values())
+        for p in raw.values()
+    ):
+        raise InvalidParams('parameters must map each attribute to {"r": <number>, "p": <number>}')
+    return {name: NbParams(**p) for name, p in raw.items()}
 
 
 def nb_mean(params: NbParams) -> float:

@@ -13,10 +13,6 @@ class EmptyTeam(TeamRankError):
     """A team context needs at least one member."""
 
 
-class EmptySpace(TeamRankError):
-    """An operation requires a non-empty object space."""
-
-
 class EmptyEliteSet(TeamRankError):
     """Target selection needs at least one candidate target."""
 

@@ -55,9 +55,13 @@ interrupted build leaves no ``.idx`` file behind. A file whose header or
 size does not match, a short read, or a read entry whose ordinal is not a
 row of the space raises ``StaleIndex``; a file of an earlier version
 (version 4 held all n entries per run, version 3 the paper's masked rate
-key) raises its subclass ``OldIndex``. Build writes and query reads are
-tallied in separate counters; counter updates are lock-protected so
-concurrent readers never lose increments.
+key) raises its subclass ``OldIndex``.
+
+Each handle keeps two ledgers (:class:`IoStats`): ``build_io`` counts the
+blocks its build wrote, ``query_io`` the blocks its reads fetched and the
+queries they served. One positioned read is one query, so a read adds its
+blocks and one query in one lock-protected update, and concurrent readers
+never lose a count.
 """
 
 from __future__ import annotations
@@ -67,25 +71,16 @@ import os
 import struct
 import tempfile
 import threading
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .core import ObjectSpace, TargetContext, TeamContext, weight_vector
-from .errors import (
-    EmptySpace,
-    InvalidArgument,
-    InvalidPartition,
-    OldIndex,
-    ShortIndex,
-    StaleIndex,
-)
-from .ranking import member_tops, pruned_tops
+from .errors import InvalidArgument, InvalidPartition, OldIndex, ShortIndex, StaleIndex
+from .ranking import check_config, member_tops, pruned_tops
 
 __all__ = [
     "IoStats",
-    "IoSnapshot",
     "NnIndex",
     "fingerprint",
     "build_index",
@@ -99,61 +94,24 @@ RECORD_DTYPE = np.dtype([("key", "<f8"), ("ordinal", "<u8")])
 PAD_ORDINAL = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
-@dataclass(frozen=True)
-class IoSnapshot:
-    blocks_read: int
-    blocks_written: int
-    queries_served: int
-
-
 class IoStats:
-    """Monotone I/O counters; resettable only explicitly."""
+    """Block and query counts of one index handle, each update under one lock."""
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._blocks_read = 0
-        self._blocks_written = 0
-        self._queries_served = 0
+        self.blocks_read = 0
+        self.blocks_written = 0
+        self.queries_served = 0
 
-    def add_read(self, blocks: int = 1) -> None:
+    def add_read(self, blocks: int) -> None:
+        """Charge one positioned read of ``blocks`` blocks, which serves one query."""
         with self._lock:
-            self._blocks_read += blocks
+            self.blocks_read += blocks
+            self.queries_served += 1
 
-    def add_write(self, blocks: int = 1) -> None:
+    def add_write(self, blocks: int) -> None:
         with self._lock:
-            self._blocks_written += blocks
-
-    def add_query(self, count: int = 1) -> None:
-        with self._lock:
-            self._queries_served += count
-
-    @property
-    def blocks_read(self) -> int:
-        return self._blocks_read
-
-    @property
-    def blocks_written(self) -> int:
-        return self._blocks_written
-
-    @property
-    def queries_served(self) -> int:
-        return self._queries_served
-
-    def snapshot(self) -> IoSnapshot:
-        with self._lock:
-            return IoSnapshot(self._blocks_read, self._blocks_written, self._queries_served)
-
-    def reset(self) -> None:
-        with self._lock:
-            self._blocks_read = 0
-            self._blocks_written = 0
-            self._queries_served = 0
-
-    def __repr__(self) -> str:
-        return (
-            f"IoStats(blocks_read={self.blocks_read}, blocks_written={self.blocks_written}, "
-            f"queries_served={self.queries_served})"
-        )
+            self.blocks_written += blocks
 
 
 def index_path(directory, fp: str) -> Path:
@@ -259,7 +217,6 @@ class NnIndex:
                 f"read {len(raw)} of {size} bytes"
             )
         self.query_io.add_read(blocks)
-        self.query_io.add_query(1)
         entries = np.frombuffer(raw, dtype=RECORD_DTYPE, count=count)
         # checked before the cast, which would turn 2**64 - 2 into -2
         if entries["ordinal"].max() >= self.n:
@@ -325,16 +282,14 @@ def build_index(
     the handle's ``rows_scored`` is each member's count of rows scored.
     ``run_length`` defaults to ``block_size``, is rounded up to whole blocks
     and is capped at n. The file appears under its final name only once
-    every run is written; build writes land in the build counter only.
+    every run is written; build writes land in the build counter only. It
+    refuses what ``ranking.brute_force_rank`` refuses, with ``run_length``
+    as its k (``ranking.check_config``).
     """
-    if len(space) < 1:
-        raise EmptySpace("cannot index an empty object space")
-    w = weight_vector(w)
-    fp = fingerprint(space, team, target, w, block_size)
     if run_length is None:
         run_length = block_size
-    if run_length < 1:
-        raise InvalidArgument(f"run_length must be >= 1, got {run_length}")
+    w, _ = check_config(team, target, space, w, run_length)
+    fp = fingerprint(space, team, target, w, block_size)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
 

@@ -102,7 +102,7 @@ from .core import (
     truncating_vector,
     weight_vector,
 )
-from .errors import DimensionMismatch, EmptySpace, InvalidArgument, NotAMember, StaleIndex
+from .errors import DimensionMismatch, InvalidArgument, NotAMember, StaleIndex
 
 __all__ = [
     "VirtualObject",
@@ -116,6 +116,7 @@ __all__ = [
     "member_tops",
     "pruned_tops",
     "member_workers",
+    "check_config",
     "brute_force_rank",
     "rtc_star_rank",
     "verify_corollary",
@@ -494,6 +495,27 @@ def _merge_and_rank(
     ]
 
 
+def check_config(
+    team: TeamContext, target: TargetContext, space: ObjectSpace, w, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The weights as a vector and the gap ``target - team`` of one ranking configuration.
+
+    The one argument check of :func:`brute_force_rank`, :func:`rtc_star_rank`
+    and ``nnindex.build_index`` (with its run length as ``k``), so all three
+    refuse the same configurations: ``InvalidArgument`` for k < 1,
+    ``weight_vector``'s errors for the weights, and ``DimensionMismatch``
+    unless team, target, space and weights share one dimension. A space
+    always has a row, because ``ObjectSpace`` refuses to be built without one.
+    """
+    if k < 1:
+        raise InvalidArgument(f"k must be >= 1, got {k}")
+    w = weight_vector(w)
+    gap = diff(target, team)
+    if w.size != gap.size or space.dimension != gap.size:
+        raise DimensionMismatch("team, target, space and weights must share a dimension")
+    return w, gap
+
+
 def brute_force_rank(
     team: TeamContext,
     target: TargetContext,
@@ -502,14 +524,7 @@ def brute_force_rank(
     top_k: int,
 ) -> list[SwapRecommendation]:
     """Score every (member, candidate) pair and keep the best ``top_k``."""
-    if top_k < 1:
-        raise InvalidArgument(f"top_k must be >= 1, got {top_k}")
-    if len(space) < 1:
-        raise EmptySpace("ranking needs a non-empty object space")
-    w = weight_vector(w)
-    d = diff(target, team).size
-    if w.size != d or space.dimension != d:
-        raise DimensionMismatch("team, target, space and weights must share a dimension")
+    w, _ = check_config(team, target, space, w, top_k)
     per_member = list(member_tops(space, team, target, w, top_k))
     return _merge_and_rank(team, target, space, w, per_member, top_k)
 
@@ -526,7 +541,9 @@ def rtc_star_rank(
 ) -> list[SwapRecommendation]:
     """Index-backed ranking, guaranteed equal to :func:`brute_force_rank`.
 
-    ``index`` is an open ``nnindex.NnIndex`` built for this configuration.
+    It refuses what :func:`brute_force_rank` refuses (:func:`check_config`)
+    before it reads anything. ``index`` is an open ``nnindex.NnIndex`` built
+    for this configuration.
     Each member's run is the exhaustive method's own pass, so its first
     ``top_k`` entries, one read of ceil(top_k / block_size) blocks, are that
     member's best swaps. All runs are read first and re-scored in one kernel
@@ -543,11 +560,7 @@ def rtc_star_rank(
     (``scan_depths``, min(top_k, n) each); ``fallback_members`` is always
     empty and kept for report compatibility.
     """
-    if top_k < 1:
-        raise InvalidArgument(f"top_k must be >= 1, got {top_k}")
-    if len(space) < 1:
-        raise EmptySpace("ranking needs a non-empty object space")
-    w = weight_vector(w)
+    w, gap = check_config(team, target, space, w, top_k)
     index.check(space, team, target, w)
 
     runs = [index.query_min_raw(member_index, top_k) for member_index in range(team.size)]
@@ -555,7 +568,7 @@ def rtc_star_rank(
     # every run re-scored in one kernel call, each row against its own member
     owner = np.repeat(np.arange(team.size), [rows.size for rows, _ in runs])
     run_rows = np.concatenate([rows for rows, _ in runs])
-    bases = diff(target, team) + np.array([record.attrs for record in team.members])
+    bases = gap + np.array([record.attrs for record in team.members])
     lambdas = np.array([record.lam for record in team.members])
     scored = _exchange_distance_rows(
         bases[owner], lambdas[owner], space.attrs[run_rows], space.lambdas[run_rows], w

@@ -36,14 +36,13 @@ EPSILON_WEIGHT = 1e-6
 
 @dataclass(frozen=True)
 class RankedSeries:
-    """One value per team, e.g. season wins.
+    """One value per team, e.g. season wins, where larger is better.
 
     Correlation needs at least two entries; that is enforced by the
     operations, not here, so a single-team file still loads cleanly.
     """
 
     values: np.ndarray
-    higher_is_better: bool = True
 
     def __post_init__(self):
         arr = np.asarray(self.values, dtype=np.float64)
@@ -54,10 +53,6 @@ class RankedSeries:
         if not np.all(np.isfinite(arr)):
             raise InsufficientData("ranked series contains non-finite values")
         object.__setattr__(self, "values", arr)
-
-    def oriented(self) -> np.ndarray:
-        """Values flipped, if needed, so that larger always means better."""
-        return self.values if self.higher_is_better else -self.values
 
 
 @dataclass(frozen=True)
@@ -76,7 +71,7 @@ class WeightResult(NamedTuple):
 
 def _series_values(x) -> np.ndarray:
     if isinstance(x, RankedSeries):
-        return x.oriented()
+        return x.values
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 1:
         raise DimensionMismatch(f"series must be 1-D, got shape {arr.shape}")
@@ -122,8 +117,7 @@ def compute_weights(team_stats, final_ranking: RankedSeries) -> WeightResult:
     if stats.shape[0] < 2:
         raise InsufficientData("need at least two teams to correlate")
 
-    oriented = ranking.oriented()
-    taus = np.array([kendall_tau(stats[:, j], oriented) for j in range(stats.shape[1])])
+    taus = np.array([kendall_tau(stats[:, j], ranking.values) for j in range(stats.shape[1])])
     magnitudes = np.abs(taus)
     floored = tuple(int(j) for j in np.nonzero(magnitudes < EPSILON_WEIGHT)[0])
     weights = np.maximum(magnitudes, EPSILON_WEIGHT)

@@ -1,13 +1,17 @@
 import csv
 import json
+import os
 import re
 import struct
+import subprocess
+import sys
 import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import teamrank
 from teamrank import core, dataio, snapshot
 from teamrank.bench import ExperimentConfig, run_experiment
 from teamrank.cli import cli_main
@@ -435,6 +439,52 @@ class TestExitCodes:
 
     def test_help_exits_zero(self, capsys):
         assert run(["--help"], capsys)[0] == 0
+
+    @pytest.mark.parametrize("manifest", [{"id_column": "id", "lambda_column": "MP"}, ["FG", "AST"]])
+    def test_malformed_manifest_is_data_error(self, league, capsys, tmp_path, manifest):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        code, out, err = run(["ingest", "--objects", league["players"], "--manifest", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err == 'error: manifest must be a JSON object with an "attributes" list and an "id_column"\n'
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"dataset": {"kind": "synthetic", "n": 50, "params": {"FG": {"r": 1.44, "p": 0.008}}}, "block_size": "10"},
+             "bench config's 'block_size' cannot be '10'"),
+            ({"dataset": {"kind": "synthetic", "n": 50}}, "a synthetic dataset needs the entries ['params']"),
+            ({"dataset": {"kind": "synthetic"}, "methods": [["bf"]]}, "methods must name bf or rtcstar, got [['bf']]"),
+            ({"dataset": {"kind": "csv", "players": "p.csv"}},
+             "a csv dataset needs the entries ['players_manifest', 'teams', 'teams_manifest']"),
+            ({"dataset": {"kind": "synthetic", "n": 50, "params": {"FG": {"r": 1.44}}}},
+             'parameters must map each attribute to {"r": <number>, "p": <number>}'),
+        ],
+    )
+    def test_malformed_bench_config_is_data_error(self, capsys, tmp_path, config, message):
+        path = tmp_path / "bench.json"
+        path.write_text(json.dumps(config))
+        code, out, err = run(["bench", "--config", str(path)], capsys)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("params", [[1.44, 0.008], {"FG": {"r": "1.44", "p": 0.008}}])
+    def test_malformed_gen_params_are_data_error(self, capsys, tmp_path, params):
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(params))
+        argv = ["gen", "--params", str(path), "--count", "10", "--seed", "1", "--out-csv", str(tmp_path / "a.csv")]
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err == 'error: parameters must map each attribute to {"r": <number>, "p": <number>}\n'
+        assert not (tmp_path / "a.csv").exists()
+
+    def test_module_run_prints_the_payload(self, league, capsys):
+        # python -m teamrank.cli from a checkout with no install: the payload cli_main prints
+        argv = ["ingest", "--objects", league["players"], "--manifest", league["players_manifest"]]
+        code, out, _ = run(argv, capsys)
+        env = {**os.environ, "PYTHONPATH": str(Path(teamrank.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-m", "teamrank.cli", *argv], capture_output=True, text=True, env=env)
+        assert (done.returncode, done.stdout, done.stderr) == (code, out, "")
+        assert json.loads(done.stdout)["rows"] == 12
 
 
 @pytest.fixture()

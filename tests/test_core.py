@@ -75,6 +75,14 @@ class TestAggregateTeam:
         assert np.array_equal(combined, aggregate_team(a) + aggregate_team(b))
 
 
+class TestTeamContext:
+    def test_repeated_member_id_rejected(self):
+        space = ObjectSpace.from_records([rec("a", [1.0, 2.0]), rec("b", [3.0, 4.0])], ("x", "y"))
+        with pytest.raises(InvalidArgument, match="more than once"):
+            team_from_ids(space, ["a", "a", "b"])
+        assert team_from_ids(space, ["b", "a"]).member_ids == ("a", "b")
+
+
 class TestDiff:
     def test_case_one_coordinates(self):
         team = team_from_records([rec("c", [1.0, 0.3])])

@@ -346,15 +346,6 @@ class TestQueryMin:
             entries = query_min(index, space, 0, 6)
             assert [obj for obj, _ in entries] == [f"p{i}" for i in range(6)]
 
-    def test_reset_is_explicit(self, tmp_path):
-        space, team, target, w = make_setup(seed=12, m=1)
-        with build_index(space, team, target, w, 5, tmp_path) as index:
-            query_min(index, space, 0, 1)
-            assert index.query_io.blocks_read == 1
-            index.query_io.reset()
-            assert index.query_io.blocks_read == 0
-            assert index.build_io.blocks_written > 0
-
     def test_concurrent_queries_do_not_lose_counts_or_corrupt_reads(self, tmp_path):
         space, team, target, w = make_setup(seed=14, n=64, m=2)
         with build_index(space, team, target, w, 1, tmp_path, run_length=64) as index:
@@ -363,14 +354,15 @@ class TestQueryMin:
                 for member in range(2)
                 for k in (1, 7, 31, 64)
             }
-            index.query_io.reset()
-            failures = []
+            read, served = index.query_io.blocks_read, index.query_io.queries_served
+            failures, asked = [], []
 
             def worker(worker_id):
                 rng = np.random.default_rng(worker_id)
                 for _ in range(50):
                     member = int(rng.integers(0, 2))
                     k = int(rng.choice([1, 7, 31, 64]))
+                    asked.append(k)
                     if query_min(index, space, member, k) != baseline[(member, k)]:
                         failures.append((worker_id, member, k))
 
@@ -380,7 +372,9 @@ class TestQueryMin:
             for t in threads:
                 t.join()
             assert failures == []
-            assert index.query_io.queries_served == 4 * 50
+            # one block per entry at B = 1
+            assert index.query_io.blocks_read == read + sum(asked)
+            assert index.query_io.queries_served == served + 4 * 50
 
     def test_reads_reported_by_a_ranking_ignore_other_readers_of_its_index(self, tmp_path):
         # the index's counters are shared, so a second thread's reads must not
@@ -611,7 +605,8 @@ class TestRunLength:
                     reopened.query_min_raw(0, 9)
                 with pytest.raises(StaleIndex):
                     rtc_star_rank(team, target, space, w, reopened, 9)
-                assert reopened.query_io.snapshot() == nnindex.IoSnapshot(0, 0, 0)
+                io = reopened.query_io
+                assert (io.blocks_read, io.blocks_written, io.queries_served) == (0, 0, 0)
             assert rtc_star_rank(team, target, space, w, index, 8) == brute_force_rank(team, target, space, w, 8)
 
     def test_run_of_all_entries_answers_any_k(self, tmp_path):

@@ -608,6 +608,31 @@ _EDGE_VALUES = st.one_of(
 _EDGE_LAMBDAS = st.floats(-500.0, 500.0).map(lambda e: 2.0**e)
 
 
+class TestOneConfigurationCheck:
+    @pytest.mark.parametrize(
+        "weights, k, error",
+        [
+            ([1.0], 3, DimensionMismatch),
+            ([1.0, 1.0, 1.0, 1.0], 3, DimensionMismatch),
+            ([1.0, 1.0, 1.0], 0, InvalidArgument),
+        ],
+        ids=["one-weight", "d-plus-one-weights", "k-0"],
+    )
+    def test_bf_build_and_rtcstar_refuse_alike(self, tmp_path, weights, k, error):
+        # a one-element weight vector used to broadcast over all d = 3 dimensions in rtcstar
+        instance = random_instance(3, n=60, d=3, m=2)
+        space, team, target = instance.space, instance.team, instance.target
+        with build_index(space, team, target, [1.0, 1.0, 1.0], 2, tmp_path / "valid", run_length=3) as index:
+            with pytest.raises(error):
+                brute_force_rank(team, target, space, weights, k)
+            with pytest.raises(error):
+                build_index(space, team, target, weights, 2, tmp_path / "refused", run_length=k)
+            with pytest.raises(error):
+                rtc_star_rank(team, target, space, weights, index, k)
+            assert index.query_io.queries_served == 0
+        assert not (tmp_path / "refused").exists()
+
+
 class TestLeafBound:
     @given(st.data())
     def test_a_leaf_bound_never_exceeds_a_row_distance(self, data):

@@ -77,12 +77,6 @@ class TestKendallTau:
         perm = list(perm)
         assert kendall_tau(x[perm], y[perm]) == pytest.approx(kendall_tau(x, y), abs=1e-12)
 
-    def test_ranked_series_orientation(self):
-        wins = RankedSeries(np.array([10.0, 30.0, 20.0]))
-        positions = RankedSeries(np.array([3.0, 1.0, 2.0]), higher_is_better=False)
-        column = [5.0, 9.0, 7.0]
-        assert kendall_tau(column, wins) == kendall_tau(column, positions)
-
 
 class TestComputeWeights:
     def test_column_identical_to_ranking_weighs_one(self):
