@@ -222,11 +222,17 @@ def _load_dataset(config: ExperimentConfig):
     if missing:
         raise InvalidArgument(f"a {kind} dataset needs the entries {missing}")
     if kind == "synthetic":
+        count, seed, lambda_range = ds["n"], ds.get("seed", config.seed), ds.get("lambda_range", (500.0, 3000.0))
+        if not (isinstance(count, int) and isinstance(seed, int)):
+            raise InvalidArgument(f"a synthetic dataset's n and seed must be integers, got {count!r} and {seed!r}")
+        if not (
+            isinstance(lambda_range, (list, tuple))
+            and len(lambda_range) == 2
+            and all(isinstance(v, (int, float)) for v in lambda_range)
+        ):
+            raise InvalidArgument(f"a synthetic dataset's lambda_range must be two numbers, got {lambda_range!r}")
         space = gen_synthetic(
-            nb_params_from_json(ds["params"]),
-            count=int(ds["n"]),
-            seed=int(ds.get("seed", config.seed)),
-            lambda_range=tuple(ds.get("lambda_range", (500.0, 3000.0))),
+            nb_params_from_json(ds["params"]), count=count, seed=seed, lambda_range=tuple(lambda_range)
         )
         rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(101,)))
         teams = []

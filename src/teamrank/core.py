@@ -140,7 +140,11 @@ class Leaves:
     """A partition of a space's rows into leaves, each with an upper rate corner.
 
     Leaf ``j`` holds the row positions ``rows[starts[j]:starts[j + 1]]``, in
-    ascending order, and is never empty. ``corners[j]`` bounds the rates of
+    ascending id order, and is never empty. ``first_ranks[j]`` is the id
+    rank of its first row, the smallest of its rows, where a row's id rank
+    is its position in ``ObjectSpace.id_order()``; leaves are numbered in
+    ascending ``first_ranks``, so a stable sort of any per-leaf key orders
+    leaves of equal key by it. ``corners[j]`` bounds the rates of
     those rows from above in every dimension: it is the largest
     ``attrs[row, i] / lambdas[row]`` of its rows, as numpy's division rounds
     it, raised ``_CORNER_ULPS`` ulps toward +inf. ``rows`` is int32 and
@@ -150,6 +154,7 @@ class Leaves:
 
     rows: np.ndarray
     starts: np.ndarray
+    first_ranks: np.ndarray
     corners: np.ndarray
     lambda_range: tuple[float, float]
 
@@ -157,7 +162,7 @@ class Leaves:
         return self.corners.shape[0]
 
 
-def leaf_partition(attrs: np.ndarray, lambdas: np.ndarray) -> Leaves:
+def leaf_partition(attrs: np.ndarray, lambdas: np.ndarray, id_order: np.ndarray) -> Leaves:
     """Group the rows of an (n, d) space into leaves of about ``_LEAF_ROWS`` rows.
 
     Each row gets a code of b = min(16, ceil(log2(n / _LEAF_ROWS))) split
@@ -166,18 +171,21 @@ def leaf_partition(attrs: np.ndarray, lambdas: np.ndarray) -> Leaves:
     every dimension one and the first b - d a second (quartiles), and so
     on. A
     dimension's split values are quantiles of a strided sample of at most
-    ``_PIECE_ROWS`` rows. Rows are grouped by code in a stable sort, and
+    ``_PIECE_ROWS`` rows. Rows are grouped by code in a stable counting
+    sort over ``id_order``, the row positions in ascending id order, and
     each group of c rows is cut into ceil(c / _LEAF_ROWS) leaves of
-    near-equal size.
+    near-equal size, so a leaf's rows are consecutive in id order. Leaves
+    are numbered by their first row's id rank, in the order the sort meets
+    them.
 
     The build reads the space in pieces of ``_PIECE_ROWS`` rows: column by
     column for the uint16 codes, which it computes twice (once to count
-    each code, once to place each row in a stable counting sort) rather
-    than hold, and for the corners one gather of whole leaves per
-    ``_GATHER_ROWS`` rows.
-    Besides its result it holds pieces and per-code counts only: no rate
-    matrix (``ObjectSpace.rates`` is not called), no n-length codes or
-    int64 positions, and no copy of the space.
+    each code over row-order pieces, once to place each row over id-order
+    pieces) rather than hold, and for the corners one gather of whole
+    leaves per ``_GATHER_ROWS`` rows.
+    Besides its result it holds pieces and per-code and per-leaf arrays
+    only: no rate matrix (``ObjectSpace.rates`` is not called), no n-length
+    codes, ranks or int64 positions, and no copy of the space.
     """
     n, d = attrs.shape
     # the fewest bits b with 2^b * _LEAF_ROWS >= n
@@ -192,39 +200,71 @@ def leaf_partition(attrs: np.ndarray, lambdas: np.ndarray) -> Leaves:
 
     rate = np.empty(min(n, _PIECE_ROWS))
 
-    def piece_codes(start: int) -> np.ndarray:
-        stop = min(start + _PIECE_ROWS, n)
-        code, piece = np.zeros(stop - start, dtype=np.uint16), rate[: stop - start]
+    def piece_codes(chosen) -> np.ndarray:
+        lam = lambdas[chosen]
+        code, piece = np.zeros(len(lam), dtype=np.uint16), rate[: len(lam)]
         for j, b in enumerate(split_bits):
             if b:
-                np.divide(attrs[start:stop, j], lambdas[start:stop], out=piece)
+                np.divide(attrs[chosen, j], lam, out=piece)
                 code <<= b
                 # the bin is the count of split values at or below the rate
                 for split in splits[j]:
                     code += piece >= split
         return code
 
-    counts = sum(np.bincount(piece_codes(start), minlength=1 << bits) for start in range(0, n, _PIECE_ROWS))
+    counts = sum(
+        np.bincount(piece_codes(slice(start, start + _PIECE_ROWS)), minlength=1 << bits)
+        for start in range(0, n, _PIECE_ROWS)
+    )
     slot = np.cumsum(counts) - counts
-    rows = np.empty(n, dtype=np.int32)
-    for start in range(0, n, _PIECE_ROWS):
-        code = piece_codes(start)
-        order = np.argsort(code, kind="stable")
-        ranked = code[order]
-        # each row's place among the piece's rows of its code, after the earlier pieces' rows
-        rows[slot[ranked] + np.arange(len(ranked)) - np.searchsorted(ranked, ranked)] = start + order
-        slot += np.bincount(code, minlength=1 << bits)
     counts = counts[counts > 0]
 
     # group g of c rows becomes p = ceil(c / _LEAF_ROWS) leaves: c // p rows each, one more for the first c % p
     parts = -(-counts // _LEAF_ROWS)
     group = np.repeat(np.arange(len(counts)), parts)
     nth = np.arange(len(group)) - np.repeat(np.cumsum(parts) - parts, parts)
-    starts = np.zeros(len(group) + 1, dtype=np.int64)
-    np.cumsum(counts[group] // parts[group] + (nth < counts[group] % parts[group]), out=starts[1:])
+    sizes = counts[group] // parts[group] + (nth < counts[group] % parts[group])
     del group, nth
+    # the leaves' places in code order, the coordinates of slot
+    code_starts = np.cumsum(sizes) - sizes
 
-    count = len(starts) - 1
+    # the counting sort meets each leaf's rows in id order, so a leaf's
+    # first row met is its smallest id rank: the leaves met earlier have
+    # smaller ones and take the numbers and places before it
+    count = len(sizes)
+    rows = np.empty(n, dtype=np.int32)
+    starts = np.zeros(count + 1, dtype=np.int64)
+    first_ranks = np.empty(count, dtype=np.int32)
+    # each code-order leaf's place in rows, once its first row is met
+    placed = np.empty(count, dtype=np.int64)
+    met = 0
+    for start in range(0, n, _PIECE_ROWS):
+        chosen = positions = id_order[start : start + _PIECE_ROWS]
+        if (positions == np.arange(start, start + len(positions))).all():
+            # a piece already in row order is read where it lies, not gathered
+            chosen = slice(start, start + len(positions))
+        code = piece_codes(chosen)
+        order = np.argsort(code, kind="stable")
+        ranked = code[order]
+        # each row's place in code order: among the piece's rows of its code, after the earlier pieces' rows
+        at = slot[ranked] + np.arange(len(ranked)) - np.searchsorted(ranked, ranked)
+        slot += np.bincount(code, minlength=1 << bits)
+        leaf = np.searchsorted(code_starts, at, side="right") - 1
+        # each row's place in its leaf, and the leaves whose first rows are in this piece, in id order
+        at -= code_starts[leaf]
+        opens = np.nonzero(at == 0)[0]
+        opens = opens[np.argsort(order[opens])]
+        new = leaf[opens]
+        np.cumsum(sizes[new], out=starts[met + 1 : met + 1 + len(new)])
+        starts[met + 1 : met + 1 + len(new)] += starts[met]
+        placed[new] = starts[met : met + len(new)]
+        first_ranks[met : met + len(new)] = start + order[opens]
+        met += len(new)
+        at += placed[leaf]
+        rows[at] = positions[order]
+    # dropped before the corners are allocated, so they do not add to the build's peak
+    del placed, code_starts, sizes
+
     corners = np.empty((count, d))
     first = 0
     while first < count:
@@ -236,7 +276,13 @@ def leaf_partition(attrs: np.ndarray, lambdas: np.ndarray) -> Leaves:
         first = last
     for _ in range(_CORNER_ULPS):
         np.nextafter(corners, np.inf, out=corners)
-    return Leaves(rows=rows, starts=starts, corners=corners, lambda_range=(float(lambdas.min()), float(lambdas.max())))
+    return Leaves(
+        rows=rows,
+        starts=starts,
+        first_ranks=first_ranks,
+        corners=corners,
+        lambda_range=(float(lambdas.min()), float(lambdas.max())),
+    )
 
 
 # rows per piece of the attribute matrix that ObjectSpace.digest hashes: at
@@ -378,7 +424,7 @@ class ObjectSpace:
     def leaves(self) -> Leaves:
         """The space's :func:`leaf_partition`, built on first use and cached."""
         if self._leaves is None:
-            self._leaves = leaf_partition(self.attrs, self.lambdas)
+            self._leaves = leaf_partition(self.attrs, self.lambdas, self._id_order)
         return self._leaves
 
     def id_order(self) -> np.ndarray:

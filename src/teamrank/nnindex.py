@@ -32,14 +32,14 @@ A run is the L smallest keys in ``np.lexsort((ids, keys))`` order, with
 each key's own bits, so a run of length L is the first L entries of the
 full sorted run. It comes from the best-first pass over the space's leaf
 partition (``ranking.pruned_tops``), built on the space's first build and
-cached on the ``ObjectSpace``, which scores only the leaves whose bound
-can reach the member's L best and returns the same rows and key bits as
+cached on the ``ObjectSpace``, which scores only the leaves whose
+(bound, first id rank) can reach the member's L best and returns the same rows and key bits as
 the exhaustive method's own per-member pass at k = L
 (``ranking.member_tops``; the proof is in the ``ranking`` docstring). A
 build with ``prune=False`` takes that full pass instead and builds no
 leaves. The CLI builds so: a command answers one configuration, and on a
-fresh space one build that built the leaves took 0.031 s against the full
-pass's 0.019 s at 1e5 rows, and 0.38 s against 0.19 s at 1.07e6 (2 vCPUs,
+fresh space one build that built the leaves took 0.036 s against the full
+pass's 0.018 s at 1e5 rows, and 0.43 s against 0.13 s at 1.07e6 (2 vCPUs,
 medians of 10). Either way the file holds the same bytes;
 ``NnIndex.rows_scored`` gives the rows each
 member's pass scored. L is whole blocks, or all n entries; only

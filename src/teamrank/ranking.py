@@ -17,7 +17,8 @@ An index build (``nnindex.build_index``, unless called with ``prune=False``)
 takes each member's run from a best-first pass over the space's leaf
 partition (``ObjectSpace.leaves``) instead: :func:`pruned_tops`, whose per-member
 pass :func:`_member_best_pruned` scores, with the same kernel and the
-same top-k, only the leaves whose bound can reach the member's best k.
+same top-k, only the leaves whose (bound, first rank) can reach the
+member's best k.
 ``bf`` keeps the full pass and stays the oracle. The pruned pass returns
 the full pass's rows and distance bits, so the index file is
 byte-identical, and that rests on how a leaf's bound is computed: it is
@@ -48,12 +49,23 @@ IEEE rounding: the subtraction from the same base_i (non-increasing),
 max(., 0), the product with w_i > 0, the square of a non-negative value,
 the same pairwise sum of non-negative terms, and sqrt. So a leaf's computed bound never exceeds
 a row's computed distance, bit for bit, unless that distance is NaN,
-which sorts last anyway. A leaf whose bound is strictly above a member's
-k-th distance can hold no row that the (distance, id) order puts among
-the first k, and the pass stops at the first such leaf in bound order; a
-leaf at exactly the k-th distance is still read, because its ids may break
-a tie. No second kernel is involved, and a corner that overflows to +inf
-only lowers the bound.
+which sorts last anyway. No second kernel is involved, and a corner that
+overflows to +inf only lowers the bound.
+
+Ties at the k-th distance, usually 0, are settled by id rank: a row's
+position in ``ObjectSpace.id_order()``. ``_member_top`` orders rows by
+(distance, id); ids are unique, and ``id_order`` sorts them with the same
+numpy comparison, so (distance, id) order is (distance, rank) order. Every
+row of a leaf has a distance at least the leaf's bound and a rank at least
+the leaf's first rank (``Leaves.first_ranks``, its smallest), so
+(bound, first rank) is a lexicographic lower bound on every row of the
+leaf. The k-th (distance, rank) pair of the rows read so far is never
+ahead of the final k-th pair, so a leaf whose (bound, first rank) is not
+ahead of it holds no row that the (distance, id) order puts among the
+first k: at equality the leaf holds the k-th row itself, already read,
+and its other rows rank after it. The pass reads leaves in (bound, first
+rank) order, which a stable sort of the bounds gives because leaves are
+numbered by first rank, and stops at the first such leaf.
 
 ``member_tops`` runs the members' passes on one thread each once the space
 has more than ``_SERIAL_ROWS`` rows (``_map_members``), up to the usable cores
@@ -403,6 +415,11 @@ def member_tops(space: ObjectSpace, team: TeamContext, target: TargetContext, w:
 # of float64, with a margin for rounding; a member outside it takes the full pass
 _NORMAL_RATIOS = (2.0**-1021, 2.0**1023)
 
+# a pruned pass first sorts about 1 / _FIRST_SORT of the leaves, those of
+# smallest bound: over 12 teams of seeds 7 and 2031, a dominant-1m member
+# read at most 4.6 % of the rows and an elite-100k member at most 17 %
+_FIRST_SORT = 16
+
 
 def _member_best_pruned(
     space: ObjectSpace, gap: np.ndarray, record: ObjectRecord, w: np.ndarray, k: int
@@ -411,13 +428,17 @@ def _member_best_pruned(
 
     Each leaf's bound is the distance kernel on its corner row with an
     exchange parameter of 1, which no row of the leaf beats (see the module
-    docstring). Leaves are read in ascending (bound, leaf) order, in batches
-    of whole leaves that start at n / 256 rows and grow 4x up to the
-    kernel's block of ``_CHUNK_ROWS`` rows; each batch is gathered, scored
-    by the kernel and merged into the best k by :func:`_member_top`. The
-    pass stops before the first leaf whose bound is strictly above the k-th
-    distance once k rows are held, so a leaf at that distance is still read
-    and its ids break the tie. A member for whom some lambda_r / lambda_p
+    docstring). Leaves are read in ascending (bound, first rank) order, in
+    batches of whole leaves that start at n / 256 rows and grow 4x up to
+    the kernel's block of ``_CHUNK_ROWS`` rows; each batch is gathered,
+    scored by the kernel and merged into the best k by :func:`_member_top`.
+    Once k rows are held, the pass stops before the first leaf whose
+    (bound, first rank) is not ahead of the k-th (distance, id rank) pair,
+    the rank found by one binary search of the id order. Only the leaves of
+    bound at most the (1 + leaves / ``_FIRST_SORT``)-th smallest, found by
+    ``np.partition``, are sorted at first; every bound is sorted only if a
+    batch reaches past them, so the batches, and the rows scored, are those
+    of one sort of every bound. A member for whom some lambda_r / lambda_p
     could leave the normal range of float64 (``_NORMAL_RATIOS``) takes
     :func:`_member_best`'s full pass instead and scores all n rows.
     """
@@ -426,31 +447,43 @@ def _member_best_pruned(
     if not (_NORMAL_RATIOS[0] <= record.lam / high and record.lam / low < _NORMAL_RATIOS[1]):
         return (*_member_best(space, gap, record, w, k), len(space))
     base = gap + record.attrs
-    bounds = _exchange_distance_rows(base, record.lam, leaves.corners, np.ones(len(leaves)), w)
+    bound = _exchange_distance_rows(base, record.lam, leaves.corners, np.ones(len(leaves)), w)
     # a NaN bound (inf - inf at the float64 limit) proves nothing: 0 is above no k-th distance
-    bounds[np.isnan(bounds)] = 0.0
-    order = np.argsort(bounds, kind="stable")
-    bounds = bounds[order]
-    sizes = np.diff(leaves.starts)[order]
+    bound[np.isnan(bound)] = 0.0
+    # the leaves of bound at most the (1 + len / _FIRST_SORT)-th smallest, in stable order, are the
+    # first leaves of the stable order of every bound
+    few = len(leaves) // _FIRST_SORT
+    order = np.nonzero(bound <= np.partition(bound, few)[few])[0]
+    order = order[np.argsort(bound[order], kind="stable")]
+    bounds, sizes = bound[order], np.diff(leaves.starts)[order]
     ends = np.cumsum(sizes)
     want = min(k, len(space))
     best_rows, best = np.empty(0, dtype=leaves.rows.dtype), np.empty(0)
-    read, batch = 0, min(max(1, len(space) // 256), _CHUNK_ROWS)
-    while read < len(order):
-        stop = min(len(order), int(np.searchsorted(ends, ends[read] - sizes[read] + batch)) + 1)
+    read = done = 0
+    batch = min(max(1, len(space) // 256), _CHUNK_ROWS)
+    while read < len(leaves):
+        if ends[-1] < done + batch and len(order) < len(leaves):
+            order = np.argsort(bound, kind="stable")
+            bounds, sizes = bound[order], np.diff(leaves.starts)[order]
+            ends = np.cumsum(sizes)
+        stop = min(len(order), int(np.searchsorted(ends, done + batch)) + 1)
         if best.size == want:
-            stop = min(stop, int(np.searchsorted(bounds, best[-1], side="right")))
+            # leaves ahead of the k-th (distance, id rank) in (bound, first rank) order
+            low = int(np.searchsorted(bounds, best[-1]))
+            ties = order[low : min(stop, int(np.searchsorted(bounds, best[-1], side="right")))]
+            rank = np.searchsorted(space.ids, space.ids[best_rows[-1]], sorter=space.id_order())
+            stop = min(stop, low + int(np.searchsorted(leaves.first_ranks[ties], rank)))
             if stop <= read:
                 break
         count = sizes[read:stop]
         firsts = leaves.starts[order[read:stop]] - (np.cumsum(count) - count)
-        rows = leaves.rows[np.repeat(firsts, count) + np.arange(ends[stop - 1] - ends[read] + sizes[read])]
+        rows = leaves.rows[np.repeat(firsts, count) + np.arange(ends[stop - 1] - done)]
         dist = _exchange_distance_rows(base, record.lam, space.attrs[rows], space.lambdas[rows], w)
         rows, dist = np.concatenate([best_rows, rows]), np.concatenate([best, dist])
         chosen = _member_top(dist, space.ids[rows], k)
         best_rows, best = rows[chosen], dist[chosen]
-        read, batch = stop, min(4 * batch, _CHUNK_ROWS)
-    return best_rows.astype(np.intp), best, int(ends[read - 1])
+        read, done, batch = stop, int(ends[stop - 1]), min(4 * batch, _CHUNK_ROWS)
+    return best_rows.astype(np.intp), best, done
 
 
 def pruned_tops(space: ObjectSpace, team: TeamContext, target: TargetContext, w: np.ndarray, k: int) -> Iterator:

@@ -459,6 +459,10 @@ class TestExitCodes:
              "a csv dataset needs the entries ['players_manifest', 'teams', 'teams_manifest']"),
             ({"dataset": {"kind": "synthetic", "n": 50, "params": {"FG": {"r": 1.44}}}},
              'parameters must map each attribute to {"r": <number>, "p": <number>}'),
+            ({"dataset": {"kind": "synthetic", "n": 50, "params": {"FG": {"r": 1.44, "p": 0.008}}, "lambda_range": 5}},
+             "a synthetic dataset's lambda_range must be two numbers, got 5"),
+            ({"dataset": {"kind": "synthetic", "n": [50], "params": {"FG": {"r": 1.44, "p": 0.008}}}},
+             "a synthetic dataset's n and seed must be integers, got [50] and 0"),
         ],
     )
     def test_malformed_bench_config_is_data_error(self, capsys, tmp_path, config, message):

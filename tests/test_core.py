@@ -415,9 +415,13 @@ class TestLeafPartition:
         assert sorted(leaves.rows.tolist()) == list(range(n))
         assert leaves.lambda_range == (space.lambdas.min(), space.lambdas.max())
         rates = space.attrs / space.lambdas[:, None]
+        # each row's id rank, its position in the space's id order
+        rank = np.argsort(space.id_order())
+        assert leaves.first_ranks.shape == (len(leaves),) and (np.diff(leaves.first_ranks) > 0).all()
         for j in range(len(leaves)):
             rows = leaves.rows[leaves.starts[j] : leaves.starts[j + 1]]
-            assert (np.diff(rows) > 0).all()
+            assert (np.diff(rank[rows]) > 0).all()
+            assert leaves.first_ranks[j] == rank[rows].min() == rank[rows[0]]
             # the largest rate of the leaf, raised _CORNER_ULPS ulps toward +inf
             corner = rates[rows].max(axis=0)
             for _ in range(core._CORNER_ULPS):
@@ -431,9 +435,9 @@ class TestLeafPartition:
     def test_build_is_deterministic_and_reads_no_rate_matrix(self, monkeypatch):
         space = leaf_space(30_000, 11, seed=4)
         monkeypatch.setattr(ObjectSpace, "rates", lambda self: pytest.fail("the leaf build computed rates()"))
-        first = core.leaf_partition(space.attrs, space.lambdas)
-        again = core.leaf_partition(np.ascontiguousarray(space.attrs), space.lambdas.copy())
-        for name in ("rows", "starts", "corners"):
+        first = core.leaf_partition(space.attrs, space.lambdas, space.id_order())
+        again = core.leaf_partition(np.ascontiguousarray(space.attrs), space.lambdas.copy(), space.id_order().copy())
+        for name in ("rows", "starts", "first_ranks", "corners"):
             assert getattr(first, name).tobytes() == getattr(again, name).tobytes()
         # 30,000 rows: 8 split bits, so at most 256 codes of up to 128-row leaves each
         assert len(first) <= 256 + 30_000 // 128

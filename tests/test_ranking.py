@@ -21,7 +21,7 @@ from teamrank.core import (
     truncated_distance,
     truncating_vector,
 )
-from teamrank import core
+from teamrank import core, ranking
 from teamrank.errors import DimensionMismatch, InvalidArgument, NotAMember, StaleIndex
 from teamrank.nnindex import build_index, index_path
 from teamrank.ranking import (
@@ -515,10 +515,20 @@ class TestRtcStar:
         small = random_instance(seed, n=int(1 + seed % 6))
         small = dataclasses.replace(small, top_k=len(small.space) + seed % 3)
         n = int(20 + seed % 80)
+        tied = random_instance(seed, n=n, ties_at_zero=True)
+        # the same rows and team with ids dealt in a seeded shuffled order, so id order is not row order
+        ids = np.random.default_rng(seed).permutation(tied.space.ids)
+        space = ObjectSpace(ids, tied.space.lambdas, tied.space.attrs, tied.space.attribute_names)
+        members = [ids[tied.space.index_of(record.id)] for record in tied.team.members]
+        shuffled = dataclasses.replace(tied, space=space, team=team_from_ids(space, members, team_id="C"))
+        # a zero target over those counts ties every pair at distance 0, so ids alone pick the answer
+        zero = TargetContext(team_id="T", aggregate=np.zeros(shuffled.space.dimension))
         instances = (
             random_instance(seed, n=n),
             random_instance(seed, n=n, negative=True),
-            random_instance(seed, n=n, ties_at_zero=True),
+            tied,
+            shuffled,
+            dataclasses.replace(shuffled, target=zero),
             small,
         )
         for inst in instances:
@@ -547,16 +557,48 @@ class TestRtcStar:
                 assert scored[False] == (rows,) * inst.team.size
                 assert all(1 <= count <= rows for count in scored[True])
 
-    def test_a_team_meeting_its_target_scores_every_row(self, tmp_path):
+    def test_a_team_meeting_its_target_reads_only_the_leaves_ahead_of_its_kth_pair(self, tmp_path):
         # non-negative attributes and a zero target: every pair ties at
-        # distance 0, every leaf's bound is 0, and each pruned pass reads all
+        # distance 0 and every leaf's bound is 0, so the leaves are read in
+        # first-rank order and ids alone decide where each pass stops
         inst = random_instance(6, n=600, m=4)
-        target = TargetContext(team_id="T", aggregate=np.zeros(inst.space.dimension))
-        expected = brute_force_rank(inst.team, target, inst.space, inst.weights, inst.top_k)
+        space = inst.space
+        target = TargetContext(team_id="T", aggregate=np.zeros(space.dimension))
+        expected = brute_force_rank(inst.team, target, space, inst.weights, inst.top_k)
         assert all(r.new_distance == 0.0 for r in expected)
-        with build_index(inst.space, inst.team, target, inst.weights, 5, tmp_path, run_length=inst.top_k) as index:
-            assert index.rows_scored == (600,) * 4
-            assert rtc_star_rank(inst.team, target, inst.space, inst.weights, index, inst.top_k) == expected
+        with build_index(space, inst.team, target, inst.weights, 5, tmp_path, run_length=inst.top_k) as index:
+            assert rtc_star_rank(inst.team, target, space, inst.weights, index, inst.top_k) == expected
+            length, scored = index.run_length, index.rows_scored
+        leaves = space.leaves()
+        gap = diff(target, inst.team)
+        rank = np.argsort(space.id_order())
+        for record, count in zip(inst.team.members, scored):
+            rows, _ = _member_best(space, gap, record, inst.weights, length)
+            kth = rank[rows[-1]]
+            # whole leaves in first-rank order, short of n, that take in every
+            # leaf whose first rank is not behind the k-th pair's
+            read = int(np.searchsorted(leaves.starts, count))
+            assert leaves.starts[read] == count < len(space)
+            assert (leaves.first_ranks[read:] > kth).all()
+
+    @pytest.mark.parametrize("zero_target", [False, True])
+    def test_the_rows_scored_do_not_depend_on_how_many_leaves_are_sorted_first(self, monkeypatch, zero_target):
+        # a first sort of the leaves of smallest bound only, of about half of
+        # them, or of the default share: each pass reads the same batches
+        inst = random_instance(11, n=3000, m=4)
+        target = TargetContext(team_id="T", aggregate=np.zeros(inst.space.dimension)) if zero_target else inst.target
+        gap = diff(target, inst.team)
+        passes = []
+        for first_sort in (10**9, 2, ranking._FIRST_SORT):
+            monkeypatch.setattr(ranking, "_FIRST_SORT", first_sort)
+            passes.append(
+                [_member_best_pruned(inst.space, gap, r, inst.weights, k) for r in inst.team.members for k in (10, 100)]
+            )
+        assert len(inst.space.leaves()) > 16
+        assert all(scored < len(inst.space) for *_, scored in passes[0])
+        for other in passes[1:]:
+            for (rows, dist, scored), (rows2, dist2, scored2) in zip(passes[0], other):
+                assert (rows.tolist(), dist.tobytes(), scored) == (rows2.tolist(), dist2.tobytes(), scored2)
 
     def test_a_member_whose_lambda_ratios_leave_the_normal_range_takes_the_full_pass(self, monkeypatch):
         # lambda_r / lambda_p overflows to inf for row c, so its product with
@@ -645,7 +687,7 @@ class TestLeafBound:
         w = np.array(data.draw(st.lists(st.floats(1e-3, 1e3), min_size=d, max_size=d)))
         with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore"):
             mp.setattr(core, "_LEAF_ROWS", data.draw(st.integers(1, n)))
-            leaves = core.leaf_partition(np.asfortranarray(attrs), lambdas)
+            leaves = core.leaf_partition(np.asfortranarray(attrs), lambdas, np.arange(n))
             dist = _exchange_distance_rows(base, lam_r, attrs, lambdas, w)
             bound = _exchange_distance_rows(base, lam_r, leaves.corners, np.ones(len(leaves)), w)
         for j in range(len(leaves)):
@@ -662,7 +704,7 @@ class TestLeafBound:
         w = np.ones(1)
         dist = _exchange_distance_rows(base, lam_r, a, lam_p, w)
         low = _exchange_distance_rows(base, lam_r, np.array([[np.nextafter(rate, 0.0)]]), np.ones(1), w)
-        raised = core.leaf_partition(a, lam_p).corners
+        raised = core.leaf_partition(a, lam_p, np.arange(1)).corners
         bound = _exchange_distance_rows(base, lam_r, raised, np.ones(1), w)
         assert bound[0] <= dist[0] < low[0]
 
