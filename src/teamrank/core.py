@@ -239,11 +239,8 @@ def leaf_partition(attrs: np.ndarray, lambdas: np.ndarray, id_order: np.ndarray)
     placed = np.empty(count, dtype=np.int64)
     met = 0
     for start in range(0, n, _PIECE_ROWS):
-        chosen = positions = id_order[start : start + _PIECE_ROWS]
-        if (positions == np.arange(start, start + len(positions))).all():
-            # a piece already in row order is read where it lies, not gathered
-            chosen = slice(start, start + len(positions))
-        code = piece_codes(chosen)
+        positions = id_order[start : start + _PIECE_ROWS]
+        code = piece_codes(positions)
         order = np.argsort(code, kind="stable")
         ranked = code[order]
         # each row's place in code order: among the piece's rows of its code, after the earlier pieces' rows

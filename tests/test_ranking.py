@@ -534,8 +534,9 @@ class TestRtcStar:
         for inst in instances:
             rows = len(inst.space)
             expected = brute_force_rank(inst.team, inst.target, inst.space, inst.weights, inst.top_k)
-            # leaves of one row, of the default size and of every row
-            for leaf_rows in (1, core._LEAF_ROWS, rows):
+            # leaves of one row, of 7 rows (several multi-row leaves that tie
+            # at the k-th bound), of the default size and of every row
+            for leaf_rows in (1, 7, core._LEAF_ROWS, rows):
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(core, "_LEAF_ROWS", leaf_rows)
                     space = ObjectSpace(
@@ -572,14 +573,25 @@ class TestRtcStar:
         leaves = space.leaves()
         gap = diff(target, inst.team)
         rank = np.argsort(space.id_order())
+        ends, want = leaves.starts[1:], min(length, len(space))
         for record, count in zip(inst.team.members, scored):
-            rows, _ = _member_best(space, gap, record, inst.weights, length)
-            kth = rank[rows[-1]]
-            # whole leaves in first-rank order, short of n, that take in every
-            # leaf whose first rank is not behind the k-th pair's
-            read = int(np.searchsorted(leaves.starts, count))
-            assert leaves.starts[read] == count < len(space)
-            assert (leaves.first_ranks[read:] > kth).all()
+            # replay the pass: leaves are read in first-rank order, so rows in
+            # the order of leaves.rows, in batches of n / 256 rows growing 4x;
+            # the best k held are the k smallest ranks read, and once k are
+            # held each batch stops before the first leaf whose first rank is
+            # not below the k-th
+            held, read, done, batch = np.empty(0, dtype=np.intp), 0, 0, max(1, len(space) // 256)
+            while read < len(leaves):
+                stop = min(len(leaves), int(np.searchsorted(ends, done + batch)) + 1)
+                if len(held) == want:
+                    stop = min(stop, int(np.searchsorted(leaves.first_ranks, held[-1])))
+                    if stop <= read:
+                        break
+                held = np.sort(np.concatenate([held, rank[leaves.rows[done : ends[stop - 1]]]]))[:want]
+                read, done, batch = stop, int(ends[stop - 1]), min(4 * batch, _CHUNK_ROWS)
+            rows, dist = _member_best(space, gap, record, inst.weights, length)
+            assert not dist.any() and rank[rows].tolist() == held.tolist()
+            assert count == done < len(space)
 
     @pytest.mark.parametrize("zero_target", [False, True])
     def test_the_rows_scored_do_not_depend_on_how_many_leaves_are_sorted_first(self, monkeypatch, zero_target):
