@@ -27,9 +27,9 @@ min(k, n) each), ``fallback_members``, always empty and kept for report
 compatibility, and ``rows_scored``: the rows each member's pass scored, a
 count that depends only on the configuration. The report's top-level
 ``timing`` also records ``member_workers``: the most threads that ``bf``
-and an index build score any of the run's teams on
-(``ranking.member_workers``), so a report says how many cores its timings
-had, and ``leaf_build_s``: the one-off seconds of building the space's
+scores any of the run's teams on (``ranking.member_workers``; an index
+build's pruned pass runs on the calling thread), so a report says how
+many cores its ``bf`` timings had, and ``leaf_build_s``: the one-off seconds of building the space's
 leaf partition, timed before any team, or null for a run without
 ``rtcstar``. The JSON report carries both and the CSV report does not.
 Reports written before these fields existed lack them, and

@@ -139,22 +139,21 @@ _CORNER_ULPS = 3
 class Leaves:
     """A partition of a space's rows into leaves, each with an upper rate corner.
 
-    Leaf ``j`` holds the row positions ``rows[starts[j]:starts[j + 1]]``, in
-    ascending id order, and is never empty. ``first_ranks[j]`` is the id
-    rank of its first row, the smallest of its rows, where a row's id rank
-    is its position in ``ObjectSpace.id_order()``; leaves are numbered in
-    ascending ``first_ranks``, so a stable sort of any per-leaf key orders
-    leaves of equal key by it. ``corners[j]`` bounds the rates of
+    A row's id rank is its position in ``ObjectSpace.id_order()``. Leaf
+    ``j`` holds the rows of id ranks ``ranks[starts[j]:starts[j + 1]]``,
+    ascending, and is never empty; their row positions are
+    ``id_order()[ranks[starts[j]:starts[j + 1]]]``. Leaves are numbered in
+    ascending first (smallest) rank, so a stable sort of any per-leaf key
+    orders leaves of equal key by it. ``corners[j]`` bounds the rates of
     those rows from above in every dimension: it is the largest
     ``attrs[row, i] / lambdas[row]`` of its rows, as numpy's division rounds
-    it, raised ``_CORNER_ULPS`` ulps toward +inf. ``rows`` is int32 and
+    it, raised ``_CORNER_ULPS`` ulps toward +inf. ``ranks`` is int32 and
     ``corners`` is (leaves, d) float64. ``lambda_range`` is the smallest
     and largest exchange parameter of the space.
     """
 
-    rows: np.ndarray
+    ranks: np.ndarray
     starts: np.ndarray
-    first_ranks: np.ndarray
     corners: np.ndarray
     lambda_range: tuple[float, float]
 
@@ -173,10 +172,11 @@ def leaf_partition(attrs: np.ndarray, lambdas: np.ndarray, id_order: np.ndarray)
     dimension's split values are quantiles of a strided sample of at most
     ``_PIECE_ROWS`` rows. Rows are grouped by code in a stable counting
     sort over ``id_order``, the row positions in ascending id order, and
-    each group of c rows is cut into ceil(c / _LEAF_ROWS) leaves of
-    near-equal size, so a leaf's rows are consecutive in id order. Leaves
-    are numbered by their first row's id rank, in the order the sort meets
-    them.
+    each group of c rows is cut into p = ceil(c / _LEAF_ROWS) leaves, the
+    first c % p of them one row longer than the rest, so a leaf's rows are
+    consecutive in id order and a row's leaf follows from its place in its
+    group. Leaves are numbered by their first row's id rank, in the order
+    the sort meets them.
 
     The build reads the space in pieces of ``_PIECE_ROWS`` rows: column by
     column for the uint16 codes, which it computes twice (once to count
@@ -185,7 +185,7 @@ def leaf_partition(attrs: np.ndarray, lambdas: np.ndarray, id_order: np.ndarray)
     leaves per ``_GATHER_ROWS`` rows.
     Besides its result it holds pieces and per-code and per-leaf arrays
     only: no rate matrix (``ObjectSpace.rates`` is not called), no n-length
-    codes, ranks or int64 positions, and no copy of the space.
+    codes or int64 positions, and no copy of the space.
     """
     n, d = attrs.shape
     # the fewest bits b with 2^b * _LEAF_ROWS >= n
@@ -216,57 +216,57 @@ def leaf_partition(attrs: np.ndarray, lambdas: np.ndarray, id_order: np.ndarray)
         np.bincount(piece_codes(slice(start, start + _PIECE_ROWS)), minlength=1 << bits)
         for start in range(0, n, _PIECE_ROWS)
     )
-    slot = np.cumsum(counts) - counts
-    counts = counts[counts > 0]
-
-    # group g of c rows becomes p = ceil(c / _LEAF_ROWS) leaves: c // p rows each, one more for the first c % p
+    # the group of code g, of c rows, becomes p = ceil(c / _LEAF_ROWS) leaves
+    # in code order: q = c // p rows each, one more for the first r = c % p
     parts = -(-counts // _LEAF_ROWS)
-    group = np.repeat(np.arange(len(counts)), parts)
-    nth = np.arange(len(group)) - np.repeat(np.cumsum(parts) - parts, parts)
-    sizes = counts[group] // parts[group] + (nth < counts[group] % parts[group])
-    del group, nth
-    # the leaves' places in code order, the coordinates of slot
-    code_starts = np.cumsum(sizes) - sizes
+    first_leaf = np.cumsum(parts) - parts
+    q, r = np.divmod(counts, np.maximum(parts, 1))
+    nth = np.arange(first_leaf[-1] + parts[-1]) - np.repeat(first_leaf, parts)
+    sizes = np.repeat(q, parts) + (nth < np.repeat(r, parts))
+    del nth
 
     # the counting sort meets each leaf's rows in id order, so a leaf's
     # first row met is its smallest id rank: the leaves met earlier have
     # smaller ones and take the numbers and places before it
     count = len(sizes)
-    rows = np.empty(n, dtype=np.int32)
+    ranks = np.empty(n, dtype=np.int32)
     starts = np.zeros(count + 1, dtype=np.int64)
-    first_ranks = np.empty(count, dtype=np.int32)
-    # each code-order leaf's place in rows, once its first row is met
+    # each code-order leaf's place in ranks, once its first row is met
     placed = np.empty(count, dtype=np.int64)
+    # rows of each code placed by the earlier pieces
+    seen = np.zeros(1 << bits, dtype=np.int64)
     met = 0
     for start in range(0, n, _PIECE_ROWS):
-        positions = id_order[start : start + _PIECE_ROWS]
-        code = piece_codes(positions)
+        code = piece_codes(id_order[start : start + _PIECE_ROWS])
         order = np.argsort(code, kind="stable")
         ranked = code[order]
-        # each row's place in code order: among the piece's rows of its code, after the earlier pieces' rows
-        at = slot[ranked] + np.arange(len(ranked)) - np.searchsorted(ranked, ranked)
-        slot += np.bincount(code, minlength=1 << bits)
-        leaf = np.searchsorted(code_starts, at, side="right") - 1
+        here = np.bincount(code, minlength=1 << bits)
+        # each row's place in its code's group: after the earlier pieces' rows and the piece's earlier rows
+        at = (seen - (np.cumsum(here) - here))[ranked] + np.arange(len(ranked))
+        seen += here
+        # its leaf within the group, the largest j whose first place, j * q + min(j, r), is at most at
+        rq, rr = q[ranked], r[ranked]
+        part = np.maximum(at // (rq + 1), (at - rr) // rq)
+        at -= part * rq + np.minimum(part, rr)
+        leaf = first_leaf[ranked] + part
         # each row's place in its leaf, and the leaves whose first rows are in this piece, in id order
-        at -= code_starts[leaf]
         opens = np.nonzero(at == 0)[0]
         opens = opens[np.argsort(order[opens])]
         new = leaf[opens]
         np.cumsum(sizes[new], out=starts[met + 1 : met + 1 + len(new)])
         starts[met + 1 : met + 1 + len(new)] += starts[met]
         placed[new] = starts[met : met + len(new)]
-        first_ranks[met : met + len(new)] = start + order[opens]
         met += len(new)
         at += placed[leaf]
-        rows[at] = positions[order]
+        ranks[at] = start + order
     # dropped before the corners are allocated, so they do not add to the build's peak
-    del placed, code_starts, sizes
+    del placed, sizes
 
     corners = np.empty((count, d))
     first = 0
     while first < count:
         last = max(first + 1, int(np.searchsorted(starts, starts[first] + _GATHER_ROWS, side="right")) - 1)
-        chosen = rows[starts[first] : starts[last]]
+        chosen = id_order[ranks[starts[first] : starts[last]]]
         block = attrs[chosen]
         np.divide(block, lambdas[chosen][:, None], out=block)
         corners[first:last] = np.maximum.reduceat(block, starts[first:last] - starts[first], axis=0)
@@ -274,9 +274,8 @@ def leaf_partition(attrs: np.ndarray, lambdas: np.ndarray, id_order: np.ndarray)
     for _ in range(_CORNER_ULPS):
         np.nextafter(corners, np.inf, out=corners)
     return Leaves(
-        rows=rows,
+        ranks=ranks,
         starts=starts,
-        first_ranks=first_ranks,
         corners=corners,
         lambda_range=(float(lambdas.min()), float(lambdas.max())),
     )

@@ -32,8 +32,8 @@ A run is the L smallest keys in ``np.lexsort((ids, keys))`` order, with
 each key's own bits, so a run of length L is the first L entries of the
 full sorted run. It comes from the best-first pass over the space's leaf
 partition (``ranking.pruned_tops``), built on the space's first build and
-cached on the ``ObjectSpace``, which scores only the leaves whose
-(bound, first id rank) can reach the member's L best and returns the same rows and key bits as
+cached on the ``ObjectSpace``, which scores only the rows whose
+(bound, id rank) can reach the member's L best and returns the same rows and key bits as
 the exhaustive method's own per-member pass at k = L
 (``ranking.member_tops``; the proof is in the ``ranking`` docstring). A
 build with ``prune=False`` takes that full pass instead and builds no
@@ -48,8 +48,9 @@ with (+inf, 0xFF..F) sentinels so every block is the same size. The run
 length is not part of the fingerprint: a query for min(k, n) > L entries
 raises ``ShortIndex`` (a ``StaleIndex``), never a short list, and the caller
 rebuilds with a longer run. Rebuilding from the same configuration is
-byte-identical, on any number of threads: either pass computes runs
-one member per thread and yields them in member order. A build writes a
+byte-identical, on any number of threads: the full pass computes runs
+one member per thread, the pruned pass on the calling thread, and both
+yield them in member order. A build writes a
 temporary file in the target directory and renames it into place, so an
 interrupted build leaves no ``.idx`` file behind. A file whose header or
 size does not match, a short read, or a read entry whose ordinal is not a
@@ -274,7 +275,7 @@ def build_index(
 
     Each run is the member's ``run_length`` best entries, keys and order
     included, from the best-first pass over the space's leaves
-    (``ranking.pruned_tops``, on as many threads as ``brute_force_rank``),
+    (``ranking.pruned_tops``, on the calling thread),
     or, with ``prune=False``, from the exhaustive method's own pass
     (``ranking.member_tops``), which gives the same entries without
     building the leaves. Runs are written in member order, so the

@@ -17,8 +17,8 @@ An index build (``nnindex.build_index``, unless called with ``prune=False``)
 takes each member's run from a best-first pass over the space's leaf
 partition (``ObjectSpace.leaves``) instead: :func:`pruned_tops`, whose per-member
 pass :func:`_member_best_pruned` scores, with the same kernel and the
-same top-k, only the leaves whose (bound, first rank) can reach the
-member's best k.
+same top-k, only the rows whose (bound, rank) can reach the member's best
+k.
 ``bf`` keeps the full pass and stays the oracle. The pruned pass returns
 the full pass's rows and distance bits, so the index file is
 byte-identical, and that rests on how a leaf's bound is computed: it is
@@ -53,27 +53,35 @@ which sorts last anyway. No second kernel is involved, and a corner that
 overflows to +inf only lowers the bound.
 
 Ties at the k-th distance, usually 0, are settled by id rank: a row's
-position in ``ObjectSpace.id_order()``. ``_member_top`` orders rows by
-(distance, id); ids are unique, and ``id_order`` sorts them with the same
-numpy comparison, so (distance, id) order is (distance, rank) order. Every
-row of a leaf has a distance at least the leaf's bound and a rank at least
-the leaf's first rank (``Leaves.first_ranks``, its smallest), so
-(bound, first rank) is a lexicographic lower bound on every row of the
-leaf. The k-th (distance, rank) pair of the rows read so far is never
-ahead of the final k-th pair, so a leaf whose (bound, first rank) is not
-ahead of it holds no row that the (distance, id) order puts among the
-first k: at equality the leaf holds the k-th row itself, already read,
-and its other rows rank after it. The pass reads leaves in (bound, first
-rank) order, which a stable sort of the bounds gives because leaves are
-numbered by first rank, and stops at the first such leaf.
+position in ``ObjectSpace.id_order()``, which the leaves store for every
+row (``Leaves.ranks``). ``_member_top`` orders rows by (distance, id); ids
+are unique, and ``id_order`` sorts them with the same numpy comparison, so
+(distance, id) order is (distance, rank) order, and the pruned pass breaks
+ties by rank. Every row of a leaf has a distance at least the leaf's
+bound, so (bound, own rank) is a lexicographic lower bound on a row's
+(distance, rank) pair, and (bound, first rank), the leaf's smallest rank,
+one on every row of the leaf. The k-th (distance, rank) pair of the rows
+read so far is never ahead of the final k-th pair, so a row whose lower
+bound is not ahead of it is not among the first k in (distance, id)
+order: at equality the row is the k-th itself, already read. The pass
+first reads the leaves of the smallest bound, the run, row by row in
+ascending rank, so every unread row of the run has a lower bound of
+(smallest bound, a rank above every rank read); once k rows are held and
+the k-th distance is at most the smallest bound, the k-th rank was read,
+no unread row is ahead of the k-th pair and the pass stops. It then reads
+the other leaves in (bound, first rank) order, which a stable sort of the
+bounds gives because leaves are numbered by first rank, and stops at the
+first leaf whose (bound, first rank) is not ahead of the k-th pair.
 
 ``member_tops`` runs the members' passes on one thread each once the space
 has more than ``_SERIAL_ROWS`` rows (``_map_members``), up to the usable cores
 and up to as many passes as fit in the bytes of the space's attribute
 matrix (``member_workers``); results are yielded in member order, so the
 exhaustive result and the index file are byte-identical on any number of
-threads. The index method reads only ``top_k`` rows per member and stays on
-the calling thread.
+threads. :func:`pruned_tops` runs its passes on the calling thread: a
+pruned pass is a few small numpy calls, and on two cores two threads
+slowed it down. The index method reads only ``top_k`` rows per member and
+stays on the calling thread too.
 
 The paper's index key is kept as a reported quantity. It maps each member R
 to a *virtual object*: the rate vector that a replacement would need, per
@@ -316,7 +324,7 @@ def _member_top(dist: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
 
     The order is the first k entries of ``np.lexsort((ids, dist))``, and
     there are always min(k, n) of them: NaN distances sort last, as in
-    lexsort.
+    lexsort. ``ids`` may be the rows' id ranks instead, which order alike.
     """
     n = dist.size
     if k >= n:
@@ -420,6 +428,14 @@ _NORMAL_RATIOS = (2.0**-1021, 2.0**1023)
 # read at most 4.6 % of the rows and an elite-100k member at most 17 %
 _FIRST_SORT = 16
 
+# a pruned pass reads the R rows of its leaves of smallest bound in id-rank
+# windows, the first ceil(n * _FIRST_WINDOW_ROWS / R) ranks wide, so about
+# _FIRST_WINDOW_ROWS rows, and each 4x wider than the last. Over 12
+# dominant-1m teams of seed 7, a team's five passes took 11.6-11.8 ms with
+# 256 rows, 12.0-12.1 ms with 64 and 12.2-12.4 ms with first windows of
+# n / 1024 ranks; a five-member build over 2,000 rows took 2.4, 2.7 and 3.4 ms
+_FIRST_WINDOW_ROWS = 256
+
 
 def _member_best_pruned(
     space: ObjectSpace, gap: np.ndarray, record: ObjectRecord, w: np.ndarray, k: int
@@ -428,19 +444,26 @@ def _member_best_pruned(
 
     Each leaf's bound is the distance kernel on its corner row with an
     exchange parameter of 1, which no row of the leaf beats (see the module
-    docstring). Leaves are read in ascending (bound, first rank) order, in
-    batches of whole leaves that start at n / 256 rows and grow 4x up to
-    the kernel's block of ``_CHUNK_ROWS`` rows; each batch is gathered,
-    scored by the kernel and merged into the best k by :func:`_member_top`.
-    Once k rows are held, the pass stops before the first leaf whose
-    (bound, first rank) is not ahead of the k-th (distance, id rank) pair,
-    the rank found by one binary search of the id order. Only the leaves of
-    bound at most the (1 + leaves / ``_FIRST_SORT``)-th smallest, found by
-    ``np.partition``, are sorted at first; every bound is sorted only if a
-    batch reaches past them, so the batches, and the rows scored, are those
-    of one sort of every bound. A member for whom some lambda_r / lambda_p
-    could leave the normal range of float64 (``_NORMAL_RATIOS``) takes
-    :func:`_member_best`'s full pass instead and scores all n rows.
+    docstring). The rows are scored by the kernel in pieces, and each piece
+    is merged into the best k by :func:`_member_top`, ties broken by id rank.
+
+    The leaves of the smallest bound, the run, are read first and row by
+    row in ascending id rank: in windows of ranks [lo, hi), each one mask
+    over the run's ranks, the first wide enough to hold about
+    ``_FIRST_WINDOW_ROWS`` of its rows and each 4x wider than the last. Once k rows are held and the k-th
+    distance is at most that bound, no unread row is ahead of the k-th
+    (distance, rank) pair and the pass stops. Every other leaf is read in
+    ascending (bound, first rank) order, in batches of whole leaves that
+    start at n / 256 rows and grow 4x up to the kernel's block of
+    ``_CHUNK_ROWS`` rows; once k rows are held, the pass stops before the
+    first leaf whose (bound, first rank) is not ahead of the k-th pair.
+    Only the leaves of bound at most the (1 + leaves / ``_FIRST_SORT``)-th
+    smallest, found by ``np.partition``, are sorted at first; every bound
+    is sorted only if a batch reaches past them, so the batches, and the
+    rows scored, are those of one sort of every bound. A member for whom
+    some lambda_r / lambda_p could leave the normal range of float64
+    (``_NORMAL_RATIOS``) takes :func:`_member_best`'s full pass instead and
+    scores all n rows.
     """
     leaves = space.leaves()
     low, high = leaves.lambda_range
@@ -457,10 +480,38 @@ def _member_best_pruned(
     order = order[np.argsort(bound[order], kind="stable")]
     bounds, sizes = bound[order], np.diff(leaves.starts)[order]
     ends = np.cumsum(sizes)
-    want = min(k, len(space))
-    best_rows, best = np.empty(0, dtype=leaves.rows.dtype), np.empty(0)
-    read = done = 0
-    batch = min(max(1, len(space) // 256), _CHUNK_ROWS)
+    n, id_order = len(space), space.id_order()
+    want = min(k, n)
+    best_ranks, best = np.empty(0, dtype=leaves.ranks.dtype), np.empty(0)
+
+    def merge(ranks: np.ndarray) -> None:
+        nonlocal best_ranks, best
+        rows = id_order[ranks]
+        dist = _exchange_distance_rows(base, record.lam, space.attrs[rows], space.lambdas[rows], w)
+        ranks, dist = np.concatenate([best_ranks, ranks]), np.concatenate([best, dist])
+        chosen = _member_top(dist, ranks, k)
+        best_ranks, best = ranks[chosen], dist[chosen]
+
+    def leaf_ranks(first: int, stop: int) -> np.ndarray:
+        """The ranks of the leaves ``order[first:stop]``, leaf after leaf."""
+        count = sizes[first:stop]
+        firsts = leaves.starts[order[first:stop]] - (np.cumsum(count) - count)
+        return leaves.ranks[np.repeat(firsts, count) + np.arange(count.sum())]
+
+    # the run: every unread row of it is at least (bounds[0], lo), ahead of
+    # the k-th pair only while the k-th distance is above bounds[0] (or NaN)
+    read = int(np.searchsorted(bounds, bounds[0], side="right"))
+    run, done, lo = leaf_ranks(0, read), 0, 0
+    width = -(-n * _FIRST_WINDOW_ROWS // run.size)
+    while done < run.size:
+        if best.size == want and best[-1] <= bounds[0]:
+            return np.asarray(id_order[best_ranks], dtype=np.intp), best, done
+        window = run[(run >= lo) & (run < lo + width)]
+        if window.size:
+            merge(window)
+        done, lo, width = done + window.size, lo + width, 4 * width
+
+    batch = min(max(1, n // 256), _CHUNK_ROWS)
     while read < len(leaves):
         if ends[-1] < done + batch and len(order) < len(leaves):
             order = np.argsort(bound, kind="stable")
@@ -468,30 +519,21 @@ def _member_best_pruned(
             ends = np.cumsum(sizes)
         stop = min(len(order), int(np.searchsorted(ends, done + batch)) + 1)
         if best.size == want:
-            # leaves ahead of the k-th (distance, id rank) in (bound, first rank) order
+            # leaves ahead of the k-th (distance, rank) in (bound, first rank) order
             low = int(np.searchsorted(bounds, best[-1]))
             ties = order[low : min(stop, int(np.searchsorted(bounds, best[-1], side="right")))]
-            rank = np.searchsorted(space.ids, space.ids[best_rows[-1]], sorter=space.id_order())
-            stop = min(stop, low + int(np.searchsorted(leaves.first_ranks[ties], rank)))
+            stop = min(stop, low + int(np.searchsorted(leaves.ranks[leaves.starts[ties]], best_ranks[-1])))
             if stop <= read:
                 break
-        count = sizes[read:stop]
-        firsts = leaves.starts[order[read:stop]] - (np.cumsum(count) - count)
-        rows = leaves.rows[np.repeat(firsts, count) + np.arange(ends[stop - 1] - done)]
-        dist = _exchange_distance_rows(base, record.lam, space.attrs[rows], space.lambdas[rows], w)
-        rows, dist = np.concatenate([best_rows, rows]), np.concatenate([best, dist])
-        chosen = _member_top(dist, space.ids[rows], k)
-        best_rows, best = rows[chosen], dist[chosen]
+        merge(leaf_ranks(read, stop))
         read, done, batch = stop, int(ends[stop - 1]), min(4 * batch, _CHUNK_ROWS)
-    return best_rows.astype(np.intp), best, done
+    return np.asarray(id_order[best_ranks], dtype=np.intp), best, done
 
 
 def pruned_tops(space: ObjectSpace, team: TeamContext, target: TargetContext, w: np.ndarray, k: int) -> Iterator:
-    """Each member's :func:`_member_best_pruned` as (rows, distances, rows scored), in member order, on :func:`member_workers` threads."""
-    # built here, once, before the members' threads read it
-    space.leaves()
+    """Each member's :func:`_member_best_pruned` as (rows, distances, rows scored), in member order, on the calling thread."""
     best = partial(_member_best_pruned, space, diff(target, team), w=w, k=k)
-    return _map_members(best, team.members, len(space), space.dimension)
+    return map(best, team.members)
 
 
 def _merge_and_rank(

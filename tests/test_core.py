@@ -408,20 +408,20 @@ class TestLeafPartition:
         space = leaf_space(n, d, seed=n + d, negative=negative)
         leaves = space.leaves()
         assert leaves is space.leaves()
-        assert leaves.rows.dtype == np.int32 and leaves.corners.shape == (len(leaves), d)
+        assert leaves.ranks.dtype == np.int32 and leaves.corners.shape == (len(leaves), d)
         assert leaves.starts[0] == 0 and leaves.starts[-1] == n
         sizes = np.diff(leaves.starts)
         assert sizes.min() >= 1 and sizes.max() <= leaf_rows
-        assert sorted(leaves.rows.tolist()) == list(range(n))
+        # every id rank, a row's position in the space's id order, once
+        assert sorted(leaves.ranks.tolist()) == list(range(n))
         assert leaves.lambda_range == (space.lambdas.min(), space.lambdas.max())
         rates = space.attrs / space.lambdas[:, None]
-        # each row's id rank, its position in the space's id order
-        rank = np.argsort(space.id_order())
-        assert leaves.first_ranks.shape == (len(leaves),) and (np.diff(leaves.first_ranks) > 0).all()
+        # leaves are numbered in ascending first rank
+        assert (np.diff(leaves.ranks[leaves.starts[:-1]]) > 0).all()
         for j in range(len(leaves)):
-            rows = leaves.rows[leaves.starts[j] : leaves.starts[j + 1]]
-            assert (np.diff(rank[rows]) > 0).all()
-            assert leaves.first_ranks[j] == rank[rows].min() == rank[rows[0]]
+            ranks = leaves.ranks[leaves.starts[j] : leaves.starts[j + 1]]
+            assert (np.diff(ranks) > 0).all()
+            rows = space.id_order()[ranks]
             # the largest rate of the leaf, raised _CORNER_ULPS ulps toward +inf
             corner = rates[rows].max(axis=0)
             for _ in range(core._CORNER_ULPS):
@@ -437,7 +437,7 @@ class TestLeafPartition:
         monkeypatch.setattr(ObjectSpace, "rates", lambda self: pytest.fail("the leaf build computed rates()"))
         first = core.leaf_partition(space.attrs, space.lambdas, space.id_order())
         again = core.leaf_partition(np.ascontiguousarray(space.attrs), space.lambdas.copy(), space.id_order().copy())
-        for name in ("rows", "starts", "first_ranks", "corners"):
+        for name in ("ranks", "starts", "corners"):
             assert getattr(first, name).tobytes() == getattr(again, name).tobytes()
         # 30,000 rows: 8 split bits, so at most 256 codes of up to 128-row leaves each
         assert len(first) <= 256 + 30_000 // 128

@@ -176,22 +176,28 @@ class TestThreadedBuild:
             assert (space._leaves is not None) == prune
         assert member_workers(team, space) == min(m, cores)
 
-    def test_a_pruned_build_on_a_pool_builds_the_leaves_once(self, tmp_path, monkeypatch):
+    def test_a_pruned_build_runs_on_the_calling_thread_and_builds_the_leaves_once(self, tmp_path, monkeypatch):
+        # bf would score these members on a pool of two threads
         pretend_cores(monkeypatch, 2)
-        calls, real = [], core.leaf_partition
+        calls, threads = [], set()
+        real_partition, real_pass = core.leaf_partition, ranking._member_best_pruned
 
-        def slow_partition(*args):
+        def counted_partition(*args):
             calls.append(1)
-            # long enough for a second member's thread to ask for the leaves too
-            time.sleep(0.05)
-            return real(*args)
+            return real_partition(*args)
 
-        monkeypatch.setattr(core, "leaf_partition", slow_partition)
+        def recorded_pass(*args, **kwargs):
+            threads.add(threading.get_ident())
+            return real_pass(*args, **kwargs)
+
+        monkeypatch.setattr(core, "leaf_partition", counted_partition)
+        monkeypatch.setattr(ranking, "_member_best_pruned", recorded_pass)
         space, team, target, w = make_setup(seed=3, n=self.N, d=self.D, m=4)
         assert member_workers(team, space) == 2
         for prune, builds in ((False, 0), (True, 1), (True, 1)):
             build_index(space, team, target, w, 10, tmp_path, prune=prune).close()
             assert len(calls) == builds
+        assert threads == {threading.get_ident()}
 
     def test_interrupted_build_leaves_no_index_and_keeps_the_old_one(self, tmp_path, monkeypatch):
         pretend_cores(monkeypatch, 2)

@@ -535,10 +535,13 @@ class TestRtcStar:
             rows = len(inst.space)
             expected = brute_force_rank(inst.team, inst.target, inst.space, inst.weights, inst.top_k)
             # leaves of one row, of 7 rows (several multi-row leaves that tie
-            # at the k-th bound), of the default size and of every row
+            # at the k-th bound), of the default size and of every row; a
+            # first rank window of 1 to 5 rows, so the leaves of smallest
+            # bound are read in several windows
             for leaf_rows in (1, 7, core._LEAF_ROWS, rows):
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(core, "_LEAF_ROWS", leaf_rows)
+                    mp.setattr(ranking, "_FIRST_WINDOW_ROWS", 1 + seed % 5)
                     space = ObjectSpace(
                         inst.space.ids, inst.space.lambdas, inst.space.attrs, inst.space.attribute_names
                     )
@@ -558,40 +561,49 @@ class TestRtcStar:
                 assert scored[False] == (rows,) * inst.team.size
                 assert all(1 <= count <= rows for count in scored[True])
 
-    def test_a_team_meeting_its_target_reads_only_the_leaves_ahead_of_its_kth_pair(self, tmp_path):
-        # non-negative attributes and a zero target: every pair ties at
-        # distance 0 and every leaf's bound is 0, so the leaves are read in
-        # first-rank order and ids alone decide where each pass stops
-        inst = random_instance(6, n=600, m=4)
-        space = inst.space
-        target = TargetContext(team_id="T", aggregate=np.zeros(space.dimension))
-        expected = brute_force_rank(inst.team, target, space, inst.weights, inst.top_k)
-        assert all(r.new_distance == 0.0 for r in expected)
-        with build_index(space, inst.team, target, inst.weights, 5, tmp_path, run_length=inst.top_k) as index:
-            assert rtc_star_rank(inst.team, target, space, inst.weights, index, inst.top_k) == expected
-            length, scored = index.run_length, index.rows_scored
-        leaves = space.leaves()
+    @pytest.mark.parametrize("far", [False, True])
+    def test_tied_leaves_are_read_in_rank_order_up_to_the_kth_smallest_rank(self, monkeypatch, far):
+        # non-negative attributes. With a zero target every pair and every
+        # leaf bound is 0. With a target 1e24 above the team on the first
+        # dimension and 1e6 below it on the others, every pair and every
+        # bound is one distance above 0, the first gap, because rounding
+        # absorbs each candidate's share of it. Either way every leaf ties
+        # at the smallest bound, so each pass reads rows in rank windows, the
+        # first _FIRST_WINDOW_ROWS ranks wide
+        inst = random_instance(6, n=3000, m=4)
+        space, w, n = inst.space, inst.weights, len(inst.space)
+        aggregate = np.zeros(space.dimension)
+        if far:
+            aggregate = inst.team.aggregate - 1e6
+            aggregate[0] = inst.team.aggregate[0] + 1e24
+        target = TargetContext(team_id="T", aggregate=aggregate)
         gap = diff(target, inst.team)
-        rank = np.argsort(space.id_order())
-        ends, want = leaves.starts[1:], min(length, len(space))
-        for record, count in zip(inst.team.members, scored):
-            # replay the pass: leaves are read in first-rank order, so rows in
-            # the order of leaves.rows, in batches of n / 256 rows growing 4x;
-            # the best k held are the k smallest ranks read, and once k are
-            # held each batch stops before the first leaf whose first rank is
-            # not below the k-th
-            held, read, done, batch = np.empty(0, dtype=np.intp), 0, 0, max(1, len(space) // 256)
-            while read < len(leaves):
-                stop = min(len(leaves), int(np.searchsorted(ends, done + batch)) + 1)
-                if len(held) == want:
-                    stop = min(stop, int(np.searchsorted(leaves.first_ranks, held[-1])))
-                    if stop <= read:
-                        break
-                held = np.sort(np.concatenate([held, rank[leaves.rows[done : ends[stop - 1]]]]))[:want]
-                read, done, batch = stop, int(ends[stop - 1]), min(4 * batch, _CHUNK_ROWS)
-            rows, dist = _member_best(space, gap, record, inst.weights, length)
-            assert not dist.any() and rank[rows].tolist() == held.tolist()
-            assert count == done < len(space)
+        leaves = space.leaves()
+        read, real_top = [], ranking._member_top
+
+        def recording_top(dist, ties, k):
+            read.append(ties)
+            return real_top(dist, ties, k)
+
+        for record in inst.team.members:
+            bound = _exchange_distance_rows(gap + record.attrs, record.lam, leaves.corners, np.ones(len(leaves)), w)
+            for k in (1, 10, 300):
+                full_rows, full = _member_best(space, gap, record, w, k)
+                with monkeypatch.context() as mp:
+                    mp.setattr(ranking, "_member_top", recording_top)
+                    read.clear()
+                    rows, dist, scored = _member_best_pruned(space, gap, record, w, k)
+                assert rows.tolist() == full_rows.tolist() and dist.tobytes() == full.tobytes()
+                # the run's bound is the k-th distance, 0 or above it
+                assert (bound == dist[-1]).all() and (dist == dist[-1]).all() and (dist[-1] > 0) == far
+                # the k smallest ranks, held once the windows [0, end) cover k ranks
+                assert rows.tolist() == space.id_order()[:k].tolist()
+                width = end = ranking._FIRST_WINDOW_ROWS
+                while end < k:
+                    width *= 4
+                    end += width
+                assert scored == end < n
+                assert sorted(set(np.concatenate(read).tolist())) == list(range(end))
 
     @pytest.mark.parametrize("zero_target", [False, True])
     def test_the_rows_scored_do_not_depend_on_how_many_leaves_are_sorted_first(self, monkeypatch, zero_target):
@@ -632,7 +644,7 @@ class TestRtcStar:
             bound = _exchange_distance_rows(gap + record.attrs, record.lam, leaves.corners, np.ones(len(leaves)), w)
             rows, best, scored = _member_best_pruned(space, gap, record, w, 1)
             full_rows, full = _member_best(space, gap, record, w, 1)
-        leaf_of = {int(row): j for j, row in enumerate(leaves.rows)}
+        leaf_of = {int(row): j for j, row in enumerate(space.id_order()[leaves.ranks])}
         assert dist[2] == 0.0 < dist[3] < bound[leaf_of[2]]
         assert scored == 4 and rows.tolist() == full_rows.tolist() == [2] and best.tobytes() == full.tobytes()
         # a member whose ratios stay in range is pruned as usual, to the same answer
@@ -702,8 +714,9 @@ class TestLeafBound:
             leaves = core.leaf_partition(np.asfortranarray(attrs), lambdas, np.arange(n))
             dist = _exchange_distance_rows(base, lam_r, attrs, lambdas, w)
             bound = _exchange_distance_rows(base, lam_r, leaves.corners, np.ones(len(leaves)), w)
+        # the id order is the row order, so a row's id rank is its position
         for j in range(len(leaves)):
-            rows = leaves.rows[leaves.starts[j] : leaves.starts[j + 1]]
+            rows = leaves.ranks[leaves.starts[j] : leaves.starts[j + 1]]
             assert not (bound[j] > dist[rows]).any(), (j, bound[j], dist[rows])
 
     def test_the_bound_of_a_corner_one_ulp_low_can_exceed_a_row(self):
