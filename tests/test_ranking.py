@@ -22,6 +22,8 @@ from teamrank.core import (
     truncating_vector,
 )
 from teamrank import core, ranking
+from teamrank.bench import dominant_target, target_from_elite
+from teamrank.dataio import NbParams, gen_synthetic
 from teamrank.errors import DimensionMismatch, InvalidArgument, NotAMember, StaleIndex
 from teamrank.nnindex import build_index, index_path
 from teamrank.ranking import (
@@ -523,8 +525,14 @@ class TestRtcStar:
         shuffled = dataclasses.replace(tied, space=space, team=team_from_ids(space, members, team_id="C"))
         # a zero target over those counts ties every pair at distance 0, so ids alone pick the answer
         zero = TargetContext(team_id="T", aggregate=np.zeros(shuffled.space.dimension))
+        plain = random_instance(seed, n=n)
+        # a far target, the team's own aggregate x 3, which one swap cannot
+        # reach: a member's k-th distance is above 0 (for 11,947 of the
+        # 12,084 members of seeds 0, 7, ..., 10,000)
+        far = TargetContext(team_id="T", aggregate=plain.team.aggregate * 3)
         instances = (
-            random_instance(seed, n=n),
+            plain,
+            dataclasses.replace(plain, target=far),
             random_instance(seed, n=n, negative=True),
             tied,
             shuffled,
@@ -623,6 +631,49 @@ class TestRtcStar:
         for other in passes[1:]:
             for (rows, dist, scored), (rows2, dist2, scored2) in zip(passes[0], other):
                 assert (rows.tolist(), dist.tobytes(), scored) == (rows2.tolist(), dist2.tobytes(), scored2)
+
+    # computed before the leaf build's placing pass became a plain counting
+    # sort by code: each team's rows scored per member, k = 10, unit weights
+    ROWS_SCORED = {
+        "dominant": [
+            (2309, 242, 1043, 1043, 268),
+            (1624, 1914, 254, 1270, 2757),
+            (1347, 1654, 282, 6761, 2147),
+            (1262, 1263, 1071, 1488, 3200),
+        ],
+        "far": [
+            (11356, 8473, 10836, 11614, 10154),
+            (9869, 10882, 9474, 8965, 9827),
+            (11523, 10996, 10093, 11268, 11424),
+            (9474, 9577, 10358, 11558, 10766),
+        ],
+        "elite": [
+            (2902, 251, 1335, 3152, 290),
+            (258, 4508, 252, 253, 1312),
+            (263, 1236, 236, 3971, 2153),
+            (237, 1265, 1265, 2118, 1275),
+        ],
+    }
+
+    @pytest.mark.parametrize("mode", ["dominant", "far", "elite"])
+    def test_rows_scored_are_pinned(self, tmp_path, mode):
+        # the benchmark's target modes over a 30,011-row space: dominant at
+        # the team's own aggregate x 1.1 and far at x 3, and elite at the
+        # nearest of 10 seeded teams' aggregates x 1.1
+        space = gen_synthetic({f"a{j}": NbParams(1.2, 0.05) for j in range(11)}, count=30_011, seed=22)
+        rng = np.random.default_rng(22)
+        draw = lambda: rng.choice(space.ids, size=5, replace=False)  # noqa: E731
+        teams = [team_from_ids(space, draw(), team_id=f"t{i}") for i in range(4)]
+        elite = [TargetContext(team_id=f"e{j}", aggregate=team_from_ids(space, draw()).aggregate * 1.1) for j in range(10)]
+        w, scored = np.ones(11), []
+        for team in teams:
+            if mode == "elite":
+                target = target_from_elite(team, elite, w)[1]
+            else:
+                target = dominant_target(team, 0.1 if mode == "dominant" else 2.0)
+            with build_index(space, team, target, w, 10, tmp_path, run_length=10) as index:
+                scored.append(index.rows_scored)
+        assert scored == self.ROWS_SCORED[mode]
 
     def test_a_member_whose_lambda_ratios_leave_the_normal_range_takes_the_full_pass(self, monkeypatch):
         # lambda_r / lambda_p overflows to inf for row c, so its product with
