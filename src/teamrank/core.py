@@ -140,20 +140,23 @@ class Leaves:
     """A partition of a space's rows into leaves, each with an upper rate corner.
 
     A row's id rank is its position in ``ObjectSpace.id_order()``. Leaf
-    ``j`` holds the rows of id ranks ``ranks[starts[j]:starts[j + 1]]``,
+    ``j`` holds the rows of id ranks ``ranks[starts[j]:starts[j] + sizes[j]]``,
     ascending, and is never empty; their row positions are
-    ``id_order()[ranks[starts[j]:starts[j + 1]]]``. Leaves are numbered in
-    ascending first (smallest) rank, so a stable sort of any per-leaf key
-    orders leaves of equal key by it. ``corners[j]`` bounds the rates of
-    those rows from above in every dimension: it is the largest
+    ``id_order()[ranks[starts[j]:starts[j] + sizes[j]]]``. Leaves are
+    numbered in ascending first (smallest) rank, so a stable sort of any
+    per-leaf key orders leaves of equal key by it; ``ranks`` itself holds
+    them in the build's code order, not in that one. ``corners[j]`` bounds
+    the rates of those rows from above in every dimension: it is the largest
     ``attrs[row, i] / lambdas[row]`` of its rows, as numpy's division rounds
-    it, raised ``_CORNER_ULPS`` ulps toward +inf. ``ranks`` is int32 and
-    ``corners`` is (leaves, d) float64. ``lambda_range`` is the smallest
-    and largest exchange parameter of the space.
+    it, raised ``_CORNER_ULPS`` ulps toward +inf. ``ranks`` is int32,
+    ``starts`` and ``sizes`` int64 and ``corners`` (leaves, d) float64.
+    ``lambda_range`` is the smallest and largest exchange parameter of the
+    space.
     """
 
     ranks: np.ndarray
     starts: np.ndarray
+    sizes: np.ndarray
     corners: np.ndarray
     lambda_range: tuple[float, float]
 
@@ -168,15 +171,14 @@ def leaf_partition(attrs: np.ndarray, lambdas: np.ndarray, id_order: np.ndarray)
     bits on its rates, dealt to the dimensions in turn: b <= d gives the
     first b dimensions one bit (a median split) each, d < b <= 2d gives
     every dimension one and the first b - d a second (quartiles), and so
-    on. A
-    dimension's split values are quantiles of a strided sample of at most
-    ``_PIECE_ROWS`` rows. Rows are grouped by code in a stable counting
-    sort over ``id_order``, the row positions in ascending id order, and
-    each group of c rows is cut into p = ceil(c / _LEAF_ROWS) leaves, the
-    first c % p of them one row longer than the rest, so a leaf's rows are
-    consecutive in id order and a row's leaf follows from its place in its
-    group. Leaves are numbered by their first row's id rank, in the order
-    the sort meets them.
+    on. A dimension's split values are quantiles of a strided sample of at
+    most ``_PIECE_ROWS`` rows. A stable counting sort by code over
+    ``id_order``, the row positions in ascending id order, writes the id
+    ranks grouped by code, ascending within a group, and each group of c
+    ranks is cut into p = ceil(c / _LEAF_ROWS) consecutive leaves, the first
+    c % p of them one rank longer than the rest. Leaves are numbered by one
+    argsort of their first ranks, and each corner is written to its leaf's
+    number.
 
     The build reads the space in pieces of ``_PIECE_ROWS`` rows: column by
     column for the uint16 codes, which it computes twice (once to count
@@ -219,63 +221,48 @@ def leaf_partition(attrs: np.ndarray, lambdas: np.ndarray, id_order: np.ndarray)
     # the group of code g, of c rows, becomes p = ceil(c / _LEAF_ROWS) leaves
     # in code order: q = c // p rows each, one more for the first r = c % p
     parts = -(-counts // _LEAF_ROWS)
-    first_leaf = np.cumsum(parts) - parts
     q, r = np.divmod(counts, np.maximum(parts, 1))
-    nth = np.arange(first_leaf[-1] + parts[-1]) - np.repeat(first_leaf, parts)
+    nth = np.arange(parts.sum()) - np.repeat(np.cumsum(parts) - parts, parts)
     sizes = np.repeat(q, parts) + (nth < np.repeat(r, parts))
     del nth
 
-    # the counting sort meets each leaf's rows in id order, so a leaf's
-    # first row met is its smallest id rank: the leaves met earlier have
-    # smaller ones and take the numbers and places before it
-    count = len(sizes)
+    # a stable counting sort by code over the id order: each piece's rows go
+    # to their code's next free places, so ranks holds the groups in code
+    # order, each in ascending id rank, and a code-order leaf is a segment
     ranks = np.empty(n, dtype=np.int32)
-    starts = np.zeros(count + 1, dtype=np.int64)
-    # each code-order leaf's place in ranks, once its first row is met
-    placed = np.empty(count, dtype=np.int64)
-    # rows of each code placed by the earlier pieces
-    seen = np.zeros(1 << bits, dtype=np.int64)
-    met = 0
+    free = np.cumsum(counts) - counts
     for start in range(0, n, _PIECE_ROWS):
         code = piece_codes(id_order[start : start + _PIECE_ROWS])
         order = np.argsort(code, kind="stable")
-        ranked = code[order]
         here = np.bincount(code, minlength=1 << bits)
-        # each row's place in its code's group: after the earlier pieces' rows and the piece's earlier rows
-        at = (seen - (np.cumsum(here) - here))[ranked] + np.arange(len(ranked))
-        seen += here
-        # its leaf within the group, the largest j whose first place, j * q + min(j, r), is at most at
-        rq, rr = q[ranked], r[ranked]
-        part = np.maximum(at // (rq + 1), (at - rr) // rq)
-        at -= part * rq + np.minimum(part, rr)
-        leaf = first_leaf[ranked] + part
-        # each row's place in its leaf, and the leaves whose first rows are in this piece, in id order
-        opens = np.nonzero(at == 0)[0]
-        opens = opens[np.argsort(order[opens])]
-        new = leaf[opens]
-        np.cumsum(sizes[new], out=starts[met + 1 : met + 1 + len(new)])
-        starts[met + 1 : met + 1 + len(new)] += starts[met]
-        placed[new] = starts[met : met + len(new)]
-        met += len(new)
-        at += placed[leaf]
-        ranks[at] = start + order
-    # dropped before the corners are allocated, so they do not add to the build's peak
-    del placed, sizes
+        # a row's place: its code's next free place, plus its place among the piece's rows of that code
+        at = free - (np.cumsum(here) - here)
+        ranks[at[code[order]] + np.arange(len(order))] = start + order
+        free += here
+    # dropped before the corners are allocated, so it does not add to the build's peak
+    del free
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    # leaf j is the code-order leaf order[j]: leaves are numbered by first rank
+    order = np.argsort(ranks[starts])
+    number = np.empty_like(order)
+    number[order] = np.arange(len(order))
 
-    corners = np.empty((count, d))
+    corners = np.empty((len(order), d))
     first = 0
-    while first < count:
-        last = max(first + 1, int(np.searchsorted(starts, starts[first] + _GATHER_ROWS, side="right")) - 1)
-        chosen = id_order[ranks[starts[first] : starts[last]]]
+    while first < len(order):
+        last = max(first + 1, int(np.searchsorted(ends, starts[first] + _GATHER_ROWS, side="right")))
+        chosen = id_order[ranks[starts[first] : ends[last - 1]]]
         block = attrs[chosen]
         np.divide(block, lambdas[chosen][:, None], out=block)
-        corners[first:last] = np.maximum.reduceat(block, starts[first:last] - starts[first], axis=0)
+        corners[number[first:last]] = np.maximum.reduceat(block, starts[first:last] - starts[first], axis=0)
         first = last
     for _ in range(_CORNER_ULPS):
         np.nextafter(corners, np.inf, out=corners)
     return Leaves(
         ranks=ranks,
-        starts=starts,
+        starts=starts[order],
+        sizes=sizes[order],
         corners=corners,
         lambda_range=(float(lambdas.min()), float(lambdas.max())),
     )

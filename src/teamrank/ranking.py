@@ -54,7 +54,9 @@ overflows to +inf only lowers the bound.
 
 Ties at the k-th distance, usually 0, are settled by id rank: a row's
 position in ``ObjectSpace.id_order()``, which the leaves store for every
-row (``Leaves.ranks``). ``_member_top`` orders rows by (distance, id); ids
+row: leaf j's ranks, ascending, are ``Leaves.ranks[starts[j]:starts[j] +
+sizes[j]]``, so its first rank is ``ranks[starts[j]]``, and a pass reads
+a leaf's rows as that slice. ``_member_top`` orders rows by (distance, id); ids
 are unique, and ``id_order`` sorts them with the same numpy comparison, so
 (distance, id) order is (distance, rank) order, and the pruned pass breaks
 ties by rank. Every row of a leaf has a distance at least the leaf's
@@ -478,7 +480,7 @@ def _member_best_pruned(
     few = len(leaves) // _FIRST_SORT
     order = np.nonzero(bound <= np.partition(bound, few)[few])[0]
     order = order[np.argsort(bound[order], kind="stable")]
-    bounds, sizes = bound[order], np.diff(leaves.starts)[order]
+    bounds, sizes = bound[order], leaves.sizes[order]
     ends = np.cumsum(sizes)
     n, id_order = len(space), space.id_order()
     want = min(k, n)
@@ -515,7 +517,7 @@ def _member_best_pruned(
     while read < len(leaves):
         if ends[-1] < done + batch and len(order) < len(leaves):
             order = np.argsort(bound, kind="stable")
-            bounds, sizes = bound[order], np.diff(leaves.starts)[order]
+            bounds, sizes = bound[order], leaves.sizes[order]
             ends = np.cumsum(sizes)
         stop = min(len(order), int(np.searchsorted(ends, done + batch)) + 1)
         if best.size == want:

@@ -412,17 +412,18 @@ class TestLeafPartition:
         leaves = space.leaves()
         assert leaves is space.leaves()
         assert leaves.ranks.dtype == np.int32 and leaves.corners.shape == (len(leaves), d)
-        assert leaves.starts[0] == 0 and leaves.starts[-1] == n
-        sizes = np.diff(leaves.starts)
-        assert sizes.min() >= 1 and sizes.max() <= leaf_rows
-        # every id rank, a row's position in the space's id order, once
+        assert leaves.starts.shape == leaves.sizes.shape == (len(leaves),)
+        assert leaves.sizes.min() >= 1 and leaves.sizes.max() <= leaf_rows
+        # every id rank, a row's position in the space's id order, once, in the leaves' segments
         assert sorted(leaves.ranks.tolist()) == list(range(n))
+        held = np.concatenate([leaves.ranks[s : s + size] for s, size in zip(leaves.starts, leaves.sizes)])
+        assert sorted(held.tolist()) == list(range(n))
         assert leaves.lambda_range == (space.lambdas.min(), space.lambdas.max())
         rates = space.attrs / space.lambdas[:, None]
         # leaves are numbered in ascending first rank
-        assert (np.diff(leaves.ranks[leaves.starts[:-1]]) > 0).all()
+        assert (np.diff(leaves.ranks[leaves.starts]) > 0).all()
         for j in range(len(leaves)):
-            ranks = leaves.ranks[leaves.starts[j] : leaves.starts[j + 1]]
+            ranks = leaves.ranks[leaves.starts[j] : leaves.starts[j] + leaves.sizes[j]]
             assert (np.diff(ranks) > 0).all()
             rows = space.id_order()[ranks]
             # the largest rate of the leaf, raised _CORNER_ULPS ulps toward +inf
@@ -440,7 +441,7 @@ class TestLeafPartition:
         monkeypatch.setattr(ObjectSpace, "rates", lambda self: pytest.fail("the leaf build computed rates()"))
         first = core.leaf_partition(space.attrs, space.lambdas, space.id_order())
         again = core.leaf_partition(np.ascontiguousarray(space.attrs), space.lambdas.copy(), space.id_order().copy())
-        for name in ("ranks", "starts", "corners"):
+        for name in ("ranks", "starts", "sizes", "corners"):
             assert getattr(first, name).tobytes() == getattr(again, name).tobytes()
         # 30,000 rows: 8 split bits, so at most 256 codes of up to 128-row leaves each
         assert len(first) <= 256 + 30_000 // 128
@@ -470,7 +471,7 @@ class TestLeafPartition:
         assert len(leaves) == 345
         ranks = hashlib.sha256()
         for j in range(len(leaves)):
-            leaf = leaves.ranks[leaves.starts[j] : leaves.starts[j + 1]]
+            leaf = leaves.ranks[leaves.starts[j] : leaves.starts[j] + leaves.sizes[j]]
             ranks.update(np.int32(len(leaf)).tobytes())
             ranks.update(leaf.tobytes())
         assert (ranks.hexdigest(), hashlib.sha256(leaves.corners.tobytes()).hexdigest()) == self.PINNED[shuffled]

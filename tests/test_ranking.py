@@ -695,7 +695,8 @@ class TestRtcStar:
             bound = _exchange_distance_rows(gap + record.attrs, record.lam, leaves.corners, np.ones(len(leaves)), w)
             rows, best, scored = _member_best_pruned(space, gap, record, w, 1)
             full_rows, full = _member_best(space, gap, record, w, 1)
-        leaf_of = {int(row): j for j, row in enumerate(space.id_order()[leaves.ranks])}
+        # one row a leaf
+        leaf_of = {int(row): j for j, row in enumerate(space.id_order()[leaves.ranks[leaves.starts]])}
         assert dist[2] == 0.0 < dist[3] < bound[leaf_of[2]]
         assert scored == 4 and rows.tolist() == full_rows.tolist() == [2] and best.tobytes() == full.tobytes()
         # a member whose ratios stay in range is pruned as usual, to the same answer
@@ -767,7 +768,7 @@ class TestLeafBound:
             bound = _exchange_distance_rows(base, lam_r, leaves.corners, np.ones(len(leaves)), w)
         # the id order is the row order, so a row's id rank is its position
         for j in range(len(leaves)):
-            rows = leaves.ranks[leaves.starts[j] : leaves.starts[j + 1]]
+            rows = leaves.ranks[leaves.starts[j] : leaves.starts[j] + leaves.sizes[j]]
             assert not (bound[j] > dist[rows]).any(), (j, bound[j], dist[rows])
 
     def test_the_bound_of_a_corner_one_ulp_low_can_exceed_a_row(self):
