@@ -144,14 +144,14 @@ class Leaves:
     ascending, and is never empty; their row positions are
     ``id_order()[ranks[starts[j]:starts[j] + sizes[j]]]``. Leaves are
     numbered in ascending first (smallest) rank, so a stable sort of any
-    per-leaf key orders leaves of equal key by it; ``ranks`` itself holds
-    them in the build's code order, not in that one. ``corners[j]`` bounds
-    the rates of those rows from above in every dimension: it is the largest
-    ``attrs[row, i] / lambdas[row]`` of its rows, as numpy's division rounds
-    it, raised ``_CORNER_ULPS`` ulps toward +inf. ``ranks`` is int32,
-    ``starts`` and ``sizes`` int64 and ``corners`` (leaves, d) float64.
-    ``lambda_range`` is the smallest and largest exchange parameter of the
-    space.
+    per-leaf key orders leaves of equal key by it; ``ranks`` lists the
+    leaves in the build's code order, not by number. ``corners[j]`` bounds
+    the rates of those rows from above in every dimension: it is the
+    largest ``attrs[row, i] / lambdas[row]`` of its rows, as numpy's
+    division rounds it, raised ``_CORNER_ULPS`` ulps toward +inf.
+    ``ranks`` is int32, ``starts`` and ``sizes`` int64 and ``corners``
+    (leaves, d) float64. ``lambda_range`` is the smallest and largest
+    exchange parameter of the space.
     """
 
     ranks: np.ndarray

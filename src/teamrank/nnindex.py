@@ -38,9 +38,10 @@ the exhaustive method's own per-member pass at k = L
 (``ranking.member_tops``; the proof is in the ``ranking`` docstring). A
 build with ``prune=False`` takes that full pass instead and builds no
 leaves. The CLI builds so: a command answers one configuration, and on a
-fresh space one build that built the leaves took 0.036 s against the full
-pass's 0.018 s at 1e5 rows, and 0.43 s against 0.13 s at 1.07e6 (2 vCPUs,
-medians of 10). Either way the file holds the same bytes;
+fresh space one build that built the leaves took 36-59 ms against the full
+pass's 17-24 ms at 1e5 rows, and 0.45-0.48 s against 0.14-0.15 s at
+1.07e6 (11 dimensions, elite targets, 2 vCPUs; medians over 30 teams of
+5, each range over seeds). Either way the file holds the same bytes;
 ``NnIndex.rows_scored`` gives the rows each
 member's pass scored. L is whole blocks, or all n entries; only
 a run of all n entries can end inside a block, and its final block is padded

@@ -56,8 +56,8 @@ Ties at the k-th distance, usually 0, are settled by id rank: a row's
 position in ``ObjectSpace.id_order()``, which the leaves store for every
 row: leaf j's ranks, ascending, are ``Leaves.ranks[starts[j]:starts[j] +
 sizes[j]]``, so its first rank is ``ranks[starts[j]]``, and a pass reads
-a leaf's rows as that slice. ``_member_top`` orders rows by (distance, id); ids
-are unique, and ``id_order`` sorts them with the same numpy comparison, so
+a leaf's rows as that slice. ``_member_top`` orders rows by (distance,
+id); ids are unique, and ``id_order`` sorts them with the same numpy comparison, so
 (distance, id) order is (distance, rank) order, and the pruned pass breaks
 ties by rank. Every row of a leaf has a distance at least the leaf's
 bound, so (bound, own rank) is a lexicographic lower bound on a row's

@@ -478,7 +478,7 @@ class TestLeafPartition:
 
     def test_the_build_holds_at_most_four_bytes_a_row_beyond_its_result(self):
         # half of one n-length int64 array: the build's pieces and per-code
-        # and per-leaf arrays, 0.52 MiB here against a bound of 1.9 MiB
+        # and per-leaf arrays, about 0.55 MiB here against a bound of 1.9 MiB
         n = 500_000
         rng = np.random.default_rng(5)
         attrs = np.asfortranarray(rng.negative_binomial(1.2, 0.05, size=(n, 11)).astype(float))
