@@ -149,8 +149,16 @@ class Leaves:
     the rates of those rows from above in every dimension: it is the
     largest ``attrs[row, i] / lambdas[row]`` of its rows, as numpy's
     division rounds it, raised ``_CORNER_ULPS`` ulps toward +inf.
-    ``ranks`` is int32, ``starts`` and ``sizes`` int64 and ``corners``
-    (leaves, d) float64. ``lambda_range`` is the smallest and largest
+
+    ``attrs`` and ``lambdas`` are the leaves' store: every row's attributes
+    and exchange parameter in the code order of ``ranks``, so store row p
+    is the space's row ``id_order()[ranks[p]]``, bit for bit (values, not
+    rates), and leaf ``j`` is the contiguous store rows
+    ``starts[j]:starts[j] + sizes[j]``.
+
+    ``ranks`` is int32, ``starts`` and ``sizes`` int64, ``corners``
+    (leaves, d) float64, ``attrs`` a row-major (n, d) float64 array and
+    ``lambdas`` n float64s. ``lambda_range`` is the smallest and largest
     exchange parameter of the space.
     """
 
@@ -158,6 +166,8 @@ class Leaves:
     starts: np.ndarray
     sizes: np.ndarray
     corners: np.ndarray
+    attrs: np.ndarray
+    lambdas: np.ndarray
     lambda_range: tuple[float, float]
 
     def __len__(self) -> int:
@@ -178,16 +188,18 @@ def leaf_partition(attrs: np.ndarray, lambdas: np.ndarray, id_order: np.ndarray)
     ranks is cut into p = ceil(c / _LEAF_ROWS) consecutive leaves, the first
     c % p of them one rank longer than the rest. Leaves are numbered by one
     argsort of their first ranks, and each corner is written to its leaf's
-    number.
+    number. The store is filled from the corner pass's own gathers, each
+    written to its code-order positions before it is divided into rates.
 
     The build reads the space in pieces of ``_PIECE_ROWS`` rows: column by
     column for the uint16 codes, which it computes twice (once to count
     each code over row-order pieces, once to place each row over id-order
-    pieces) rather than hold, and for the corners one gather of whole
-    leaves per ``_GATHER_ROWS`` rows.
-    Besides its result it holds pieces and per-code and per-leaf arrays
-    only: no rate matrix (``ObjectSpace.rates`` is not called), no n-length
-    codes or int64 positions, and no copy of the space.
+    pieces) rather than hold, and for the corners and the store one gather
+    of whole leaves per ``_GATHER_ROWS`` rows.
+    Besides its result, whose store is n * (d + 1) float64s, it holds
+    pieces and per-code and per-leaf arrays only: no rate matrix
+    (``ObjectSpace.rates`` is not called), no n-length codes or int64
+    positions, and no second copy of the space.
     """
     n, d = attrs.shape
     # the fewest bits b with 2^b * _LEAF_ROWS >= n
@@ -249,12 +261,17 @@ def leaf_partition(attrs: np.ndarray, lambdas: np.ndarray, id_order: np.ndarray)
     number[order] = np.arange(len(order))
 
     corners = np.empty((len(order), d))
+    store, store_lambdas = np.empty((n, d)), np.empty(n)
     first = 0
     while first < len(order):
         last = max(first + 1, int(np.searchsorted(ends, starts[first] + _GATHER_ROWS, side="right")))
-        chosen = id_order[ranks[starts[first] : ends[last - 1]]]
+        at = slice(starts[first], ends[last - 1])
+        chosen = id_order[ranks[at]]
         block = attrs[chosen]
-        np.divide(block, lambdas[chosen][:, None], out=block)
+        # the store takes the gather as the space holds it, before it becomes rates
+        store[at] = block
+        store_lambdas[at] = lambdas[chosen]
+        np.divide(block, store_lambdas[at, None], out=block)
         corners[number[first:last]] = np.maximum.reduceat(block, starts[first:last] - starts[first], axis=0)
         first = last
     for _ in range(_CORNER_ULPS):
@@ -264,6 +281,8 @@ def leaf_partition(attrs: np.ndarray, lambdas: np.ndarray, id_order: np.ndarray)
         starts=starts[order],
         sizes=sizes[order],
         corners=corners,
+        attrs=store,
+        lambdas=store_lambdas,
         lambda_range=(float(lambdas.min()), float(lambdas.max())),
     )
 
@@ -285,10 +304,12 @@ class ObjectSpace:
     Treated as immutable after construction. The constructor sorts the row
     positions by id once (``id_order``) and proves the ids unique with one
     comparison of neighbouring ids in that order; ``index_of`` and ``in``
-    binary-search the same order. The rate matrix (attributes divided by
-    each record's exchange parameter), per-dimension rate minima, the
-    content digest and the leaf partition (:meth:`leaves`) are computed
-    lazily and cached.
+    binary-search the same order. The per-dimension rate minima, the
+    content digest and the leaf partition (:meth:`leaves`, whose store
+    holds a code-order copy of the rows) are computed lazily and cached.
+    The rate matrix (:meth:`rates`, attributes divided by each record's
+    exchange parameter) is not: no ranking path reads it, and each call
+    computes a new one.
 
     ``id_order`` and ``digest``, when given, are those of an earlier space
     over the same arrays, such as a stored snapshot's. ``id_order`` is
@@ -324,7 +345,6 @@ class ObjectSpace:
         if not np.all(np.isfinite(self.attrs)):
             raise InvalidArgument("attribute matrix contains non-finite values")
 
-        self._rates: np.ndarray | None = None
         self._min_rates: np.ndarray | None = None
         self._digest: str | None = digest
         self._leaves: Leaves | None = None
@@ -394,14 +414,16 @@ class ObjectSpace:
         return self._row_of(object_id) is not None
 
     def rates(self) -> np.ndarray:
-        """Attribute matrix divided row-wise by each record's exchange parameter."""
-        if self._rates is None:
-            self._rates = self.attrs / self.lambdas[:, None]
-        return self._rates
+        """Attribute matrix divided row-wise by each record's exchange parameter, computed afresh on each call."""
+        return self.attrs / self.lambdas[:, None]
 
     def min_rates(self) -> np.ndarray:
+        """Each dimension's smallest rate, computed one column at a time and cached: ``rates().min(axis=0)``."""
         if self._min_rates is None:
-            self._min_rates = self.rates().min(axis=0)
+            column = np.empty(len(self))
+            self._min_rates = np.array(
+                [np.divide(self.attrs[:, j], self.lambdas, out=column).min() for j in range(self.dimension)]
+            )
         return self._min_rates
 
     def leaves(self) -> Leaves:

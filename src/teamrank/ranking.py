@@ -55,9 +55,13 @@ overflows to +inf only lowers the bound.
 Ties at the k-th distance, usually 0, are settled by id rank: a row's
 position in ``ObjectSpace.id_order()``, which the leaves store for every
 row: leaf j's ranks, ascending, are ``Leaves.ranks[starts[j]:starts[j] +
-sizes[j]]``, so its first rank is ``ranks[starts[j]]``, and a pass reads
-a leaf's rows as that slice. ``_member_top`` orders rows by (distance,
-id); ids are unique, and ``id_order`` sorts them with the same numpy comparison, so
+sizes[j]]``, so its first rank is ``ranks[starts[j]]``. A pass reads a
+leaf's rows from the same slice of the leaves' store (``Leaves.attrs``
+and ``Leaves.lambdas``, every row's values in the code order of
+``ranks``), not from the space, and only the k ranks it returns go
+through ``id_order`` to become row positions. ``_member_top`` orders
+rows by (distance, id); ids are unique, and ``id_order`` sorts them with
+the same numpy comparison, so
 (distance, id) order is (distance, rank) order, and the pruned pass breaks
 ties by rank. Every row of a leaf has a distance at least the leaf's
 bound, so (bound, own rank) is a lexicographic lower bound on a row's
@@ -448,6 +452,11 @@ def _member_best_pruned(
     exchange parameter of 1, which no row of the leaf beats (see the module
     docstring). The rows are scored by the kernel in pieces, and each piece
     is merged into the best k by :func:`_member_top`, ties broken by id rank.
+    The pass works in positions of the leaves' store (``Leaves.attrs`` and
+    ``Leaves.lambdas``), where each leaf is one contiguous slice: a piece
+    gathers its rows' values from the store and their id ranks from
+    ``Leaves.ranks`` at the same positions, and only the final k ranks are
+    turned into row positions through ``id_order``.
 
     The leaves of the smallest bound, the run, are read first and row by
     row in ascending id rank: in windows of ranks [lo, hi), each one mask
@@ -486,29 +495,30 @@ def _member_best_pruned(
     want = min(k, n)
     best_ranks, best = np.empty(0, dtype=leaves.ranks.dtype), np.empty(0)
 
-    def merge(ranks: np.ndarray) -> None:
+    def merge(at: np.ndarray) -> None:
+        """Score the store rows ``at`` into the best k."""
         nonlocal best_ranks, best
-        rows = id_order[ranks]
-        dist = _exchange_distance_rows(base, record.lam, space.attrs[rows], space.lambdas[rows], w)
-        ranks, dist = np.concatenate([best_ranks, ranks]), np.concatenate([best, dist])
+        dist = _exchange_distance_rows(base, record.lam, leaves.attrs[at], leaves.lambdas[at], w)
+        ranks, dist = np.concatenate([best_ranks, leaves.ranks[at]]), np.concatenate([best, dist])
         chosen = _member_top(dist, ranks, k)
         best_ranks, best = ranks[chosen], dist[chosen]
 
-    def leaf_ranks(first: int, stop: int) -> np.ndarray:
-        """The ranks of the leaves ``order[first:stop]``, leaf after leaf."""
+    def leaf_positions(first: int, stop: int) -> np.ndarray:
+        """The store positions of the leaves ``order[first:stop]``, leaf after leaf, each a run of consecutive ones."""
         count = sizes[first:stop]
         firsts = leaves.starts[order[first:stop]] - (np.cumsum(count) - count)
-        return leaves.ranks[np.repeat(firsts, count) + np.arange(count.sum())]
+        return np.repeat(firsts, count) + np.arange(count.sum())
 
     # the run: every unread row of it is at least (bounds[0], lo), ahead of
     # the k-th pair only while the k-th distance is above bounds[0] (or NaN)
     read = int(np.searchsorted(bounds, bounds[0], side="right"))
-    run, done, lo = leaf_ranks(0, read), 0, 0
+    run_at = leaf_positions(0, read)
+    run, done, lo = leaves.ranks[run_at], 0, 0
     width = -(-n * _FIRST_WINDOW_ROWS // run.size)
     while done < run.size:
         if best.size == want and best[-1] <= bounds[0]:
             return np.asarray(id_order[best_ranks], dtype=np.intp), best, done
-        window = run[(run >= lo) & (run < lo + width)]
+        window = run_at[(run >= lo) & (run < lo + width)]
         if window.size:
             merge(window)
         done, lo, width = done + window.size, lo + width, 4 * width
@@ -527,7 +537,7 @@ def _member_best_pruned(
             stop = min(stop, low + int(np.searchsorted(leaves.ranks[leaves.starts[ties]], best_ranks[-1])))
             if stop <= read:
                 break
-        merge(leaf_ranks(read, stop))
+        merge(leaf_positions(read, stop))
         read, done, batch = stop, int(ends[stop - 1]), min(4 * batch, _CHUNK_ROWS)
     return np.asarray(id_order[best_ranks], dtype=np.intp), best, done
 

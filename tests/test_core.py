@@ -227,6 +227,35 @@ class TestObjectSpace:
         space = ObjectSpace(ids=["a"], lambdas=[4.0], attrs=np.array([[2.0, 8.0]]), attribute_names=["x", "y"])
         assert np.array_equal(space.rates(), [[0.5, 2.0]])
 
+    def test_rates_are_computed_afresh_and_not_kept(self):
+        space = leaf_space(20_000, 11, seed=3)
+        first, again = space.rates(), space.rates()
+        assert first is not again and not np.shares_memory(first, again)
+        assert first.tobytes() == again.tobytes() == (space.attrs / space.lambdas[:, None]).tobytes()
+        del first, again
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            space.rates()
+            # the result is dropped at once: the space keeps no n x d array
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept < len(space) * 8
+
+    def test_min_rates_read_one_column_at_a_time(self):
+        space = leaf_space(200_000, 11, seed=6, negative=True)
+        want = space.rates().min(axis=0)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            got = space.min_rates()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < space.attrs.nbytes
+        assert got.tobytes() == want.tobytes() and space.min_rates() is got
+
     def test_digest_is_order_insensitive(self):
         a = ObjectSpace(ids=["a", "b"], lambdas=[1.0, 2.0], attrs=np.array([[1.0], [2.0]]), attribute_names=["x"])
         b = ObjectSpace(ids=["b", "a"], lambdas=[2.0, 1.0], attrs=np.array([[2.0], [1.0]]), attribute_names=["x"])
@@ -441,7 +470,7 @@ class TestLeafPartition:
         monkeypatch.setattr(ObjectSpace, "rates", lambda self: pytest.fail("the leaf build computed rates()"))
         first = core.leaf_partition(space.attrs, space.lambdas, space.id_order())
         again = core.leaf_partition(np.ascontiguousarray(space.attrs), space.lambdas.copy(), space.id_order().copy())
-        for name in ("ranks", "starts", "sizes", "corners"):
+        for name in ("ranks", "starts", "sizes", "corners", "attrs", "lambdas"):
             assert getattr(first, name).tobytes() == getattr(again, name).tobytes()
         # 30,000 rows: 8 split bits, so at most 256 codes of up to 128-row leaves each
         assert len(first) <= 256 + 30_000 // 128
@@ -461,13 +490,18 @@ class TestLeafPartition:
         ),
     }
 
-    @pytest.mark.parametrize("shuffled", [False, True])
-    def test_leaves_are_pinned(self, shuffled):
+    @staticmethod
+    def pinned_space(shuffled):
+        """A generated 30,011 x 11 space, or the same rows with seeded shuffled ids."""
         space = gen_synthetic({f"a{j}": NbParams(1.2, 0.05) for j in range(11)}, count=30_011, seed=22)
         if shuffled:
             ids = np.random.default_rng(22).permutation(space.ids)
             space = ObjectSpace(ids, space.lambdas, space.attrs, space.attribute_names)
-        leaves = space.leaves()
+        return space
+
+    @pytest.mark.parametrize("shuffled", [False, True])
+    def test_leaves_are_pinned(self, shuffled):
+        leaves = self.pinned_space(shuffled).leaves()
         assert len(leaves) == 345
         ranks = hashlib.sha256()
         for j in range(len(leaves)):
@@ -475,6 +509,16 @@ class TestLeafPartition:
             ranks.update(np.int32(len(leaf)).tobytes())
             ranks.update(leaf.tobytes())
         assert (ranks.hexdigest(), hashlib.sha256(leaves.corners.tobytes()).hexdigest()) == self.PINNED[shuffled]
+
+    @pytest.mark.parametrize("shuffled", [False, True])
+    def test_the_store_holds_every_row_in_code_order(self, shuffled):
+        space = self.pinned_space(shuffled)
+        leaves = space.leaves()
+        # store row p is the row of id rank ranks[p], as the space holds it
+        rows = space.id_order()[leaves.ranks]
+        assert leaves.attrs.shape == space.attrs.shape and leaves.attrs.flags.c_contiguous
+        assert leaves.attrs.tobytes() == np.ascontiguousarray(space.attrs[rows]).tobytes()
+        assert leaves.lambdas.tobytes() == space.lambdas[rows].tobytes()
 
     def test_the_build_holds_at_most_four_bytes_a_row_beyond_its_result(self):
         # half of one n-length int64 array: the build's pieces and per-code
