@@ -152,13 +152,17 @@ class Leaves:
 
     ``attrs`` and ``lambdas`` are the leaves' store: every row's attributes
     and exchange parameter in the code order of ``ranks``, so store row p
-    is the space's row ``id_order()[ranks[p]]``, bit for bit (values, not
-    rates), and leaf ``j`` is the contiguous store rows
-    ``starts[j]:starts[j] + sizes[j]``.
+    holds the values (not rates) of the space's row ``id_order()[ranks[p]]``
+    and leaf ``j`` is the contiguous store rows
+    ``starts[j]:starts[j] + sizes[j]``. ``attrs`` is a row-major (n, d)
+    float32 array, which widens to the space's float64 values bit for bit,
+    and ``lambdas`` n float64s: n * (4d + 8) bytes, about half of the
+    space's own arrays. A space with any attribute that float32 does not
+    hold exactly, such as a fractional value, has no store: both are
+    ``None``, and a pass gathers its rows from the space.
 
-    ``ranks`` is int32, ``starts`` and ``sizes`` int64, ``corners``
-    (leaves, d) float64, ``attrs`` a row-major (n, d) float64 array and
-    ``lambdas`` n float64s. ``lambda_range`` is the smallest and largest
+    ``ranks`` is int32, ``starts`` and ``sizes`` int64 and ``corners``
+    (leaves, d) float64. ``lambda_range`` is the smallest and largest
     exchange parameter of the space.
     """
 
@@ -166,8 +170,8 @@ class Leaves:
     starts: np.ndarray
     sizes: np.ndarray
     corners: np.ndarray
-    attrs: np.ndarray
-    lambdas: np.ndarray
+    attrs: np.ndarray | None
+    lambdas: np.ndarray | None
     lambda_range: tuple[float, float]
 
     def __len__(self) -> int:
@@ -189,14 +193,15 @@ def leaf_partition(attrs: np.ndarray, lambdas: np.ndarray, id_order: np.ndarray)
     c % p of them one rank longer than the rest. Leaves are numbered by one
     argsort of their first ranks, and each corner is written to its leaf's
     number. The store is filled from the corner pass's own gathers, each
-    written to its code-order positions before it is divided into rates.
+    written to its code-order positions before it is divided into rates;
+    the first gather with a value that float32 does not hold drops it.
 
     The build reads the space in pieces of ``_PIECE_ROWS`` rows: column by
     column for the uint16 codes, which it computes twice (once to count
     each code over row-order pieces, once to place each row over id-order
     pieces) rather than hold, and for the corners and the store one gather
     of whole leaves per ``_GATHER_ROWS`` rows.
-    Besides its result, whose store is n * (d + 1) float64s, it holds
+    Besides its result, whose store is n * (4d + 8) bytes, it holds
     pieces and per-code and per-leaf arrays only: no rate matrix
     (``ObjectSpace.rates`` is not called), no n-length codes or int64
     positions, and no second copy of the space.
@@ -261,17 +266,21 @@ def leaf_partition(attrs: np.ndarray, lambdas: np.ndarray, id_order: np.ndarray)
     number[order] = np.arange(len(order))
 
     corners = np.empty((len(order), d))
-    store, store_lambdas = np.empty((n, d)), np.empty(n)
+    store, store_lambdas = np.empty((n, d), dtype=np.float32), np.empty(n)
     first = 0
     while first < len(order):
         last = max(first + 1, int(np.searchsorted(ends, starts[first] + _GATHER_ROWS, side="right")))
         at = slice(starts[first], ends[last - 1])
         chosen = id_order[ranks[at]]
-        block = attrs[chosen]
-        # the store takes the gather as the space holds it, before it becomes rates
-        store[at] = block
-        store_lambdas[at] = lambdas[chosen]
-        np.divide(block, store_lambdas[at, None], out=block)
+        block, lam = attrs[chosen], lambdas[chosen]
+        if store is not None:
+            # the store takes the gather as the space holds it, before it becomes
+            # rates; a value past float32's range is cast to inf and fails the check
+            with np.errstate(over="ignore"):
+                store[at], store_lambdas[at] = block, lam
+            if not np.array_equal(store[at], block):
+                store = store_lambdas = None
+        np.divide(block, lam[:, None], out=block)
         corners[number[first:last]] = np.maximum.reduceat(block, starts[first:last] - starts[first], axis=0)
         first = last
     for _ in range(_CORNER_ULPS):
@@ -306,7 +315,8 @@ class ObjectSpace:
     comparison of neighbouring ids in that order; ``index_of`` and ``in``
     binary-search the same order. The per-dimension rate minima, the
     content digest and the leaf partition (:meth:`leaves`, whose store
-    holds a code-order copy of the rows) are computed lazily and cached.
+    holds a float32 code-order copy of the rows when float32 holds every
+    attribute exactly) are computed lazily and cached.
     The rate matrix (:meth:`rates`, attributes divided by each record's
     exchange parameter) is not: no ranking path reads it, and each call
     computes a new one.
@@ -418,12 +428,8 @@ class ObjectSpace:
         return self.attrs / self.lambdas[:, None]
 
     def min_rates(self) -> np.ndarray:
-        """Each dimension's smallest rate, computed one column at a time and cached: ``rates().min(axis=0)``."""
         if self._min_rates is None:
-            column = np.empty(len(self))
-            self._min_rates = np.array(
-                [np.divide(self.attrs[:, j], self.lambdas, out=column).min() for j in range(self.dimension)]
-            )
+            self._min_rates = self.rates().min(axis=0)
         return self._min_rates
 
     def leaves(self) -> Leaves:

@@ -39,10 +39,10 @@ the exhaustive method's own per-member pass at k = L
 build with ``prune=False`` takes that full pass instead and builds no
 leaves. The CLI builds so: a command answers one configuration, and on a
 fresh space one build that built the leaves, with their row store, took
-39-52 ms against the full pass's 17-20 ms at 1e5 rows (medians over 30
-teams of 5), and 0.48-0.49 s against 0.14-0.15 s at 1.07e6 (medians over
-6 teams of 5; 11 dimensions, elite targets, unit weights, 2 vCPUs, each
-range over seeds). Either way the file holds the same bytes;
+30-31 ms against the full pass's 15-16 ms at 1e5 rows (medians over 30
+teams of 5), and 0.43 s against 0.13 s at 1.07e6 (medians over 6 teams
+of 5; 11 dimensions, elite targets, unit weights, 2 vCPUs, each range
+over seeds). Either way the file holds the same bytes;
 ``NnIndex.rows_scored`` gives the rows each
 member's pass scored. L is whole blocks, or all n entries; only
 a run of all n entries can end inside a block, and its final block is padded

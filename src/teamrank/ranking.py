@@ -59,7 +59,9 @@ sizes[j]]``, so its first rank is ``ranks[starts[j]]``. A pass reads a
 leaf's rows from the same slice of the leaves' store (``Leaves.attrs``
 and ``Leaves.lambdas``, every row's values in the code order of
 ``ranks``), not from the space, and only the k ranks it returns go
-through ``id_order`` to become row positions. ``_member_top`` orders
+through ``id_order`` to become row positions; a space without a store
+(an attribute that float32 does not hold) gathers the rows of those
+ranks from the space instead. ``_member_top`` orders
 rows by (distance, id); ids are unique, and ``id_order`` sorts them with
 the same numpy comparison, so
 (distance, id) order is (distance, rank) order, and the pruned pass breaks
@@ -271,7 +273,9 @@ def _exchange_distance_rows(
     into one reused (d, block) buffer, so every later operation streams
     over contiguous rows of it. Any strides work; a Fortran-ordered
     ``attr_rows``, such as ``ObjectSpace.attrs``, gives that first read
-    contiguous columns too.
+    contiguous columns too. float32 ``attr_rows``, such as the leaves'
+    store, are widened to float64 exactly by that first multiply, so they
+    score as their float64 values do.
     """
     n, d = attr_rows.shape
     base = np.broadcast_to(base, (n, d))
@@ -456,7 +460,8 @@ def _member_best_pruned(
     ``Leaves.lambdas``), where each leaf is one contiguous slice: a piece
     gathers its rows' values from the store and their id ranks from
     ``Leaves.ranks`` at the same positions, and only the final k ranks are
-    turned into row positions through ``id_order``.
+    turned into row positions through ``id_order``. Without a store, a
+    piece gathers the rows of its ranks from the space.
 
     The leaves of the smallest bound, the run, are read first and row by
     row in ascending id rank: in windows of ranks [lo, hi), each one mask
@@ -496,10 +501,16 @@ def _member_best_pruned(
     best_ranks, best = np.empty(0, dtype=leaves.ranks.dtype), np.empty(0)
 
     def merge(at: np.ndarray) -> None:
-        """Score the store rows ``at`` into the best k."""
+        """Score the rows at store positions ``at`` into the best k."""
         nonlocal best_ranks, best
-        dist = _exchange_distance_rows(base, record.lam, leaves.attrs[at], leaves.lambdas[at], w)
-        ranks, dist = np.concatenate([best_ranks, leaves.ranks[at]]), np.concatenate([best, dist])
+        ranks = leaves.ranks[at]
+        if leaves.attrs is None:
+            rows = id_order[ranks]
+            values, lambdas = space.attrs[rows], space.lambdas[rows]
+        else:
+            values, lambdas = leaves.attrs[at], leaves.lambdas[at]
+        dist = _exchange_distance_rows(base, record.lam, values, lambdas, w)
+        ranks, dist = np.concatenate([best_ranks, ranks]), np.concatenate([best, dist])
         chosen = _member_top(dist, ranks, k)
         best_ranks, best = ranks[chosen], dist[chosen]
 

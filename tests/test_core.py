@@ -243,19 +243,6 @@ class TestObjectSpace:
             tracemalloc.stop()
         assert kept < len(space) * 8
 
-    def test_min_rates_read_one_column_at_a_time(self):
-        space = leaf_space(200_000, 11, seed=6, negative=True)
-        want = space.rates().min(axis=0)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            got = space.min_rates()
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        assert peak < space.attrs.nbytes
-        assert got.tobytes() == want.tobytes() and space.min_rates() is got
-
     def test_digest_is_order_insensitive(self):
         a = ObjectSpace(ids=["a", "b"], lambdas=[1.0, 2.0], attrs=np.array([[1.0], [2.0]]), attribute_names=["x"])
         b = ObjectSpace(ids=["b", "a"], lambdas=[2.0, 1.0], attrs=np.array([[2.0], [1.0]]), attribute_names=["x"])
@@ -516,9 +503,22 @@ class TestLeafPartition:
         leaves = space.leaves()
         # store row p is the row of id rank ranks[p], as the space holds it
         rows = space.id_order()[leaves.ranks]
-        assert leaves.attrs.shape == space.attrs.shape and leaves.attrs.flags.c_contiguous
-        assert leaves.attrs.tobytes() == np.ascontiguousarray(space.attrs[rows]).tobytes()
+        assert leaves.attrs.dtype == np.float32 and leaves.attrs.flags.c_contiguous
+        assert leaves.attrs.shape == space.attrs.shape
+        assert leaves.attrs.astype(np.float64).tobytes() == np.ascontiguousarray(space.attrs[rows]).tobytes()
         assert leaves.lambdas.tobytes() == space.lambdas[rows].tobytes()
+
+    @pytest.mark.parametrize("value", [0.1, 2.0**24 + 1, 1e39, 1e-310])
+    def test_an_attribute_that_float32_does_not_hold_leaves_no_store(self, value):
+        # a fraction, an integer past float32's 24-bit mantissa, a value past
+        # its range and one below its subnormals, in the row the build gathers last
+        space = leaf_space(5000, 11, seed=4)
+        leaves = space.leaves()
+        assert leaves.attrs is not None
+        attrs = space.attrs.copy()
+        attrs[space.id_order()[leaves.ranks[-1]], 5] = value
+        other = ObjectSpace(space.ids, space.lambdas, attrs, space.attribute_names).leaves()
+        assert other.attrs is None and other.lambdas is None
 
     def test_the_build_holds_at_most_four_bytes_a_row_beyond_its_result(self):
         # half of one n-length int64 array: the build's pieces and per-code

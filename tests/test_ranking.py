@@ -223,8 +223,7 @@ class TestRowKernels:
     def test_peak_memory_stays_below_one_attribute_matrix(self, method, tmp_path):
         # numpy reports its buffers to tracemalloc; a kernel that makes one
         # n x d temporary already reaches the bound, while the kernel's own
-        # (d, block) buffer and ratio vector stay far below it. A pruned
-        # build's peak is counted beyond the leaves it builds (traced_peak)
+        # (d, block) buffer and ratio vector stay far below it
         assert self.traced_peak(method, tmp_path) < self.MEMORY_N * self.MEMORY_D * 8
 
     @pytest.mark.parametrize("method, workers", [("bf", 3), ("build", 3)])
@@ -236,12 +235,7 @@ class TestRowKernels:
         assert stats["member_workers"] == workers
 
     def traced_peak(self, method, tmp_path, stats_out=None):
-        """tracemalloc peak, in bytes, of one five-member bf or build pass.
-
-        A pruned build also builds the space's leaves, whose store alone is
-        n * (d + 1) float64s and stays with the space; its peak is counted
-        beyond the arrays of those leaves.
-        """
+        """tracemalloc peak, in bytes, of one five-member bf or build pass."""
         n, d = self.MEMORY_N, self.MEMORY_D
         rng = np.random.default_rng(5)
         space = ObjectSpace(
@@ -264,12 +258,9 @@ class TestRowKernels:
             else:
                 # a pruned build also builds the space's leaves, inside the trace
                 build_index(space, team, target, w, 10, tmp_path, prune=method == "build").close()
-            peak = tracemalloc.get_traced_memory()[1] - before
+            return tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        if method == "build":
-            peak -= sum(value.nbytes for value in vars(space.leaves()).values() if isinstance(value, np.ndarray))
-        return peak
 
 
 class TestBruteForce:
@@ -539,10 +530,12 @@ class TestRtcStar:
         # reach: a member's k-th distance is above 0 (for 11,947 of the
         # 12,084 members of seeds 0, 7, ..., 10,000)
         far = TargetContext(team_id="T", aggregate=plain.team.aggregate * 3)
+        # shifted by fractions: the only instance whose leaves have no store
+        negative = random_instance(seed, n=n, negative=True)
         instances = (
             plain,
             dataclasses.replace(plain, target=far),
-            random_instance(seed, n=n, negative=True),
+            negative,
             tied,
             shuffled,
             dataclasses.replace(shuffled, target=zero),
@@ -573,7 +566,7 @@ class TestRtcStar:
                                 scored[prune] = index.rows_scored
                                 got = rtc_star_rank(inst.team, inst.target, space, inst.weights, index, inst.top_k)
                             assert got == expected
-                    assert space._leaves is not None
+                    assert (space._leaves.attrs is None) == (inst is negative)
                 assert files[True] == files[False]
                 assert scored[False] == (rows,) * inst.team.size
                 assert all(1 <= count <= rows for count in scored[True])
